@@ -1,80 +1,36 @@
-"""Frequency-domain machinery: FFT core plus differentiable spectrum ops.
+"""Frequency-domain ops as matrix products against cached real DFT bases.
 
-The transform pair is deliberately plain: unnormalised forward DFT, 1/D on
-the inverse. Real signals of even length D map to B = D//2 + 1 complex
-bins (bin 0 is DC, bin D/2 is Nyquist). Power-of-two lengths go through an
-iterative radix-2 butterfly; any other even length falls back to the
-naive O(D^2) matrix transform, which keeps the core exact for the
-fallback grid without a mixed-radix implementation. Odd lengths are a
-configuration error by contract.
+The transform pair is deliberately plain: unnormalised forward DFT, 1/n on
+the inverse. A real signal of even length n maps to b = n//2 + 1 complex
+bins (bin 0 is DC, bin n/2 is Nyquist), laid out as one real vector
+[re | im] of width 2b. Both directions are matmuls against a pair of real
+bases, built once per (n, dtype) and cached read-only:
 
-Everything above the array level is expressed as tape primitives, so
-gradients flow through spectra: rfft/irfft register their own adjoints
-(both are linear maps), and the complex-weight projection is composed
-from existing linear ops.
+* ``fwd`` [n, 2b]: ``x @ fwd`` is the half spectrum;
+* ``inv`` [2b, n]: ``spec @ inv`` is the real inverse. It carries the 1/n
+  factor and counts each interior bin twice (conjugate symmetry). Its rows
+  for the imaginary parts of the DC and Nyquist bins are zero, so the map
+  is total: any (re, im) pair yields a real signal.
+
+Every even length takes the same path; odd lengths are a configuration
+error by contract. The bases are built in the input's floating dtype, so a
+float32 signal stays float32.
+
+`rfft`/`irfft` are tape primitives whose adjoints are the transposed bases.
+`freq_projection` is linear in its input and is recorded as one primitive:
+transform, mix the bins with one complex matrix written as a real
+[2b, 2b] block matrix, transform back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DimensionError
-from .tensor import Tensor, _record, add, linear, sub, transpose
-
-
-def _bit_reverse_permutation(n: int) -> np.ndarray:
-    levels = n.bit_length() - 1
-    rev = np.zeros(n, dtype=np.intp)
-    work = np.arange(n)
-    for _ in range(levels):
-        rev = (rev << 1) | (work & 1)
-        work >>= 1
-    return rev
-
-
-def _fft_pow2(re: np.ndarray, im: np.ndarray, sign: int):
-    """Iterative radix-2 butterflies along the trailing axis."""
-    n = re.shape[-1]
-    lead = re.shape[:-1]
-    rev = _bit_reverse_permutation(n)
-    re = np.ascontiguousarray(re[..., rev])
-    im = np.ascontiguousarray(im[..., rev])
-    size = 2
-    while size <= n:
-        half = size // 2
-        ang = sign * 2.0 * np.pi * np.arange(half) / size
-        wr, wi = np.cos(ang), np.sin(ang)
-        re = re.reshape(lead + (n // size, size))
-        im = im.reshape(lead + (n // size, size))
-        er, ei = re[..., :half], im[..., :half]
-        odd_r, odd_i = re[..., half:], im[..., half:]
-        tr = wr * odd_r - wi * odd_i
-        ti = wr * odd_i + wi * odd_r
-        re = np.concatenate([er + tr, er - tr], axis=-1)
-        im = np.concatenate([ei + ti, ei - ti], axis=-1)
-        size *= 2
-    return re.reshape(lead + (n,)), im.reshape(lead + (n,))
-
-
-def _fft_matrix(re: np.ndarray, im: np.ndarray, sign: int):
-    """Direct O(n^2) transform, used for even non-power-of-two lengths."""
-    n = re.shape[-1]
-    bt = np.outer(np.arange(n), np.arange(n)) * (2.0 * np.pi / n)
-    c, s = np.cos(bt), np.sin(bt) * sign
-    out_re = re @ c.T - im @ s.T
-    out_im = re @ s.T + im @ c.T
-    return out_re, out_im
-
-
-def _fft_complex(re: np.ndarray, im: np.ndarray, sign: int):
-    """Full complex DFT along the trailing axis; sign=-1 is the forward
-    convention exp(-2*pi*i*b*t/n)."""
-    n = re.shape[-1]
-    if n >= 2 and (n & (n - 1)) == 0:
-        return _fft_pow2(re, im, sign)
-    return _fft_matrix(re, im, sign)
+from .tensor import Tensor, _record
 
 
 def _require_even(n: int, who: str) -> None:
@@ -87,62 +43,52 @@ def n_bins(n: int) -> int:
     return n // 2 + 1
 
 
+@lru_cache(maxsize=None)
+def _bases(n: int, dtype: np.dtype):
+    """Read-only (fwd [n, 2b], inv [2b, n]) for even length n in `dtype`."""
+    b = n_bins(n)
+    # reduce b*t mod n before scaling, so large angles lose no precision
+    angle = (np.outer(np.arange(n), np.arange(b)) % n) * (2.0 * np.pi / n)
+    cos, sin = np.cos(angle), np.sin(angle)
+    sin[:, -1] = 0.0  # sin(pi * t) is zero; make the Nyquist column exact
+    weights = np.full(b, 2.0 / n)
+    weights[[0, -1]] = 1.0 / n
+    fwd = np.concatenate([cos, -sin], axis=1).astype(dtype)
+    inv = np.concatenate([cos * weights, -sin * weights], axis=1).T.astype(dtype)
+    fwd.setflags(write=False)
+    inv.setflags(write=False)
+    return fwd, inv
+
+
+def _bases_for(x: np.ndarray, who: str):
+    n = x.shape[-1]
+    _require_even(n, who)
+    return _bases(n, np.result_type(x.dtype, np.float32))
+
+
 def rfft_arrays(x: np.ndarray):
     """Half spectrum of a real signal: (re, im), each [..., n//2+1]."""
-    n = x.shape[-1]
-    _require_even(n, "rfft")
-    re, im = _fft_complex(x, np.zeros_like(x), -1)
-    b = n_bins(n)
-    return re[..., :b].copy(), im[..., :b].copy()
+    fwd, _ = _bases_for(x, "rfft")
+    spec = x @ fwd
+    b = n_bins(x.shape[-1])
+    return spec[..., :b], spec[..., b:]
 
 
 def irfft_arrays(sre: np.ndarray, sim: np.ndarray, n: int) -> np.ndarray:
-    """Real signal from a half spectrum; inverse carries the 1/n factor.
+    """Real signal from a half spectrum; the inverse carries the 1/n factor.
 
-    The upper bins are rebuilt by conjugate symmetry, and the imaginary
-    residue of the inverse transform is dropped, so the map is total: any
-    (re, im) pair yields a real signal.
+    The upper bins follow from conjugate symmetry and the imaginary parts
+    of the DC and Nyquist bins are ignored, so any (re, im) pair yields a
+    real signal.
     """
     _require_even(n, "irfft")
     b = n_bins(n)
     if sre.shape[-1] != b or sim.shape[-1] != b:
         raise DimensionError(
             f"irfft: spectrum has {sre.shape[-1]} bins, length {n} needs {b}")
-    mirror = slice(b - 2, 0, -1)
-    full_re = np.concatenate([sre, sre[..., mirror]], axis=-1)
-    full_im = np.concatenate([sim, -sim[..., mirror]], axis=-1)
-    out_re, _ = _fft_complex(full_re, full_im, +1)
-    return out_re / n
-
-
-def _rfft_adjoint_re(g: np.ndarray, n: int) -> np.ndarray:
-    """Adjoint of x -> Re(rfft(x)) applied to g."""
-    pad = np.zeros(g.shape[:-1] + (n - g.shape[-1],), dtype=g.dtype)
-    gz = np.concatenate([g, pad], axis=-1)
-    re, _ = _fft_complex(gz, np.zeros_like(gz), +1)
-    return re
-
-
-def _rfft_adjoint_im(g: np.ndarray, n: int) -> np.ndarray:
-    """Adjoint of x -> Im(rfft(x)) applied to g."""
-    pad = np.zeros(g.shape[:-1] + (n - g.shape[-1],), dtype=g.dtype)
-    gz = np.concatenate([g, pad], axis=-1)
-    _, im = _fft_complex(gz, np.zeros_like(gz), +1)
-    return -im
-
-
-def _irfft_adjoint(g: np.ndarray, n: int):
-    """Adjoint of (re, im) -> irfft applied to g; returns (g_re, g_im)."""
-    b = n_bins(n)
-    re, im = _fft_complex(g, np.zeros_like(g), -1)
-    weights = np.full(b, 2.0)
-    weights[0] = 1.0
-    weights[-1] = 1.0
-    g_re = re[..., :b] * (weights / n)
-    g_im = im[..., :b] * (weights / n)
-    g_im[..., 0] = 0.0
-    g_im[..., -1] = 0.0
-    return g_re, g_im
+    spec = np.concatenate([sre, sim], axis=-1)
+    _, inv = _bases(n, np.result_type(spec.dtype, np.float32))
+    return spec @ inv
 
 
 @dataclass
@@ -159,39 +105,52 @@ class ComplexSpectrum:
 
 def rfft(x: Tensor) -> ComplexSpectrum:
     """Differentiable half-spectrum transform of the trailing axis."""
-    n = x.shape[-1]
+    fwd, _ = _bases_for(x.data, "rfft")
+    b = n_bins(x.shape[-1])
     re_arr, im_arr = rfft_arrays(x.data)
-    re = _record(re_arr, (x,), lambda g: (_rfft_adjoint_re(g, n),), "rfft_re")
-    im = _record(im_arr, (x,), lambda g: (_rfft_adjoint_im(g, n),), "rfft_im")
+    re = _record(re_arr, (x,), lambda g: (g @ fwd[:, :b].T,), "rfft_re")
+    im = _record(im_arr, (x,), lambda g: (g @ fwd[:, b:].T,), "rfft_im")
     return ComplexSpectrum(re, im)
 
 
 def irfft(spec: ComplexSpectrum, n: int) -> Tensor:
     """Differentiable inverse of `rfft` back to length n."""
     y = irfft_arrays(spec.re.data, spec.im.data, n)
-    return _record(y, (spec.re, spec.im), lambda g: _irfft_adjoint(g, n), "irfft")
+    _, inv = _bases(n, y.dtype)
+    b = n_bins(n)
 
+    def vjp(g):
+        gs = g @ inv.T
+        return gs[..., :b], gs[..., b:]
 
-def complex_linear(spec: ComplexSpectrum, w_re: Tensor, w_im: Tensor) -> ComplexSpectrum:
-    """Apply one complex square matrix to every spectrum in the batch:
-    out[b] = sum_b' (w_re + i*w_im)[b, b'] * spec[b']."""
-    b = spec.bins
-    if w_re.shape != (b, b) or w_im.shape != (b, b):
-        raise DimensionError(
-            f"complex_linear: weights {w_re.shape}/{w_im.shape} must be ({b}, {b})")
-    wre_t = transpose(w_re)
-    wim_t = transpose(w_im)
-    out_re = sub(linear(spec.re, wre_t), linear(spec.im, wim_t))
-    out_im = add(linear(spec.re, wim_t), linear(spec.im, wre_t))
-    return ComplexSpectrum(out_re, out_im)
+    return _record(y, (spec.re, spec.im), vjp, "irfft")
 
 
 def freq_projection(x: Tensor, w_re: Tensor, w_im: Tensor) -> Tensor:
     """Learnable filter in the frequency domain: transform, mix bins with a
-    complex matrix shared across channels, transform back. Linear in x."""
-    n = x.shape[-1]
-    _require_even(n, "freq_projection")
-    return irfft(complex_linear(rfft(x), w_re, w_im), n)
+    complex matrix shared across channels, transform back. Linear in x:
+
+        y = ((x @ fwd) @ [[w_re^T, w_im^T], [-w_im^T, w_re^T]]) @ inv
+    """
+    fwd, inv = _bases_for(x.data, "freq_projection")
+    b = n_bins(x.shape[-1])
+    if w_re.shape != (b, b) or w_im.shape != (b, b):
+        raise DimensionError(
+            f"freq_projection: weights {w_re.shape}/{w_im.shape} must be ({b}, {b})")
+    wr_t, wi_t = w_re.data.T, w_im.data.T
+    mix = np.block([[wr_t, wi_t], [-wi_t, wr_t]])
+    spec = x.data @ fwd
+    y = (spec @ mix) @ inv
+
+    def vjp(g):
+        g_mixed = g @ inv.T
+        gx = (g_mixed @ mix.T) @ fwd.T
+        g_mix = spec.reshape(-1, 2 * b).T @ g_mixed.reshape(-1, 2 * b)
+        g_re = (g_mix[:b, :b] + g_mix[b:, b:]).T
+        g_im = (g_mix[:b, b:] - g_mix[b:, :b]).T
+        return gx, g_re, g_im
+
+    return _record(y, (x, w_re, w_im), vjp, "freq_projection")
 
 
 def identity_complex_weights(bins: int, dtype=np.float64):

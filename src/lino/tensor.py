@@ -27,6 +27,7 @@ import threading
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, NonFiniteError
 
@@ -288,9 +289,13 @@ def causal_depthwise_conv(h: Tensor, phi: Tensor, beta: Tensor) -> Tensor:
     h: [..., C, D], phi: [C, D], beta: [C]. Left zero-padding, so
     out[..., c, d] = sum_{k=0..d} phi[c, k] * h[..., c, d-k] + beta[c].
 
-    Accumulation runs in ascending k so the result matches a brute-force
+    The forward accumulates in ascending k, so it matches a brute-force
     (c, d, k) reference loop bitwise; do not replace the k-loop with an
-    FFT or matmul formulation without dropping that guarantee.
+    FFT or matmul formulation without dropping that guarantee. The
+    backward is a matmul form and agrees with the k-loop adjoint to
+    rounding: the input gradient multiplies by each channel's Toeplitz
+    operator, a strided view of the zero-padded kernel, and the kernel
+    gradient sums the superdiagonals of h^T g.
     """
     if h.data.ndim < 2:
         raise DimensionError(f"conv: input needs [..., C, D], got {h.shape}")
@@ -305,15 +310,26 @@ def causal_depthwise_conv(h: Tensor, phi: Tensor, beta: Tensor) -> Tensor:
         out[..., k:] += pd[:, k, None] * hd[..., : d - k]
     out = out + beta.data[:, None]
 
-    lead_axes = tuple(range(hd.ndim - 2))
+    lead = hd.shape[:-2]
 
     def vjp(g):
-        gh = np.zeros_like(hd)
-        gphi = np.zeros_like(pd)
-        for k in range(d):
-            gh[..., : d - k] += pd[:, k, None] * g[..., k:]
-            gphi[:, k] = (g[..., k:] * hd[..., : d - k]).sum(axis=lead_axes + (-1,))
-        gbeta = g.sum(axis=lead_axes + (-1,))
+        # channel-major [C, N, D] layout, N = product of the leading axes
+        gc = np.moveaxis(g, -2, 0).reshape(c, -1, d)
+        hc = np.moveaxis(hd, -2, 0).reshape(c, -1, d)
+        # toeplitz[c, i, j] = phi[c, i - j], zero above the diagonal
+        padded = np.concatenate([np.zeros((c, d - 1), dtype=pd.dtype), pd], axis=-1)
+        toeplitz = sliding_window_view(padded, d, axis=-1)[..., ::-1]
+        gh = np.moveaxis((gc @ toeplitz).reshape((c,) + lead + (d,)), 0, -2)
+        # gphi[c, k] = sum_j (h^T g)[c, j, j + k]. Rows of h^T g go into a
+        # buffer of row width 2D, zero past D; reread in rows of width 2D + 1,
+        # row j starts j places later, so column k holds superdiagonal k.
+        # One channel at a time keeps the buffer small.
+        skew = np.zeros(d * (2 * d + 1), dtype=np.result_type(hd, g))
+        gphi = np.empty_like(pd)
+        for ci in range(c):
+            np.matmul(hc[ci].T, gc[ci], out=skew[: 2 * d * d].reshape(d, 2 * d)[:, :d])
+            gphi[ci] = skew.reshape(d, 2 * d + 1)[:, :d].sum(axis=0)
+        gbeta = gc.sum(axis=(1, 2))
         return gh, gphi, gbeta
 
     return _record(out, (h, phi, beta), vjp, "causal_depthwise_conv")

@@ -14,6 +14,7 @@ of the run seed, which is what makes reruns bit-identical.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import json
@@ -236,7 +237,12 @@ _DTYPE_CODES = {np.dtype("float64"): 0, np.dtype("float32"): 1}
 def save_checkpoint(path: str, config: LiNoConfig, params: dict,
                     extra: Optional[dict] = None) -> None:
     """Serialise (config, params). Writing the same inputs twice yields
-    byte-identical files."""
+    byte-identical files.
+
+    The bytes go to a temporary file in the target's directory, which then
+    replaces the target in one step, so a failed save leaves any previous
+    checkpoint at `path` untouched.
+    """
     buf = io.BytesIO()
     buf.write(_MAGIC)
     header = json.dumps({"extra": extra or {}, "model": asdict(config)},
@@ -255,8 +261,15 @@ def save_checkpoint(path: str, config: LiNoConfig, params: dict,
         buf.write(np.ascontiguousarray(tensor.data.astype(_DTYPES[code])).tobytes())
     digest = hashlib.sha256(buf.getvalue()).digest()
     buf.write(digest)
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(buf.getvalue())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path: str, expect: Optional[LiNoConfig] = None):
@@ -288,7 +301,10 @@ def load_checkpoint(path: str, expect: Optional[LiNoConfig] = None):
     header_len = take("<Q")
     header = json.loads(body[off:off + header_len].decode())
     off += header_len
-    config = LiNoConfig(**header["model"])
+    try:
+        config = LiNoConfig(**header["model"])
+    except (KeyError, TypeError, ConfigError) as exc:
+        raise CheckpointError(f"{path}: bad model header: {exc}") from None
     if expect is not None:
         for field_name in ("channels", "lookback", "horizon", "dim", "blocks",
                            "mlp_hidden", "variant"):

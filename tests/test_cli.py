@@ -6,7 +6,10 @@ not model quality.
 """
 
 import csv
+import hashlib
+import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -14,7 +17,9 @@ import pytest
 import lino.cli as cli
 from lino.data import ETT_SPLIT_COUNTS
 from lino.errors import ConfigError
-from lino.train import load_checkpoint
+from lino.model import LiNoConfig, init_params
+from lino.seeding import stream
+from lino.train import load_checkpoint, save_checkpoint
 
 
 def write_cfg(path, **kv):
@@ -278,6 +283,25 @@ class TestExportCommands:
 
     def test_missing_checkpoint_is_a_data_error(self, tmp_path):
         assert cli.main(["probe", "--out", str(tmp_path / "empty")]) == 3
+
+    @pytest.mark.parametrize("change", [{"wat": 1}, {"dim": 7}])
+    def test_bad_header_field_is_a_checkpoint_error(self, tmp_path, capsys, change):
+        """A well-formed checkpoint whose model header names an unknown
+        field, or holds an invalid value, exits 3 rather than 2 or a
+        traceback."""
+        cfg = LiNoConfig(channels=2, lookback=8, horizon=4, dim=8, blocks=1)
+        path = tmp_path / "r" / "checkpoint"
+        path.parent.mkdir()
+        save_checkpoint(str(path), cfg, init_params(cfg, stream(0, "init")))
+        blob = path.read_bytes()
+        (size,) = struct.unpack_from("<Q", blob, 8)
+        header = json.loads(blob[16:16 + size])
+        header["model"].update(change)
+        raw = json.dumps(header, sort_keys=True).encode()
+        body = blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + size:-32]
+        path.write_bytes(body + hashlib.sha256(body).digest())
+        assert cli.main(["probe", "--out", str(tmp_path / "r")]) == 3
+        assert "bad model header" in capsys.readouterr().err
 
 
 class TestSynthCommand:

@@ -119,6 +119,17 @@ class TestInit:
         params = init_params(tiny_config(dtype="float32"), stream(0, "init"))
         assert all(t.dtype == np.float32 for t in params.values())
 
+    @pytest.mark.parametrize("variant", ["lino", "mu", "raw", "ln"])
+    def test_float32_forward_stays_float32(self, variant):
+        cfg = tiny_config(dtype="float32", blocks=2, variant=variant)
+        x = np.random.default_rng(0).normal(size=(3, 2, 8))
+        res = forward(x, init_params(cfg, stream(0, "init")), cfg)
+        patterns = [p for lv in res.trace.levels
+                    for p in (lv.li_pattern, lv.no_pattern, lv.li_pred, lv.no_pred)
+                    if p is not None]
+        for t in [res.y, res.y_norm, res.trace.final_remainder] + patterns:
+            assert t.dtype == np.float32
+
     def test_name_inventory_scales_with_blocks(self):
         n1 = len(init_params(tiny_config(blocks=1), stream(0, "init")))
         n3 = len(init_params(tiny_config(blocks=3), stream(0, "init")))

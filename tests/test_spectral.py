@@ -90,14 +90,22 @@ class TestTransformPair:
         with pytest.raises(DimensionError):
             sp.irfft_arrays(np.zeros(4), np.zeros(4), 8)
 
-    def test_pow2_and_matrix_cores_agree(self):
-        rng = np.random.default_rng(8)
-        re = rng.normal(size=(2, 16))
-        im = rng.normal(size=(2, 16))
-        fr, fi = sp._fft_pow2(re, im, -1)
-        mr, mi = sp._fft_matrix(re, im, -1)
-        np.testing.assert_allclose(fr, mr, atol=1e-9)
-        np.testing.assert_allclose(fi, mi, atol=1e-9)
+    def test_bases_cached_and_read_only(self):
+        fwd, inv = sp._bases(16, np.dtype(np.float64))
+        assert sp._bases(16, np.dtype(np.float64))[0] is fwd
+        assert fwd.shape == (16, 18) and inv.shape == (18, 16)
+        assert not fwd.flags.writeable and not inv.flags.writeable
+        np.testing.assert_allclose(fwd @ inv, np.eye(16), atol=1e-12)
+
+    def test_float32_stays_float32(self):
+        x = np.random.default_rng(2).normal(size=(3, 12)).astype(np.float32)
+        re, im = sp.rfft_arrays(x)
+        assert re.dtype == im.dtype == np.float32
+        assert sp.irfft_arrays(re, im, 12).dtype == np.float32
+        w_re, w_im = sp.identity_complex_weights(7, dtype=np.float32)
+        y = sp.freq_projection(Tensor(x), Tensor(w_re), Tensor(w_im))
+        assert y.dtype == np.float32
+        np.testing.assert_allclose(y.data, x, atol=1e-5)
 
 
 class TestSpectrumOps:
@@ -137,6 +145,18 @@ class TestSpectrumOps:
         y = sp.freq_projection(Tensor(x), Tensor(w_re), Tensor(np.zeros((5, 5))))
         np.testing.assert_allclose(y.data, x.mean(axis=-1, keepdims=True) * np.ones(8),
                                    atol=1e-10)
+
+    @pytest.mark.parametrize("n", [2, 8, 64, 256, 6, 12, 20, 96])
+    def test_projection_matches_numpy_oracle(self, n):
+        """Power-of-two and other even lengths against numpy.fft."""
+        rng = np.random.default_rng(n + 2)
+        b = n // 2 + 1
+        x = rng.normal(size=(4, 3, n))
+        w_re, w_im = rng.normal(size=(b, b)), rng.normal(size=(b, b))
+        y = sp.freq_projection(Tensor(x), Tensor(w_re), Tensor(w_im)).data
+        mixed = np.fft.rfft(x, axis=-1) @ (w_re + 1j * w_im).T
+        # irfft reads only the real parts of the DC and Nyquist bins
+        np.testing.assert_allclose(y, np.fft.irfft(mixed, n=n, axis=-1), atol=1e-9)
 
     def test_weight_shape_checked(self):
         with pytest.raises(DimensionError):

@@ -260,6 +260,36 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="channels"):
             load_checkpoint(str(path), expect=tiny_config(channels=3))
 
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        cfg = tiny_config()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), cfg, self._params(cfg, seed=1))
+        before = path.read_bytes()
+
+        class HalfWrite:
+            """File whose write stores half the bytes, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                raise OSError("no space left on device")
+
+        real_open = open
+        monkeypatch.setattr("lino.train.open", lambda *a, **k: HalfWrite(real_open(*a, **k)),
+                            raising=False)
+        with pytest.raises(OSError, match="no space"):
+            save_checkpoint(str(path), cfg, self._params(cfg, seed=2))
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+
     def test_float32_roundtrip(self, tmp_path):
         cfg = tiny_config(dtype="float32")
         params = self._params(cfg)
