@@ -11,18 +11,20 @@ import csv
 import os
 import sys
 import time
+from typing import NamedTuple
 
 import numpy as np
 
 from .data import (ETT_SPLIT_COUNTS, SplitSpec, SynthSpec, load_csv,
                    prepare, save_csv, synth_generate)
 from .errors import ConfigError, DataError, DimensionError, NonFiniteError
-from .evaluate import (REPORT_COLUMNS, EvalReport, ReportRow,
+from .evaluate import (REPORT_COLUMNS, EvalReport, ReportRow, WindowMetrics,
                        decomposition_table, evaluate, export_decomposition,
                        li_block_map, model_map, no_block_map, probe_affine)
 from .model import (ABLATIONS, VARIANTS, Forecaster, LiNoConfig)
 from .seeding import stream
-from .train import TrainConfig, load_checkpoint, save_checkpoint, train
+from .train import (TrainConfig, TrainResult, load_checkpoint, save_checkpoint,
+                    train)
 
 # ---------------------------------------------------------------------------
 # run configuration
@@ -127,21 +129,27 @@ def parse_config_file(path: str) -> dict:
     """Flat key=value settings, one per line, `#` starts a comment."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: config file is not UTF-8 text: {exc.reason}") from None
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read config file: {exc.strerror}") from None
     out = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path} line {lineno}: expected key = value, got {raw.strip()!r}")
-            key, text = (part.strip() for part in line.split("=", 1))
-            if key not in _SCHEMA:
-                raise ConfigError(f"{path} line {lineno}: unknown key {key!r}")
-            try:
-                out[key] = _parse_value(key, text)
-            except ValueError as exc:
-                raise ConfigError(f"{path} line {lineno}: bad value for {key}: {exc}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path} line {lineno}: expected key = value, got {raw.strip()!r}")
+        key, text = (part.strip() for part in line.split("=", 1))
+        if key not in _SCHEMA:
+            raise ConfigError(f"{path} line {lineno}: unknown key {key!r}")
+        try:
+            out[key] = _parse_value(key, text)
+        except ValueError as exc:
+            raise ConfigError(f"{path} line {lineno}: bad value for {key}: {exc}") from None
     return out
 
 
@@ -159,6 +167,8 @@ class RunConfig:
             raise ConfigError(f"horizons must be positive, got {self.horizons}")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        if not self.alphas:
+            raise ConfigError("at least one noise alpha is required")
         for a in list(self.alphas) + [self.alpha]:
             if not 0.0 <= a <= 1.0:
                 raise ConfigError(f"noise alpha must lie in [0, 1], got {a}")
@@ -210,18 +220,6 @@ class RunConfig:
             values = values[:, -1:]
         return values
 
-    def model_config(self, channels: int, horizon: int) -> LiNoConfig:
-        return LiNoConfig(channels=channels, lookback=self.lookback,
-                          horizon=horizon, dim=self.dim, blocks=self.blocks,
-                          dropout=self.dropout, variant=self.variant,
-                          ablation=self.ablation)
-
-    def train_config(self, seed: int, alpha: float = None) -> TrainConfig:
-        return TrainConfig(lr=self.lr, batch_size=self.batch,
-                           max_epochs=self.epochs, patience=self.patience,
-                           noise_alpha=self.alpha if alpha is None else alpha,
-                           seed=seed)
-
 
 # ---------------------------------------------------------------------------
 # file helpers
@@ -239,22 +237,64 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _fit_one(rc: RunConfig, values, spec, horizon, seed, alpha=None,
-             variant=None, ablation=None):
-    """Train one model and score it on the test split. Returns
-    (config, result, metrics, history_rows, runtime)."""
-    prep = prepare(values, spec, rc.lookback, horizon)
-    config = rc.model_config(values.shape[1], horizon)
-    if variant is not None:
-        config = config.with_(variant=variant, ablation="none")
-    if ablation is not None:
-        config = config.with_(ablation=ablation)
-    started = time.time()
-    result = train(*prep.train, *prep.val, config, rc.train_config(seed, alpha))
-    metrics = evaluate(Forecaster(result.params, config), *prep.test)
-    history = [[str(horizon), str(seed), str(e), repr(tr), repr(va)]
-               for e, tr, va in result.history]
-    return config, result, metrics, history, time.time() - started
+def _finish(outd: str, summary: str) -> None:
+    """Write the run's summary.txt and echo it."""
+    _write_text(os.path.join(outd, "summary.txt"), summary)
+    print(summary, end="")
+    print(f"wrote {outd}")
+
+
+# ---------------------------------------------------------------------------
+# the fit loop shared by train, ablate and noise
+# ---------------------------------------------------------------------------
+
+class Fit(NamedTuple):
+    """One combo's trained model and its test-split score."""
+
+    variant: str
+    ablation: str
+    horizon: int
+    seed: int
+    alpha: float
+    config: LiNoConfig
+    result: TrainResult
+    metrics: WindowMetrics
+    runtime: float  # seconds for training plus test evaluation
+
+    def report_row(self, dataset: str) -> ReportRow:
+        return ReportRow(dataset, self.horizon, self.variant, self.ablation,
+                         self.seed, self.metrics.windows, self.metrics.mse,
+                         self.metrics.mae, self.runtime)
+
+
+def _fits(rc: RunConfig, combos):
+    """Train and test one model per (variant, ablation, horizon, seed,
+    alpha) combo and yield each `Fit` in combo order.
+
+    The values load once and the run directory is created before the
+    first fit. `prepare` reruns only when the horizon differs from the
+    previous combo's, and the old split set is dropped first, so at most
+    one prepared set is alive at a time.
+    """
+    values = rc.load_values()
+    spec = rc.split_spec()
+    os.makedirs(rc.run_dir(), exist_ok=True)
+    prep, prepared = None, None
+    for variant, ablation, horizon, seed, alpha in combos:
+        if horizon != prepared:
+            prep = None  # free the old split set before building the next
+            prep = prepare(values, spec, rc.lookback, horizon)
+            prepared = horizon
+        config = LiNoConfig(channels=values.shape[1], lookback=rc.lookback,
+                            horizon=horizon, dim=rc.dim, blocks=rc.blocks,
+                            dropout=rc.dropout, variant=variant, ablation=ablation)
+        tcfg = TrainConfig(lr=rc.lr, batch_size=rc.batch, max_epochs=rc.epochs,
+                           patience=rc.patience, noise_alpha=alpha, seed=seed)
+        started = time.time()
+        result = train(*prep.train, *prep.val, config, tcfg)
+        metrics = evaluate(Forecaster(result.params, config), *prep.test)
+        yield Fit(variant, ablation, horizon, seed, alpha, config, result,
+                  metrics, time.time() - started)
 
 
 # ---------------------------------------------------------------------------
@@ -262,50 +302,37 @@ def _fit_one(rc: RunConfig, values, spec, horizon, seed, alpha=None,
 # ---------------------------------------------------------------------------
 
 def cmd_train(rc: RunConfig) -> int:
-    values = rc.load_values()
-    spec = rc.split_spec()
     outd = rc.run_dir()
-    os.makedirs(outd, exist_ok=True)
     report = EvalReport()
     history_rows = []
-    combos = [(h, s) for h in rc.horizons for s in rc.seeds]
-    for horizon, seed in combos:
-        config, result, metrics, history, runtime = _fit_one(
-            rc, values, spec, horizon, seed)
-        report.add(ReportRow(rc.dataset_stem(), horizon, rc.variant, rc.ablation,
-                             seed, metrics.windows, metrics.mse, metrics.mae,
-                             runtime))
-        history_rows.extend(history)
-        name = "checkpoint" if len(combos) == 1 else f"checkpoint_h{horizon}_s{seed}"
-        save_checkpoint(os.path.join(outd, name), config, result.params,
-                        extra={"seed": seed, "best_epoch": result.best_epoch,
-                               "best_val": result.best_val})
+    combos = [(rc.variant, rc.ablation, h, s, rc.alpha)
+              for h in rc.horizons for s in rc.seeds]
+    for fit in _fits(rc, combos):
+        report.add(fit.report_row(rc.dataset_stem()))
+        history_rows.extend([str(fit.horizon), str(fit.seed), str(e), repr(tr), repr(va)]
+                            for e, tr, va in fit.result.history)
+        name = ("checkpoint" if len(combos) == 1
+                else f"checkpoint_h{fit.horizon}_s{fit.seed}")
+        save_checkpoint(os.path.join(outd, name), fit.config, fit.result.params,
+                        extra={"seed": fit.seed, "best_epoch": fit.result.best_epoch,
+                               "best_val": fit.result.best_val})
     _write_table(os.path.join(outd, "history.csv"),
                  ("horizon", "seed", "epoch", "train_mse", "val_mse"),
                  history_rows)
     _write_table(os.path.join(outd, "report.csv"), REPORT_COLUMNS, report.table())
-    _write_text(os.path.join(outd, "summary.txt"), report.summary_text())
-    print(report.summary_text(), end="")
-    print(f"wrote {outd}")
+    _finish(outd, report.summary_text())
     return 0
 
 
 def cmd_ablate(rc: RunConfig) -> int:
-    values = rc.load_values()
-    spec = rc.split_spec()
     outd = rc.run_dir()
-    os.makedirs(outd, exist_ok=True)
     report = EvalReport()
     val_mse = {}
-    for ablation in ABLATIONS:
-        for horizon in rc.horizons:
-            for seed in rc.seeds:
-                _, result, metrics, _, runtime = _fit_one(
-                    rc, values, spec, horizon, seed, ablation=ablation)
-                report.add(ReportRow(rc.dataset_stem(), horizon, rc.variant,
-                                     ablation, seed, metrics.windows,
-                                     metrics.mse, metrics.mae, runtime))
-                val_mse.setdefault((ablation, horizon), []).append(result.best_val)
+    combos = [(rc.variant, a, h, s, rc.alpha)
+              for a in ABLATIONS for h in rc.horizons for s in rc.seeds]
+    for fit in _fits(rc, combos):
+        report.add(fit.report_row(rc.dataset_stem()))
+        val_mse.setdefault((fit.ablation, fit.horizon), []).append(fit.result.best_val)
     rows = []
     agg = report.seed_summary()
     full = {g["horizon"]: g["mse_mean"] for g in agg if g["ablation"] == "none"}
@@ -320,38 +347,31 @@ def cmd_ablate(rc: RunConfig) -> int:
                  ("ablation", "horizon", "seeds", "val_mse_mean", "mse_mean",
                   "mae_mean", "mse_vs_full"),
                  rows)
-    _write_text(os.path.join(outd, "summary.txt"), report.summary_text())
-    print(report.summary_text(), end="")
-    print(f"wrote {outd}")
+    _finish(outd, report.summary_text())
     return 0
 
 
 def cmd_noise(rc: RunConfig) -> int:
-    values = rc.load_values()
-    spec = rc.split_spec()
     outd = rc.run_dir()
-    os.makedirs(outd, exist_ok=True)
     horizon = rc.horizons[0]
     sweep = ("lino", "mu", "raw")
     rows = []
-    curves = {v: [] for v in sweep}
+    seed_mse = {}
     lines = ["training-noise sweep, metrics on the standardized test split", ""]
-    for variant in sweep:
-        for alpha in rc.alphas:
-            seed_mse = []
-            for seed in rc.seeds:
-                _, _, metrics, _, runtime = _fit_one(
-                    rc, values, spec, horizon, seed, alpha=alpha, variant=variant)
-                rows.append([variant, repr(float(alpha)), str(horizon), str(seed),
-                             str(metrics.windows), repr(metrics.mse),
-                             repr(metrics.mae)])
-                seed_mse.append(metrics.mse)
-                lines.append(f"{variant} alpha={alpha:g} seed={seed}: "
-                             f"mse={metrics.mse:.6f} runtime={runtime:.1f}s")
-            curves[variant].append((alpha, float(np.mean(seed_mse))))
+    combos = [(v, "none", horizon, s, a)
+              for v in sweep for a in rc.alphas for s in rc.seeds]
+    for fit in _fits(rc, combos):
+        m = fit.metrics
+        rows.append([fit.variant, repr(float(fit.alpha)), str(horizon), str(fit.seed),
+                     str(m.windows), repr(m.mse), repr(m.mae)])
+        seed_mse.setdefault((fit.variant, fit.alpha), []).append(m.mse)
+        lines.append(f"{fit.variant} alpha={fit.alpha:g} seed={fit.seed}: "
+                     f"mse={m.mse:.6f} runtime={fit.runtime:.1f}s")
     _write_table(os.path.join(outd, "noise.csv"),
                  ("variant", "alpha", "horizon", "seed", "windows", "mse", "mae"),
                  rows)
+    curves = {v: [(a, float(np.mean(seed_mse[(v, a)]))) for a in rc.alphas]
+              for v in sweep}
     lines.append("")
     for variant in sweep:
         curve = curves[variant]
@@ -360,9 +380,7 @@ def cmd_noise(rc: RunConfig) -> int:
         lines.append(f"{variant}: {path} (monotone degradation: {'yes' if monotone else 'no'})")
     gap = curves["raw"][-1][1] - curves["lino"][-1][1]
     lines.append(f"raw minus lino at alpha={curves['lino'][-1][0]:g}: {gap:+.6f}")
-    _write_text(os.path.join(outd, "summary.txt"), "\n".join(lines) + "\n")
-    print("\n".join(lines))
-    print(f"wrote {outd}")
+    _finish(outd, "\n".join(lines) + "\n")
     return 0
 
 
@@ -507,6 +525,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DataError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except OSError as exc:
+        # an input that cannot be read or an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except NonFiniteError as exc:

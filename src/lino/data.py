@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError
 from .seeding import stream
@@ -51,8 +52,13 @@ def load_csv(path: str):
     the data rows. Everything that remains must be numeric; violations
     are reported with row and column indices (1-based, as in the file).
     """
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read: {exc.strerror}") from None
     if not rows:
         raise DataError(f"{path}: file contains no data")
     width = len(rows[0])
@@ -197,13 +203,12 @@ def make_windows(values: np.ndarray, span: Span, lookback: int, horizon: int):
         raise DataError(
             f"span of {len(span)} points is shorter than lookback+horizon="
             f"{lookback + horizon}")
-    xs = np.empty((n, values.shape[1], lookback))
-    ys = np.empty((n, values.shape[1], horizon))
-    for i in range(n):
-        s = span.start + i
-        xs[i] = values[s:s + lookback].T
-        ys[i] = values[s + lookback:s + lookback + horizon].T
-    return xs, ys
+    # sliding_window_view(..., axis=0)[i] is values[i : i + w].T, a
+    # read-only view; np.array makes each side one contiguous float64 copy
+    xs = sliding_window_view(values[span.start:span.stop - horizon], lookback, axis=0)
+    ys = sliding_window_view(values[span.start + lookback:span.stop], horizon, axis=0)
+    return (np.array(xs, dtype=np.float64, order="C"),
+            np.array(ys, dtype=np.float64, order="C"))
 
 
 @dataclass

@@ -1,5 +1,5 @@
 """Metrics, benchmark report assembly, affine probing of trained blocks,
-forecast decomposition export, and parameter counting."""
+and forecast decomposition export."""
 
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -152,21 +152,6 @@ class EvalReport:
                         "mae_mean": float(ma.mean()), "mae_std": float(ma.std())})
         return out
 
-    def horizon_summary(self) -> list:
-        """Mean over horizons per (dataset, variant, ablation, seed) group."""
-        groups: dict = {}
-        for r in self.rows:
-            key = (r.dataset, r.variant, r.ablation, r.seed)
-            groups.setdefault(key, []).append(r)
-        out = []
-        for key, rs in groups.items():
-            out.append({"dataset": key[0], "variant": key[1],
-                        "ablation": key[2], "seed": key[3],
-                        "horizons": len(rs),
-                        "mse_mean": float(np.mean([r.mse for r in rs])),
-                        "mae_mean": float(np.mean([r.mae for r in rs]))})
-        return out
-
     def summary_text(self) -> str:
         """Human-readable digest; the one place runtimes appear."""
         lines = ["metrics are on the standardized scale", ""]
@@ -309,19 +294,3 @@ def decomposition_table(dec: Decomposition) -> tuple:
         for c in range(vals.shape[0]):
             rows.append([label, str(c)] + [repr(float(v)) for v in vals[c]])
     return columns, rows
-
-
-# ---------------------------------------------------------------------------
-# parameter counting
-# ---------------------------------------------------------------------------
-
-def param_count(params: dict) -> tuple:
-    """(per-module counts, total). A module is a name's leading scope:
-    `embed.w` counts under `embed`, `level0.no.mix.w1` under `level0.no`."""
-    per: dict[str, int] = {}
-    for name, value in params.items():
-        parts = name.split(".")
-        module = parts[0] if len(parts) == 2 else ".".join(parts[:2])
-        arr = np.asarray(getattr(value, "data", value))
-        per[module] = per.get(module, 0) + int(arr.size)
-    return per, sum(per.values())

@@ -111,7 +111,7 @@ def _glorot(rng: np.random.Generator, n_in: int, n_out: int) -> np.ndarray:
 
 def param_shapes(config: LiNoConfig) -> dict:
     """Name -> shape for every parameter, in canonical order. The single
-    source of truth for checkpoint validation and parameter counting."""
+    source of truth for initialisation and checkpoint validation."""
     c, t, f = config.channels, config.lookback, config.horizon
     d, h, b = config.dim, config.hidden, config.bins
     shapes: dict[str, tuple] = {"embed.w": (t, d), "embed.b": (d,)}
@@ -426,8 +426,3 @@ class Forecaster:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return forward(x, self.params, self.config, mode="eval").y.data
-
-    def predict_normalized(self, xn: np.ndarray) -> np.ndarray:
-        y, _ = forward_normalized(Tensor(np.asarray(xn, dtype=self.config.np_dtype())),
-                                  self.params, self.config, mode="eval")
-        return y.data

@@ -16,15 +16,14 @@ Every even length takes the same path; odd lengths are a configuration
 error by contract. The bases are built in the input's floating dtype, so a
 float32 signal stays float32.
 
-`rfft`/`irfft` are tape primitives whose adjoints are the transposed bases.
-`freq_projection` is linear in its input and is recorded as one primitive:
-transform, mix the bins with one complex matrix written as a real
-[2b, 2b] block matrix, transform back.
+`rfft_arrays`/`irfft_arrays` are the plain transform pair on ndarrays.
+The model's only spectral op is `freq_projection`, which is linear in its
+input and is recorded as one tape primitive: transform, mix the bins with
+one complex matrix written as a real [2b, 2b] block matrix, transform back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -91,41 +90,6 @@ def irfft_arrays(sre: np.ndarray, sim: np.ndarray, n: int) -> np.ndarray:
     return spec @ inv
 
 
-@dataclass
-class ComplexSpectrum:
-    """Half spectrum of a real signal as a (re, im) tensor pair."""
-
-    re: Tensor
-    im: Tensor
-
-    @property
-    def bins(self) -> int:
-        return self.re.shape[-1]
-
-
-def rfft(x: Tensor) -> ComplexSpectrum:
-    """Differentiable half-spectrum transform of the trailing axis."""
-    fwd, _ = _bases_for(x.data, "rfft")
-    b = n_bins(x.shape[-1])
-    re_arr, im_arr = rfft_arrays(x.data)
-    re = _record(re_arr, (x,), lambda g: (g @ fwd[:, :b].T,), "rfft_re")
-    im = _record(im_arr, (x,), lambda g: (g @ fwd[:, b:].T,), "rfft_im")
-    return ComplexSpectrum(re, im)
-
-
-def irfft(spec: ComplexSpectrum, n: int) -> Tensor:
-    """Differentiable inverse of `rfft` back to length n."""
-    y = irfft_arrays(spec.re.data, spec.im.data, n)
-    _, inv = _bases(n, y.dtype)
-    b = n_bins(n)
-
-    def vjp(g):
-        gs = g @ inv.T
-        return gs[..., :b], gs[..., b:]
-
-    return _record(y, (spec.re, spec.im), vjp, "irfft")
-
-
 def freq_projection(x: Tensor, w_re: Tensor, w_im: Tensor) -> Tensor:
     """Learnable filter in the frequency domain: transform, mix bins with a
     complex matrix shared across channels, transform back. Linear in x:
@@ -151,8 +115,3 @@ def freq_projection(x: Tensor, w_re: Tensor, w_im: Tensor) -> Tensor:
         return gx, g_re, g_im
 
     return _record(y, (x, w_re, w_im), vjp, "freq_projection")
-
-
-def identity_complex_weights(bins: int, dtype=np.float64):
-    """Weight pair that makes `freq_projection` the identity map."""
-    return np.eye(bins, dtype=dtype), np.zeros((bins, bins), dtype=dtype)

@@ -15,6 +15,13 @@ Two properties the rest of the package leans on:
 * every primitive checks its output for NaN/Inf. A non-finite value is an
   error state, never something to propagate silently.
 
+The op vocabulary is exactly what the model and its loss record:
+`add`, `sub`, `mul`, `scale` and `tanh` elementwise; `linear` and
+`causal_depthwise_conv`; `softmax_axis`, `layer_norm` and `dropout`;
+`sum_axis`, `sum_all`, `mean_all`, `concat` and `repeat_axis`. The model's
+one other primitive, `freq_projection`, lives in `spectral`. Every op has a
+finite-difference gradient case in the acceptance suite.
+
 Binary ops require operands of identical shape (scalars aside). There is
 no generalized broadcasting; the few places the model needs a broadcast
 use `repeat_axis` or pre-broadcast constants, which keeps every vjp a
@@ -30,10 +37,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, NonFiniteError
-
-# Toggle for the per-op finiteness sweep. Left on: the scan is cheap next
-# to the matmuls and turns silent divergence into a loud error.
-STRICT_FINITE = True
 
 _local = threading.local()
 
@@ -52,7 +55,7 @@ def _active_tape() -> Optional["Tape"]:
 
 
 def _check_finite(data: np.ndarray, op: str) -> None:
-    if STRICT_FINITE and not np.all(np.isfinite(data)):
+    if not np.all(np.isfinite(data)):
         raise NonFiniteError(f"{op}: non-finite values in output")
 
 
@@ -89,33 +92,9 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        """Same values, no grad requirement, outside any graph."""
-        return Tensor(self.data.copy(), requires_grad=False)
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.dtype}{flag})"
-
-    # Operator sugar; the named functions below are the actual API.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(scale(self, -1.0), -other if isinstance(other, (int, float)) else other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
 
 class _Node:
@@ -200,10 +179,6 @@ def backward(tape: Tape, loss: Tensor) -> dict:
     return out
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-
-
 def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
     if a.shape != b.shape:
         raise DimensionError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
@@ -243,11 +218,6 @@ def scale(a: Tensor, s: float) -> Tensor:
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.data)
     return _record(y, (a,), lambda g: (g * (1.0 - y * y),), "tanh")
-
-
-def identity(a: Tensor) -> Tensor:
-    """No-op placeholder; exists so an activation can be swapped out."""
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -413,11 +383,6 @@ def sum_axis(x: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     return _record(y, (x,), vjp, "sum_axis")
 
 
-def mean_axis(x: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    n = x.shape[axis % x.data.ndim]
-    return scale(sum_axis(x, axis, keepdims), 1.0 / n)
-
-
 def sum_all(x: Tensor) -> Tensor:
     y = np.asarray(x.data.sum())
     return _record(y, (x,), lambda g: (np.broadcast_to(g, x.shape).copy(),), "sum_all")
@@ -440,42 +405,6 @@ def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
         return tuple(np.split(g, splits, axis=axis))
 
     return _record(y, tuple(parts), vjp, "concat")
-
-
-def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice along one axis."""
-    axis = axis % x.data.ndim
-    if start < 0 or start + length > x.shape[axis]:
-        raise DimensionError(
-            f"narrow: [{start}, {start + length}) outside axis of extent {x.shape[axis]}")
-    idx = [slice(None)] * x.data.ndim
-    idx[axis] = slice(start, start + length)
-    idx = tuple(idx)
-
-    def vjp(g):
-        gx = np.zeros_like(x.data)
-        gx[idx] = g
-        return (gx,)
-
-    return _record(x.data[idx].copy(), (x,), vjp, "narrow")
-
-
-def transpose(x: Tensor, axes: Optional[Sequence[int]] = None) -> Tensor:
-    if axes is None:
-        axes = tuple(reversed(range(x.data.ndim)))
-    axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
-
-    def vjp(g):
-        return (np.transpose(g, inverse).copy(),)
-
-    return _record(np.transpose(x.data, axes).copy(), (x,), vjp, "transpose")
-
-
-def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(shape)
-    return _record(
-        x.data.reshape(shape).copy(), (x,), lambda g: (g.reshape(x.shape).copy(),), "reshape")
 
 
 def repeat_axis(x: Tensor, axis: int, reps: int) -> Tensor:

@@ -20,15 +20,14 @@ from helpers import check_gradients, randomized_params, relative_error
 from lino import cli
 from lino.data import SplitSpec, SynthSpec, prepare, synth_generate
 from lino.evaluate import evaluate, li_block_map, probe_affine
-from lino.model import Forecaster, LiNoConfig, forward, init_params
+from lino.model import (ABLATIONS, VARIANTS, Forecaster, LiNoConfig, forward,
+                        init_params)
 from lino.seeding import stream
-from lino.spectral import (freq_projection, identity_complex_weights, irfft,
-                           n_bins, rfft, rfft_arrays)
+from lino.spectral import freq_projection, irfft_arrays, n_bins, rfft_arrays
 from lino.tensor import (Tape, Tensor, add, backward, causal_depthwise_conv,
-                         concat, dropout, identity, layer_norm, linear,
-                         mean_all, mean_axis, mul, narrow, repeat_axis,
-                         reshape, scale, softmax_axis, sub, sum_all, sum_axis,
-                         tanh, transpose)
+                         concat, dropout, layer_norm, linear, mean_all, mul,
+                         repeat_axis, scale, softmax_axis, sub, sum_all,
+                         sum_axis, tanh)
 from lino.train import TrainConfig, mse_loss, train
 
 
@@ -48,50 +47,47 @@ def _skip(number: int, label: str, reason: str) -> None:
 #    whole model end to end on a tiny configuration
 # ---------------------------------------------------------------------------
 
+# (name, op, input arrays). A case name starts with the tape op name it
+# checks, so a recorded `node.op` can be matched to its case.
+_r = np.random.default_rng(11).normal
+GRADIENT_CASES = [
+    ("add", lambda a, b: add(a, b), [_r(size=(3, 4)), _r(size=(3, 4))]),
+    ("sub", lambda a, b: sub(a, b), [_r(size=(3, 4)), _r(size=(3, 4))]),
+    ("mul", lambda a, b: mul(a, b), [_r(size=(3, 4)), _r(size=(3, 4))]),
+    ("scale", lambda a: scale(a, 1.7), [_r(size=(3, 4))]),
+    ("tanh", tanh, [0.5 * _r(size=(3, 4))]),
+    ("linear", lambda x, w, b: linear(x, w, b),
+     [_r(size=(5, 4)), _r(size=(4, 3)), _r(size=(3,))]),
+    ("linear_nobias", lambda x, w: linear(x, w),
+     [_r(size=(5, 4)), _r(size=(4, 3))]),
+    ("causal_depthwise_conv",
+     lambda h, p, b: causal_depthwise_conv(h, p, b),
+     [_r(size=(2, 3, 6)), _r(size=(3, 6)), _r(size=(3,))]),
+    ("softmax_axis_last", lambda x: softmax_axis(x, -1), [_r(size=(3, 5))]),
+    ("softmax_axis_0", lambda x: softmax_axis(x, 0), [_r(size=(4, 3))]),
+    ("layer_norm", lambda x, g, b: layer_norm(x, g, b),
+     [_r(size=(4, 6)), 1.0 + 0.1 * _r(size=(6,)), _r(size=(6,))]),
+    ("dropout_train",
+     lambda x: dropout(x, 0.4, "train", np.random.default_rng(7)),
+     [_r(size=(4, 5))]),
+    ("dropout_eval", lambda x: dropout(x, 0.4, "eval"), [_r(size=(4, 5))]),
+    ("sum_axis", lambda x: sum_axis(x, 1), [_r(size=(3, 4, 2))]),
+    ("sum_axis_keep", lambda x: sum_axis(x, -1, keepdims=True),
+     [_r(size=(3, 4))]),
+    ("sum_all", sum_all, [_r(size=(3, 4))]),
+    ("mean_all", mean_all, [_r(size=(3, 4))]),
+    ("concat", lambda a, b: concat([a, b], axis=-1),
+     [_r(size=(3, 2)), _r(size=(3, 4))]),
+    ("repeat_axis", lambda x: repeat_axis(x, 1, 5), [_r(size=(3, 1, 4))]),
+    ("freq_projection", lambda x, wr, wi: freq_projection(x, wr, wi),
+     [_r(size=(3, 8)), _r(size=(5, 5)), _r(size=(5, 5))]),
+]
+
+
 def test_01_gradient_suite():
     t0 = time.time()
     rng = np.random.default_rng(11)
-    r = rng.normal
-
-    cases = [
-        ("add", lambda a, b: add(a, b), [r(size=(3, 4)), r(size=(3, 4))]),
-        ("sub", lambda a, b: sub(a, b), [r(size=(3, 4)), r(size=(3, 4))]),
-        ("mul", lambda a, b: mul(a, b), [r(size=(3, 4)), r(size=(3, 4))]),
-        ("scale", lambda a: scale(a, 1.7), [r(size=(3, 4))]),
-        ("identity", identity, [r(size=(3, 4))]),
-        ("tanh", tanh, [0.5 * r(size=(3, 4))]),
-        ("linear", lambda x, w, b: linear(x, w, b),
-         [r(size=(5, 4)), r(size=(4, 3)), r(size=(3,))]),
-        ("linear_nobias", lambda x, w: linear(x, w),
-         [r(size=(5, 4)), r(size=(4, 3))]),
-        ("causal_depthwise_conv",
-         lambda h, p, b: causal_depthwise_conv(h, p, b),
-         [r(size=(2, 3, 6)), r(size=(3, 6)), r(size=(3,))]),
-        ("softmax_axis_last", lambda x: softmax_axis(x, -1), [r(size=(3, 5))]),
-        ("softmax_axis_0", lambda x: softmax_axis(x, 0), [r(size=(4, 3))]),
-        ("layer_norm", lambda x, g, b: layer_norm(x, g, b),
-         [r(size=(4, 6)), 1.0 + 0.1 * r(size=(6,)), r(size=(6,))]),
-        ("dropout_train",
-         lambda x: dropout(x, 0.4, "train", np.random.default_rng(7)),
-         [r(size=(4, 5))]),
-        ("dropout_eval", lambda x: dropout(x, 0.4, "eval"), [r(size=(4, 5))]),
-        ("sum_axis", lambda x: sum_axis(x, 1), [r(size=(3, 4, 2))]),
-        ("sum_axis_keep", lambda x: sum_axis(x, -1, keepdims=True),
-         [r(size=(3, 4))]),
-        ("mean_axis", lambda x: mean_axis(x, 0), [r(size=(3, 4))]),
-        ("sum_all", sum_all, [r(size=(3, 4))]),
-        ("mean_all", mean_all, [r(size=(3, 4))]),
-        ("concat", lambda a, b: concat([a, b], axis=-1),
-         [r(size=(3, 2)), r(size=(3, 4))]),
-        ("narrow", lambda x: narrow(x, -1, 1, 3), [r(size=(2, 6))]),
-        ("transpose", lambda x: transpose(x, (1, 0, 2)), [r(size=(2, 3, 4))]),
-        ("reshape", lambda x: reshape(x, (3, 4)), [r(size=(2, 6))]),
-        ("repeat_axis", lambda x: repeat_axis(x, 1, 5), [r(size=(3, 1, 4))]),
-        ("freq_projection", lambda x, wr, wi: freq_projection(x, wr, wi),
-         [r(size=(3, 8)), r(size=(5, 5)), r(size=(5, 5))]),
-        ("fft_roundtrip", lambda x: irfft(rfft(x), 8), [r(size=(3, 8))]),
-    ]
-    for name, op, arrays in cases:
+    for name, op, arrays in GRADIENT_CASES:
         assert check_gradients(op, arrays, tol=1e-4), name
 
     config = LiNoConfig(channels=2, lookback=8, horizon=4, dim=8, blocks=1)
@@ -128,8 +124,32 @@ def test_01_gradient_suite():
 
     elapsed = time.time() - t0
     _verdict(1, "gradient suite", elapsed < 60.0,
-             f"{len(cases)} primitives, end-to-end worst rel err "
+             f"{len(GRADIENT_CASES)} primitives, end-to-end worst rel err "
              f"{worst:.2e}, {elapsed:.1f}s")
+
+
+def test_gradient_cases_cover_model_primitives():
+    """Guard on 01's case list: every op a train-mode forward plus loss
+    records, in every variant and every ablation, has a gradient case."""
+    names = [name for name, _, _ in GRADIENT_CASES]
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(3, 2, 8))
+    y = rng.normal(size=(3, 2, 4))
+    base = LiNoConfig(channels=2, lookback=8, horizon=4, dim=8, blocks=2,
+                      dropout=0.2)
+    configs = ([base.with_(variant=v) for v in VARIANTS]
+               + [base.with_(ablation=a) for a in ABLATIONS])
+    recorded = set()
+    for config in configs:
+        params = init_params(config, stream(0, "init"))
+        with Tape() as tape:
+            res = forward(x, params, config, mode="train", rng=stream(0, "dropout"))
+            mse_loss(res.y, Tensor(y))
+        recorded |= {node.op for node in tape.nodes}
+    uncovered = sorted(op for op in recorded
+                       if not any(name.startswith(op) for name in names))
+    assert "dropout" in recorded and "freq_projection" in recorded
+    assert not uncovered, f"ops with no gradient case: {uncovered}"
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +215,7 @@ def test_04_spectral_suite():
     worst_parseval = 0.0
     for n in (8, 12, 16, 20, 64):
         x = rng.normal(size=(5, n))
-        back = irfft(rfft(Tensor(x)), n).data
+        back = irfft_arrays(*rfft_arrays(x), n)
         worst_round = max(worst_round, float(np.abs(back - x).max()))
 
         re, im = rfft_arrays(x)
@@ -209,7 +229,8 @@ def test_04_spectral_suite():
         worst_parseval = max(worst_parseval, rel)
 
     d = 8
-    wr, wi = identity_complex_weights(n_bins(d))
+    b = n_bins(d)
+    wr, wi = np.eye(b), np.zeros((b, b))
     x = rng.normal(size=(6, d))
     out = freq_projection(Tensor(x), Tensor(wr), Tensor(wi)).data
     ident = float(np.abs(out - x).max())

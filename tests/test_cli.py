@@ -320,6 +320,62 @@ class TestSynthCommand:
         np.testing.assert_allclose(sum(parts), total, atol=1e-12)
 
 
+class TestFitLoop:
+    @pytest.mark.parametrize("command,extra,prepared", [
+        ("train", {"horizons": "4,8", "seeds": "1,2"}, [4, 8]),
+        ("ablate", {"seeds": "1,2", "epochs": 1}, [8]),
+    ])
+    def test_prepare_once_per_horizon_run(self, tmp_path, capsys, monkeypatch,
+                                          command, extra, prepared):
+        real, horizons = cli.prepare, []
+
+        def recording(values, spec, lookback, horizon):
+            horizons.append(horizon)
+            return real(values, spec, lookback, horizon)
+
+        monkeypatch.setattr(cli, "prepare", recording)
+        cfg = write_cfg(tmp_path / "t.cfg", **{**TINY, **extra})
+        assert run([command, "--config", cfg, "--out", str(tmp_path / "r"),
+                    "--unsafe-grid"]) == 0
+        assert horizons == prepared
+
+
+class TestUnreadableInputs:
+    def test_empty_alphas_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "t.cfg", **{**TINY, "alphas": ""})
+        assert run(["noise", "--config", cfg, "--out", str(tmp_path / "r"),
+                    "--unsafe-grid"]) == 2
+        assert "alpha" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_dataset_directory_exits_3(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "t.cfg", **{**TINY, "dataset": str(tmp_path)})
+        assert run(["train", "--config", cfg, "--out", str(tmp_path / "r"),
+                    "--unsafe-grid"]) == 3
+        assert f"error: {tmp_path}" in capsys.readouterr().err
+
+    def test_non_utf8_csv_exits_3(self, tmp_path, capsys):
+        data = tmp_path / "latin.csv"
+        data.write_bytes(b"a,b\n1,2\n3,\xff\n")
+        cfg = write_cfg(tmp_path / "t.cfg", **{**TINY, "dataset": str(data)})
+        assert run(["train", "--config", cfg, "--out", str(tmp_path / "r"),
+                    "--unsafe-grid"]) == 3
+        assert f"error: {data}: not UTF-8" in capsys.readouterr().err
+
+    def test_config_directory_exits_2(self, tmp_path, capsys):
+        assert run(["train", "--config", str(tmp_path)]) == 2
+        assert f"error: {tmp_path}: cannot read config file" in capsys.readouterr().err
+
+    def test_out_below_regular_file_exits_3(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg = write_cfg(tmp_path / "t.cfg", **TINY)
+        assert run(["train", "--config", cfg, "--out", str(blocker / "r"),
+                    "--unsafe-grid"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+
 class TestNumericalFailureExit:
     def test_divergent_run_exits_4(self, tmp_path, capsys):
         # a step size this large throws the weights far enough that the

@@ -138,6 +138,24 @@ class TestWindows:
         xv, yv = make_windows(values, splits.val, t, f)
         assert yv[0, 0, 0] == splits.train.stop
 
+    @pytest.mark.parametrize("start,stop,lookback,horizon", [
+        (0, 300, 24, 24), (100, 1000, 24, 120), (7, 42, 4, 3)])
+    def test_matches_loop_reference_bytewise(self, start, stop, lookback, horizon):
+        """Offset spans and a horizon longer than the lookback give the
+        same bytes as the plain per-window loop."""
+        values = np.random.default_rng(start).normal(size=(1100, 3))
+        n = stop - start - lookback - horizon + 1
+        want_x = np.empty((n, 3, lookback))
+        want_y = np.empty((n, 3, horizon))
+        for i in range(n):
+            s = start + i
+            want_x[i] = values[s:s + lookback].T
+            want_y[i] = values[s + lookback:s + lookback + horizon].T
+        x, y = make_windows(values, Span(start, stop), lookback, horizon)
+        assert x.flags.c_contiguous and y.flags.c_contiguous
+        assert x.dtype == y.dtype == np.float64
+        assert x.tobytes() == want_x.tobytes() and y.tobytes() == want_y.tobytes()
+
     def test_too_short_span(self):
         with pytest.raises(DataError, match="shorter"):
             make_windows(np.zeros((10, 1)), Span(0, 5), lookback=4, horizon=2)

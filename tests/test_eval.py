@@ -1,4 +1,4 @@
-"""Metric, report, probing, decomposition, and counting tests.
+"""Metric, report, probing, and decomposition tests.
 
 Probing gets the strongest oracles here: an affine map reconstructed from
 unit vectors must reproduce known coefficients exactly, and the linear
@@ -15,9 +15,8 @@ from lino.data import SplitSpec, SynthSpec, prepare, synth_generate
 from lino.errors import DataError, DimensionError
 from lino.evaluate import (EvalReport, ReportRow, decomposition_table,
                            evaluate, export_decomposition, li_block_map,
-                           mae, model_map, mse, no_block_map, param_count,
-                           probe_affine)
-from lino.model import Forecaster, LiNoConfig, init_params, param_shapes
+                           mae, model_map, mse, no_block_map, probe_affine)
+from lino.model import Forecaster, LiNoConfig, init_params
 from lino.seeding import stream
 from lino.train import TrainConfig, train
 
@@ -138,13 +137,6 @@ class TestReport:
                 np.mean([r.mse for r in rows]), abs=1e-12)
             assert g["mse_std"] == pytest.approx(
                 np.std([r.mse for r in rows]), abs=1e-12)
-        for g in rep.horizon_summary():
-            rows = [r for r in rep.rows
-                    if (r.dataset, r.variant, r.ablation, r.seed)
-                    == (g["dataset"], g["variant"], g["ablation"], g["seed"])]
-            assert g["horizons"] == len(rows)
-            assert g["mse_mean"] == pytest.approx(
-                np.mean([r.mse for r in rows]), abs=1e-12)
 
     def test_metrics_nonnegative_in_rows(self):
         for r in self._report().rows:
@@ -313,34 +305,3 @@ def dec_first_value(params, config, x):
     dec = export_decomposition(params, config, x)
     return float(dec.components[0][1][0, 0])
 
-
-class TestParamCount:
-    def _zeros_for(self, config):
-        return {name: np.zeros(shape)
-                for name, shape in param_shapes(config).items()}
-
-    def test_li_block_count_example(self):
-        config = LiNoConfig(channels=7, lookback=96, horizon=96, dim=256, blocks=1)
-        per, _ = param_count(self._zeros_for(config))
-        assert per["level0.li"] == 7 * 256 + 7 == 1799
-
-    def test_embed_count_example(self):
-        config = LiNoConfig(channels=7, lookback=96, horizon=96, dim=256, blocks=1)
-        per, _ = param_count(self._zeros_for(config))
-        assert per["embed"] == 96 * 256 + 256 == 24832
-
-    def test_doubling_levels_doubles_level_counts(self):
-        base = LiNoConfig(channels=3, lookback=32, horizon=8, dim=16, blocks=1)
-        per1, total1 = param_count(self._zeros_for(base))
-        per2, total2 = param_count(self._zeros_for(base.with_(blocks=2)))
-        level_modules = [m for m in per1 if m.startswith("level0")]
-        for m in level_modules:
-            assert per2[m.replace("level0", "level1")] == per1[m]
-        assert total2 - total1 == sum(per1[m] for m in level_modules)
-
-    def test_total_is_sum_of_modules(self):
-        config = LiNoConfig(channels=2, lookback=16, horizon=4, dim=8, blocks=2)
-        params = init_params(config, stream(0, "init"))
-        per, total = param_count(params)
-        assert total == sum(per.values())
-        assert total == sum(t.data.size for t in params.values())

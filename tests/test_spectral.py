@@ -102,22 +102,17 @@ class TestTransformPair:
         re, im = sp.rfft_arrays(x)
         assert re.dtype == im.dtype == np.float32
         assert sp.irfft_arrays(re, im, 12).dtype == np.float32
-        w_re, w_im = sp.identity_complex_weights(7, dtype=np.float32)
+        w_re, w_im = np.eye(7, dtype=np.float32), np.zeros((7, 7), dtype=np.float32)
         y = sp.freq_projection(Tensor(x), Tensor(w_re), Tensor(w_im))
         assert y.dtype == np.float32
         np.testing.assert_allclose(y.data, x, atol=1e-5)
 
 
 class TestSpectrumOps:
-    def test_rfft_tensor_shapes(self):
-        spec = sp.rfft(Tensor(np.zeros((5, 3, 8))))
-        assert spec.re.shape == (5, 3, 5) and spec.im.shape == (5, 3, 5)
-        assert spec.bins == 5
-
     def test_identity_weights_identity_map(self):
         rng = np.random.default_rng(31)
         x = rng.normal(size=(4, 3, 16))
-        w_re, w_im = sp.identity_complex_weights(9)
+        w_re, w_im = np.eye(9), np.zeros((9, 9))
         y = sp.freq_projection(Tensor(x), Tensor(w_re), Tensor(w_im))
         assert np.abs(y.data - x).max() < 1e-9
 
@@ -163,26 +158,9 @@ class TestSpectrumOps:
             sp.freq_projection(Tensor(np.zeros((2, 8))), Tensor(np.zeros((4, 4))),
                                Tensor(np.zeros((4, 4))))
 
-    def test_rfft_gradients(self):
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=(2, 8))
-        check_gradients(lambda t: sp.rfft(t).re, [x])
-        check_gradients(lambda t: sp.rfft(t).im, [x])
-
-    def test_irfft_gradients(self):
-        rng = np.random.default_rng(6)
-        re = rng.normal(size=(2, 5))
-        im = rng.normal(size=(2, 5))
-        check_gradients(
-            lambda r, i: sp.irfft(sp.ComplexSpectrum(r, i), 8), [re, im])
-
     def test_freq_projection_gradients(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(2, 6))
         w_re = rng.normal(size=(4, 4)) * 0.3
         w_im = rng.normal(size=(4, 4)) * 0.3
         check_gradients(sp.freq_projection, [x, w_re, w_im])
-
-    def test_fallback_length_gradients(self):
-        check_gradients(lambda t: sp.rfft(t).re,
-                        [np.random.default_rng(8).normal(size=(6,))])

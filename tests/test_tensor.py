@@ -312,21 +312,12 @@ class TestShapeOps:
         x = Tensor([[1.0, 2.0], [3.0, 6.0]])
         assert T.mean_all(x).item() == 3.0
 
-    def test_concat_and_narrow_roundtrip(self):
+    def test_concat_values(self):
         rng = np.random.default_rng(1)
         a, b = rng.normal(size=(2, 3)), rng.normal(size=(2, 5))
-        cat = T.concat([Tensor(a), Tensor(b)], axis=1)
-        np.testing.assert_array_equal(T.narrow(cat, 1, 0, 3).data, a)
-        np.testing.assert_array_equal(T.narrow(cat, 1, 3, 5).data, b)
-
-    def test_narrow_bounds(self):
-        with pytest.raises(DimensionError):
-            T.narrow(Tensor(np.zeros((2, 4))), 1, 2, 3)
-
-    def test_transpose_involution(self):
-        x = np.random.default_rng(4).normal(size=(2, 3, 4))
-        y = T.transpose(T.transpose(Tensor(x), (1, 0, 2)), (1, 0, 2)).data
-        np.testing.assert_array_equal(y, x)
+        cat = T.concat([Tensor(a), Tensor(b)], axis=1).data
+        np.testing.assert_array_equal(cat[:, :3], a)
+        np.testing.assert_array_equal(cat[:, 3:], b)
 
     def test_repeat_axis(self):
         x = Tensor([[1.0], [2.0]])
@@ -336,9 +327,8 @@ class TestShapeOps:
             T.repeat_axis(x, 0, 2)
 
     @pytest.mark.parametrize("op,shape", [
-        ("sum0", (3, 4)), ("sumk", (3, 4)), ("mean", (3, 4)), ("sum_all", (3, 4)),
-        ("concat", (2, 3)), ("narrow", (4, 6)), ("transpose", (2, 3, 4)),
-        ("reshape", (3, 4)), ("repeat", (3, 1)),
+        ("sum0", (3, 4)), ("sumk", (3, 4)), ("repeat", (3, 1)),
+        ("sum_all", (3, 4)), ("concat", (2, 3)),
     ])
     def test_gradients(self, op, shape):
         rng = np.random.default_rng(hash(op) % 2**32)
@@ -346,12 +336,8 @@ class TestShapeOps:
         builders = {
             "sum0": lambda t: T.sum_axis(t, 0),
             "sumk": lambda t: T.sum_axis(t, 1, keepdims=True),
-            "mean": lambda t: T.mean_axis(t, -1),
             "sum_all": T.sum_all,
             "concat": lambda t: T.concat([t, T.scale(t, 2.0)], axis=0),
-            "narrow": lambda t: T.narrow(t, 1, 2, 3),
-            "transpose": lambda t: T.transpose(t, (2, 0, 1)),
-            "reshape": lambda t: T.reshape(t, (2, 6)),
             "repeat": lambda t: T.repeat_axis(t, 1, 4),
         }
         check_gradients(builders[op], [x])
