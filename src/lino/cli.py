@@ -176,6 +176,9 @@ class RunConfig:
             raise ConfigError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
         if self.ablation not in ABLATIONS:
             raise ConfigError(f"unknown ablation {self.ablation!r}, expected one of {ABLATIONS}")
+        if self.variant != "lino" and (self.command == "ablate" or self.ablation != "none"):
+            raise ConfigError(f"ablations are defined for the primary variant only, "
+                              f"got variant {self.variant!r}")
         if self.command in _TRAINING_COMMANDS and not self.unsafe_grid:
             for key, allowed in _GRID.items():
                 value = getattr(self, key)
@@ -237,8 +240,25 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
+# BLAS thread counts change the bits of a trained model, so a bitwise rerun
+# needs the same values
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _machine_line() -> str:
+    """The numpy and BLAS build and the BLAS thread settings, one line."""
+    deps = np.show_config(mode="dicts").get("Build Dependencies", {})
+    blas = deps.get("blas", {})
+    threads = " ".join(f"{var}={os.environ.get(var, 'unset')}" for var in _THREAD_VARS)
+    return (f"machine: numpy {np.__version__}, blas {blas.get('name', 'unknown')} "
+            f"{blas.get('version', 'unknown')}, {threads}\n")
+
+
 def _finish(outd: str, summary: str) -> None:
-    """Write the run's summary.txt and echo it."""
+    """Write the run's summary.txt, ending in the machine line, and echo it.
+    The machine line stays out of the metric CSVs, which rerun
+    byte-identical."""
+    summary += _machine_line()
     _write_text(os.path.join(outd, "summary.txt"), summary)
     print(summary, end="")
     print(f"wrote {outd}")

@@ -253,16 +253,40 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     return _record(y, parents, vjp, "linear")
 
 
+# Bytes per column-block buffer of the conv forward. A block's input,
+# accumulator and product buffers (1.5 MiB) fit a 2 MiB L2 cache; 512 KiB
+# was the fastest size in a sweep from 32 KiB to 1 MiB at D=256 and D=512.
+_CONV_BLOCK_BYTES = 1 << 19
+
+
+def _conv_block_width(c: int, d: int, itemsize: int) -> int:
+    """Columns per block of the conv forward: a multiple of the channel
+    count, so every block starts at channel 0, and at least one row of
+    channels."""
+    return c * max(1, _CONV_BLOCK_BYTES // (c * d * itemsize))
+
+
 def causal_depthwise_conv(h: Tensor, phi: Tensor, beta: Tensor) -> Tensor:
     """Per-channel causal convolution with full receptive field.
 
     h: [..., C, D], phi: [C, D], beta: [C]. Left zero-padding, so
     out[..., c, d] = sum_{k=0..d} phi[c, k] * h[..., c, d-k] + beta[c].
 
-    The forward accumulates in ascending k, so it matches a brute-force
-    (c, d, k) reference loop bitwise; do not replace the k-loop with an
-    FFT or matmul formulation without dropping that guarantee. The
-    backward is a matmul form and agrees with the k-loop adjoint to
+    The forward computes every output element as a brute-force (c, d, k)
+    loop does, bitwise: an accumulator starts at zero, takes
+    acc = fl(acc + fl(phi[c, k] * h[..., c, d-k])) for k ascending, and
+    then adds beta[c]; fl rounds to the common dtype of h and phi. Only
+    the memory layout differs from that loop. The leading axes and
+    channels flatten into columns, and blocks of columns are copied into
+    position-major [D, width] buffers sized by `_CONV_BLOCK_BYTES`. Each k
+    step is then one contiguous multiply into a reused product buffer and
+    one contiguous add into rows k.. of the accumulator. A block's width
+    is a multiple of C, so one [D, width] tile of the kernel serves every
+    block. BLAS and FFT forms stay off-limits: a matmul may reorder the
+    sum and fuse multiply-adds, and an FFT rounds differently, so neither
+    would match the loop bitwise.
+
+    The backward is a matmul form and agrees with the k-loop adjoint to
     rounding: the input gradient multiplies by each channel's Toeplitz
     operator, a strided view of the zero-padded kernel, and the kernel
     gradient sums the superdiagonals of h^T g.
@@ -275,10 +299,28 @@ def causal_depthwise_conv(h: Tensor, phi: Tensor, beta: Tensor) -> Tensor:
     if beta.shape != (c,):
         raise DimensionError(f"conv: bias shape {beta.shape} != ({c},)")
     hd, pd = h.data, phi.data
-    out = np.zeros_like(hd)
-    for k in range(d):
-        out[..., k:] += pd[:, k, None] * hd[..., : d - k]
-    out = out + beta.data[:, None]
+    out = np.empty(hd.shape, dtype=np.result_type(hd, beta.data))
+    if out.size:
+        dtype = np.result_type(hd, pd)
+        cols = hd.size // d  # a multiple of C, as is the width
+        width = min(_conv_block_width(c, d, dtype.itemsize), cols)
+        kern = np.tile(pd.T, width // c)  # kern[k, j] = phi[j % C, k]
+        bias = np.tile(beta.data, width // c)
+        rows, out_rows = hd.reshape(cols, d), out.reshape(cols, d)
+        # one allocation: three separate buffers raised the peak RSS of a
+        # paper-shape training run by about 5%
+        x_buf, acc_buf, prod_buf = np.empty((3, d * width), dtype=dtype)
+        for j in range(0, cols, width):
+            w = min(width, cols - j)
+            x = x_buf[: d * w].reshape(d, w)
+            acc = acc_buf[: d * w].reshape(d, w)
+            prod = prod_buf[: d * w].reshape(d, w)
+            np.copyto(x, rows[j : j + w].T)
+            acc.fill(0)
+            for k in range(d):
+                np.multiply(kern[k, :w], x[: d - k], out=prod[: d - k])
+                np.add(acc[k:], prod[: d - k], out=acc[k:])
+            np.add(acc, bias[:w], out=out_rows[j : j + w].T)
 
     lead = hd.shape[:-2]
 

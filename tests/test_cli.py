@@ -113,6 +113,24 @@ class TestValidation:
         assert code == 3
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["ablate", "--variant", "mu"],
+        ["ablate", "--variant", "raw"],
+        ["train", "--variant", "mu", "--ablate", "no_li"],
+        ["noise", "--variant", "ln", "--ablate", "no_cd"],
+    ])
+    def test_ablation_needs_primary_variant(self, argv, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran past validation")
+
+        monkeypatch.setattr(cli, "train", refuse)
+        monkeypatch.setattr(cli.RunConfig, "load_values", refuse)
+        out = tmp_path / "r"
+        assert cli.main(argv + ["--out", str(out), "--unsafe-grid"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ablations are defined for the primary variant only")
+        assert not out.exists()
+
     def test_ett_names_pick_published_split_counts(self):
         def spec_for(path):
             rc = cli.RunConfig("train", {**cli._DEFAULTS, "dataset": path})
@@ -193,6 +211,16 @@ def noise_dirs(tmp_path_factory):
     assert cli.main(["train", "--config", cfg, "--out", str(tmp / "tr"),
                      "--unsafe-grid"]) == 0
     return tmp
+
+
+def test_summary_ends_with_machine_line(ablate_dir, noise_dirs):
+    for outd in (noise_dirs / "tr", ablate_dir, noise_dirs / "nz"):
+        last = (outd / "summary.txt").read_text().splitlines()[-1]
+        assert last.startswith(f"machine: numpy {np.__version__}, blas ")
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            assert f"{var}=" in last
+        for table in outd.glob("*.csv"):
+            assert "machine" not in table.read_text()
 
 
 @pytest.fixture(scope="module")

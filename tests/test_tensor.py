@@ -4,6 +4,8 @@ The brute-force convolution reference and the finite-difference checker
 are the oracles here; engine code is never trusted to test itself.
 """
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -14,19 +16,21 @@ from lino.errors import DimensionError, NonFiniteError
 from lino.tensor import Tape, Tensor, backward
 
 
-def conv_reference(h, phi, beta):
-    """Brute-force causal depthwise convolution, ascending-k accumulation."""
-    h = np.asarray(h, dtype=np.float64)
+def conv_reference(h, phi, beta, dtype=np.float64):
+    """Brute-force causal depthwise convolution, ascending-k accumulation,
+    every multiply and add rounded to `dtype`."""
+    h = np.asarray(h, dtype=dtype)
+    phi = np.asarray(phi, dtype=dtype)
     out = np.zeros_like(h)
     c, d = h.shape[-2], h.shape[-1]
     for idx in np.ndindex(h.shape[:-2]):
         for ci in range(c):
             for di in range(d):
-                acc = 0.0
+                acc = h.dtype.type(0)
                 for k in range(di + 1):
                     acc += phi[ci, k] * h[idx + (ci, di - k)]
                 out[idx + (ci, di)] = acc
-    return out + np.asarray(beta)[:, None]
+    return out + np.asarray(beta, dtype=dtype)[:, None]
 
 
 def conv_vjp_reference(h, phi, g):
@@ -163,6 +167,42 @@ class TestCausalConv:
         out = T.causal_depthwise_conv(Tensor(h), Tensor(phi), Tensor(beta))
         ref = conv_reference(h, phi, beta)
         assert np.array_equal(out.data, ref)
+
+    @staticmethod
+    def _case(name):
+        """(h, phi, beta, dtype) for one blocked-forward case."""
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
+        if name == "blocks":
+            # two full column blocks plus a remainder of one channel row
+            c, d = 3, 4
+            n = 2 * T._conv_block_width(c, d, 8) // c + 1
+            h = rng.normal(size=(n, c, d))
+        elif name == "d256":
+            c, d = 2, 256
+            h = rng.normal(size=(1, c, d))
+        elif name == "batch1":
+            c, d = 7, 32
+            h = rng.normal(size=(1, c, d))
+        elif name == "transposed":
+            c, d = 4, 16
+            h = rng.normal(size=(d, c, 5)).transpose(2, 1, 0)
+            assert not h.flags.c_contiguous
+        else:  # float32
+            c, d = 3, 24
+            h = rng.normal(size=(4, c, d)).astype(np.float32)
+        phi = rng.normal(size=(c, d)).astype(h.dtype)
+        beta = rng.normal(size=(c,)).astype(h.dtype)
+        return h, phi, beta, h.dtype
+
+    @pytest.mark.parametrize("name", ["blocks", "d256", "batch1", "transposed", "float32"])
+    def test_blocked_forward_matches_reference_bitwise(self, name):
+        h, phi, beta, dtype = self._case(name)
+        before = [a.copy() for a in (h, phi, beta)]
+        out = T.causal_depthwise_conv(Tensor(h), Tensor(phi), Tensor(beta)).data
+        assert out.dtype == dtype
+        assert np.array_equal(out, conv_reference(h, phi, beta, dtype=dtype))
+        for arr, copy in zip((h, phi, beta), before):
+            assert np.array_equal(arr, copy)
 
     def test_channels_independent(self):
         rng = np.random.default_rng(5)
@@ -331,7 +371,7 @@ class TestShapeOps:
         ("sum_all", (3, 4)), ("concat", (2, 3)),
     ])
     def test_gradients(self, op, shape):
-        rng = np.random.default_rng(hash(op) % 2**32)
+        rng = np.random.default_rng(zlib.crc32(op.encode()))
         x = rng.normal(size=shape)
         builders = {
             "sum0": lambda t: T.sum_axis(t, 0),
