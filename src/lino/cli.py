@@ -30,39 +30,9 @@ from .train import (TrainConfig, TrainResult, load_checkpoint, save_checkpoint,
 # run configuration
 # ---------------------------------------------------------------------------
 
-# keys a config file may set, with their parsers; list-valued keys take
-# comma-separated values
-_SCHEMA = {
-    "dataset": str,
-    "lookback": int,
-    "horizons": [int],
-    "seeds": [int],
-    "dim": int,
-    "blocks": int,
-    "dropout": float,
-    "variant": str,
-    "ablation": str,
-    "lr": float,
-    "batch": int,
-    "epochs": int,
-    "patience": int,
-    "alpha": float,
-    "alphas": [float],
-    "out": str,
-    "checkpoint": str,
-    "univariate": bool,
-    "window": int,
-    "val_ratio": float,
-    "test_ratio": float,
-    "synth_length": int,
-    "synth_channels": int,
-    "synth_components": int,
-    "synth_seed": int,
-    "synth_noise": float,
-    "synth_linear": float,
-    "synth_nonlinear": float,
-}
-
+# every key a config file may set, with its default; a value in a file
+# parses as its default's type, and a list default takes comma-separated
+# items of its first item's type
 _DEFAULTS = {
     "dataset": "synth",
     "lookback": 96,
@@ -117,12 +87,13 @@ def _parse_bool(text: str) -> bool:
 
 
 def _parse_value(key: str, text: str):
-    kind = _SCHEMA[key]
-    if isinstance(kind, list):
-        return [kind[0](part.strip()) for part in text.split(",") if part.strip()]
-    if kind is bool:
+    default = _DEFAULTS[key]
+    if isinstance(default, list):
+        kind = type(default[0])
+        return [kind(part.strip()) for part in text.split(",") if part.strip()]
+    if isinstance(default, bool):
         return _parse_bool(text)
-    return kind(text)
+    return type(default)(text)
 
 
 def parse_config_file(path: str) -> dict:
@@ -144,7 +115,7 @@ def parse_config_file(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path} line {lineno}: expected key = value, got {raw.strip()!r}")
         key, text = (part.strip() for part in line.split("=", 1))
-        if key not in _SCHEMA:
+        if key not in _DEFAULTS:
             raise ConfigError(f"{path} line {lineno}: unknown key {key!r}")
         try:
             out[key] = _parse_value(key, text)
@@ -179,6 +150,10 @@ class RunConfig:
         if self.variant != "lino" and (self.command == "ablate" or self.ablation != "none"):
             raise ConfigError(f"ablations are defined for the primary variant only, "
                               f"got variant {self.variant!r}")
+        if self.command == "noise" and (self.variant != "lino" or self.ablation != "none"):
+            raise ConfigError(f"noise sweeps the lino, mu and raw variants without "
+                              f"ablation; got variant {self.variant!r}, "
+                              f"ablation {self.ablation!r}")
         if self.command in _TRAINING_COMMANDS and not self.unsafe_grid:
             for key, allowed in _GRID.items():
                 value = getattr(self, key)
@@ -511,20 +486,8 @@ def resolve(argv) -> RunConfig:
     settings = dict(_DEFAULTS)
     if args.config:
         settings.update(parse_config_file(args.config))
-    overrides = {
-        "dataset": args.dataset,
-        "dim": args.dim,
-        "blocks": args.blocks,
-        "dropout": args.dropout,
-        "lr": args.lr,
-        "batch": args.batch,
-        "variant": args.variant,
-        "ablation": args.ablation,
-        "alpha": args.alpha,
-        "out": args.out,
-    }
-    for key, value in overrides.items():
-        if value is not None:
+    for key, value in vars(args).items():
+        if key in _DEFAULTS and value is not None:
             settings[key] = value
     if args.horizon is not None:
         settings["horizons"] = [args.horizon]

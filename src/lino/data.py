@@ -157,7 +157,6 @@ class Splits:
     train: Span
     val: Span
     test: Span
-    raw_counts: tuple
 
 
 def chrono_split(length: int, spec: SplitSpec, lookback: int) -> Splits:
@@ -172,8 +171,7 @@ def chrono_split(length: int, spec: SplitSpec, lookback: int) -> Splits:
             "to give the validation split context")
     return Splits(train=Span(0, a),
                   val=Span(a - lookback, b),
-                  test=Span(b - lookback, c),
-                  raw_counts=(n_train, n_val, n_test))
+                  test=Span(b - lookback, c))
 
 
 def standardize(values: np.ndarray, train_span: Span, eps: float = 1e-8):
@@ -213,25 +211,21 @@ def make_windows(values: np.ndarray, span: Span, lookback: int, horizon: int):
 
 @dataclass
 class PreparedData:
-    """Standardised series plus window pairs for each split."""
+    """(x, y) window pairs of the standardised series for each split."""
 
     train: tuple
     val: tuple
     test: tuple
-    mu: np.ndarray
-    sigma: np.ndarray
-    splits: Splits
 
 
 def prepare(values: np.ndarray, spec: SplitSpec, lookback: int,
             horizon: int) -> PreparedData:
     splits = chrono_split(len(values), spec, lookback)
-    std, mu, sigma = standardize(values, splits.train)
+    std, _, _ = standardize(values, splits.train)
     return PreparedData(
         train=make_windows(std, splits.train, lookback, horizon),
         val=make_windows(std, splits.val, lookback, horizon),
-        test=make_windows(std, splits.test, lookback, horizon),
-        mu=mu, sigma=sigma, splits=splits)
+        test=make_windows(std, splits.test, lookback, horizon))
 
 
 # ---------------------------------------------------------------------------

@@ -13,31 +13,6 @@ from .seeding import stream
 from .tensor import Tensor
 
 # ---------------------------------------------------------------------------
-# point metrics
-# ---------------------------------------------------------------------------
-
-def _paired(yhat, y):
-    yhat = np.asarray(yhat, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if yhat.shape != y.shape:
-        raise DimensionError(f"metric shapes differ: {yhat.shape} vs {y.shape}")
-    return yhat, y
-
-
-def mse(yhat, y) -> float:
-    """Mean squared residual over every element."""
-    yhat, y = _paired(yhat, y)
-    d = yhat - y
-    return float((d * d).mean())
-
-
-def mae(yhat, y) -> float:
-    """Mean absolute residual over every element."""
-    yhat, y = _paired(yhat, y)
-    return float(np.abs(yhat - y).mean())
-
-
-# ---------------------------------------------------------------------------
 # split evaluation
 # ---------------------------------------------------------------------------
 

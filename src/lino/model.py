@@ -20,11 +20,17 @@ with the same subtractions the identity claims.
 Three reduced recursions (`mu`, `raw`, `ln`) are kept for comparison
 studies; they share the block implementations and differ only in how
 features flow between levels and where heads attach.
+
+Each parameter is declared once, as a (name, shape, init) row of
+`_param_table`, which both initialisation and checkpoint validation read.
+`LiNoConfig` holds only what callers set: the shapes, dropout, variant,
+ablation and dtype. The feedforward and mixing widths equal `dim`, and the
+instance normalisation's variance guard is the constant `REVIN_EPS`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -39,15 +45,15 @@ VARIANTS = ("lino", "mu", "raw", "ln")
 ABLATIONS = ("none", "no_li", "no_no", "no_te", "no_fe", "no_cd")
 
 
+# RevIN's variance guard: sqrt(population variance + REVIN_EPS) scales
+# each window, so a constant channel normalises to zeros
+REVIN_EPS = 1e-5
+
+
 @dataclass(frozen=True)
 class LiNoConfig:
-    """Static shape and behaviour of one model.
-
-    `fusion` and `integration` are test hooks: swapping the fusion
-    activation for identity and stripping the nonlinear block down to the
-    fused projection alone turns it into a purely affine map, which the
-    structural tests rely on. The CLI never sets them.
-    """
+    """Static shape and behaviour of one model. The feedforward and
+    channel-mixing layers are `dim` wide."""
 
     channels: int
     lookback: int
@@ -55,13 +61,9 @@ class LiNoConfig:
     dim: int = 256
     blocks: int = 2
     dropout: float = 0.0
-    mlp_hidden: int = 0          # 0 means "same as dim"
-    revin_eps: float = 1e-5
     variant: str = "lino"
     ablation: str = "none"
     dtype: str = "float64"
-    fusion: str = "tanh"
-    integration: bool = True
 
     def __post_init__(self):
         if self.channels < 1 or self.lookback < 1 or self.horizon < 1:
@@ -74,8 +76,6 @@ class LiNoConfig:
             raise ConfigError(f"blocks must be >= 1, got {self.blocks}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
-        if self.mlp_hidden < 0:
-            raise ConfigError(f"mlp_hidden must be >= 0, got {self.mlp_hidden}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant {self.variant!r} not in {VARIANTS}")
         if self.ablation not in ABLATIONS:
@@ -84,101 +84,66 @@ class LiNoConfig:
             raise ConfigError("ablations are defined for the primary variant only")
         if self.dtype not in ("float64", "float32"):
             raise ConfigError(f"dtype must be float64 or float32, got {self.dtype!r}")
-        if self.fusion not in ("tanh", "identity"):
-            raise ConfigError(f"fusion must be tanh or identity, got {self.fusion!r}")
-        if self.revin_eps <= 0:
-            raise ConfigError("revin_eps must be positive")
-
-    @property
-    def hidden(self) -> int:
-        return self.mlp_hidden if self.mlp_hidden else self.dim
-
-    @property
-    def bins(self) -> int:
-        return n_bins(self.dim)
 
     def np_dtype(self):
         return np.float64 if self.dtype == "float64" else np.float32
 
-    def with_(self, **kw) -> "LiNoConfig":
-        return replace(self, **kw)
+
+def _param_table(config: LiNoConfig) -> list:
+    """(name, shape, init) for every parameter, in canonical order: the one
+    declaration behind initialisation and checkpoint validation.
+
+    Inits: convolution kernels start at zero so every level's linear
+    pattern begins as nothing rather than noise; the complex frequency
+    weights start near identity (`near_eye` real part, `small` imaginary
+    part) so the frequency path begins as a near-pass-through; all plain
+    biases start at zero; weight matrices are Glorot-uniform.
+    """
+    c, t, f, d = config.channels, config.lookback, config.horizon, config.dim
+    b = n_bins(d)
+    rows = [("embed.w", (t, d), "glorot"), ("embed.b", (d,), "zeros")]
+    for i in range(config.blocks):
+        p = f"level{i}"
+        rows += [
+            (f"{p}.li.phi", (c, d), "zeros"), (f"{p}.li.beta", (c,), "zeros"),
+            (f"{p}.li_head.w", (d, f), "glorot"), (f"{p}.li_head.b", (f,), "zeros"),
+            (f"{p}.no.time.w", (d, d), "glorot"), (f"{p}.no.time.b", (d,), "zeros"),
+            (f"{p}.no.freq.w_re", (b, b), "near_eye"),
+            (f"{p}.no.freq.w_im", (b, b), "small"),
+            (f"{p}.no.mix.w1", (2 * d, d), "glorot"), (f"{p}.no.mix.b1", (d,), "zeros"),
+            (f"{p}.no.mix.w2", (d, d), "glorot"), (f"{p}.no.mix.b2", (d,), "zeros"),
+            (f"{p}.no.norm1.gamma", (d,), "ones"), (f"{p}.no.norm1.beta", (d,), "zeros"),
+            (f"{p}.no.ff.w1", (d, d), "glorot"), (f"{p}.no.ff.b1", (d,), "zeros"),
+            (f"{p}.no.ff.w2", (d, d), "glorot"), (f"{p}.no.ff.b2", (d,), "zeros"),
+            (f"{p}.no.norm2.gamma", (d,), "ones"), (f"{p}.no.norm2.beta", (d,), "zeros"),
+            (f"{p}.no_head.w", (d, f), "glorot"), (f"{p}.no_head.b", (f,), "zeros"),
+        ]
+    return rows
 
 
-def _glorot(rng: np.random.Generator, n_in: int, n_out: int) -> np.ndarray:
-    bound = np.sqrt(6.0 / (n_in + n_out))
-    return rng.uniform(-bound, bound, size=(n_in, n_out))
+def _draw(init: str, rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """One parameter's float64 starting value. Only `glorot`, `near_eye`
+    and `small` draw from the rng, in `_param_table` order."""
+    if init == "glorot":
+        bound = np.sqrt(6.0 / sum(shape))
+        return rng.uniform(-bound, bound, size=shape)
+    if init == "near_eye":
+        return np.eye(shape[0]) + rng.normal(0.0, 0.01, size=shape)
+    if init == "small":
+        return rng.normal(0.0, 0.01, size=shape)
+    return {"zeros": np.zeros, "ones": np.ones}[init](shape)
 
 
 def param_shapes(config: LiNoConfig) -> dict:
-    """Name -> shape for every parameter, in canonical order. The single
-    source of truth for initialisation and checkpoint validation."""
-    c, t, f = config.channels, config.lookback, config.horizon
-    d, h, b = config.dim, config.hidden, config.bins
-    shapes: dict[str, tuple] = {"embed.w": (t, d), "embed.b": (d,)}
-    for i in range(config.blocks):
-        p = f"level{i}"
-        shapes.update({
-            f"{p}.li.phi": (c, d), f"{p}.li.beta": (c,),
-            f"{p}.li_head.w": (d, f), f"{p}.li_head.b": (f,),
-            f"{p}.no.time.w": (d, d), f"{p}.no.time.b": (d,),
-            f"{p}.no.freq.w_re": (b, b), f"{p}.no.freq.w_im": (b, b),
-            f"{p}.no.mix.w1": (2 * d, h), f"{p}.no.mix.b1": (h,),
-            f"{p}.no.mix.w2": (h, d), f"{p}.no.mix.b2": (d,),
-            f"{p}.no.norm1.gamma": (d,), f"{p}.no.norm1.beta": (d,),
-            f"{p}.no.ff.w1": (d, h), f"{p}.no.ff.b1": (h,),
-            f"{p}.no.ff.w2": (h, d), f"{p}.no.ff.b2": (d,),
-            f"{p}.no.norm2.gamma": (d,), f"{p}.no.norm2.beta": (d,),
-            f"{p}.no_head.w": (d, f), f"{p}.no_head.b": (f,),
-        })
-    return shapes
+    """Name -> shape for every parameter, in canonical order."""
+    return {name: shape for name, shape, _ in _param_table(config)}
 
 
 def init_params(config: LiNoConfig, rng: np.random.Generator) -> dict:
-    """Fresh parameter dict, insertion-ordered by name.
-
-    Conventions: convolution kernels start at zero so every level's linear
-    pattern begins as nothing rather than noise; the complex frequency
-    weights start near identity so the frequency path begins as a
-    near-pass-through; all plain biases start at zero; weight matrices are
-    Glorot-uniform.
-    """
-    c, t, f = config.channels, config.lookback, config.horizon
-    d, h, b = config.dim, config.hidden, config.bins
-    out: dict[str, Tensor] = {}
-
-    def put(name, arr):
-        out[name] = Tensor(np.asarray(arr, dtype=config.np_dtype()), requires_grad=True)
-
-    put("embed.w", _glorot(rng, t, d))
-    put("embed.b", np.zeros(d))
-    for i in range(config.blocks):
-        p = f"level{i}"
-        put(f"{p}.li.phi", np.zeros((c, d)))
-        put(f"{p}.li.beta", np.zeros(c))
-        put(f"{p}.li_head.w", _glorot(rng, d, f))
-        put(f"{p}.li_head.b", np.zeros(f))
-        put(f"{p}.no.time.w", _glorot(rng, d, d))
-        put(f"{p}.no.time.b", np.zeros(d))
-        put(f"{p}.no.freq.w_re", np.eye(b) + rng.normal(0.0, 0.01, size=(b, b)))
-        put(f"{p}.no.freq.w_im", rng.normal(0.0, 0.01, size=(b, b)))
-        put(f"{p}.no.mix.w1", _glorot(rng, 2 * d, h))
-        put(f"{p}.no.mix.b1", np.zeros(h))
-        put(f"{p}.no.mix.w2", _glorot(rng, h, d))
-        put(f"{p}.no.mix.b2", np.zeros(d))
-        put(f"{p}.no.norm1.gamma", np.ones(d))
-        put(f"{p}.no.norm1.beta", np.zeros(d))
-        put(f"{p}.no.ff.w1", _glorot(rng, d, h))
-        put(f"{p}.no.ff.b1", np.zeros(h))
-        put(f"{p}.no.ff.w2", _glorot(rng, h, d))
-        put(f"{p}.no.ff.b2", np.zeros(d))
-        put(f"{p}.no.norm2.gamma", np.ones(d))
-        put(f"{p}.no.norm2.beta", np.zeros(d))
-        put(f"{p}.no_head.w", _glorot(rng, d, f))
-        put(f"{p}.no_head.b", np.zeros(f))
-    expected = param_shapes(config)
-    assert list(out) == list(expected) and all(
-        out[k].shape == expected[k] for k in out), "init drifted from declared shapes"
-    return out
+    """Fresh parameter dict in canonical order (see `_param_table`)."""
+    return {name: Tensor(np.asarray(_draw(init, rng, shape), dtype=config.np_dtype()),
+                         requires_grad=True)
+            for name, shape, init in _param_table(config)}
 
 
 def scoped(params: dict, prefix: str) -> dict:
@@ -191,19 +156,16 @@ def scoped(params: dict, prefix: str) -> dict:
 # instance normalisation
 # ---------------------------------------------------------------------------
 
-def revin_stats(x: np.ndarray, eps: float):
-    """Per-channel mean and eps-guarded scale over the trailing axis.
+def revin_normalize(x: np.ndarray):
+    """Per-channel instance normalisation over the trailing axis; returns
+    (x_norm, (mu, sigma)).
 
-    The scale is sqrt(population variance + eps); denormalisation uses
-    the same quantity, which makes the roundtrip exact regardless of eps.
+    The scale is sqrt(population variance + REVIN_EPS); denormalisation
+    uses the same quantity, which makes the roundtrip exact regardless of
+    eps.
     """
     mu = x.mean(axis=-1, keepdims=True)
-    sigma = np.sqrt(x.var(axis=-1, keepdims=True) + eps)
-    return mu, sigma
-
-
-def revin_normalize(x: np.ndarray, eps: float):
-    mu, sigma = revin_stats(x, eps)
+    sigma = np.sqrt(x.var(axis=-1, keepdims=True) + REVIN_EPS)
     return (x - mu) / sigma, (mu, sigma)
 
 
@@ -232,7 +194,7 @@ def no_block(r: Tensor, p: dict, config: LiNoConfig, mode: str,
     """Nonlinear pattern extractor.
 
     `p` holds this block's parameters under local names (see
-    `init_params`; strip the level prefix with `scoped`). Steps: project
+    `_param_table`; strip the level prefix with `scoped`). Steps: project
     the remainder in the time domain and the frequency domain, sum and
     saturate; mix channels through softmax-weighted pooling and an MLP on
     the concatenated [own features, pooled summary]; integrate with two
@@ -250,9 +212,7 @@ def no_block(r: Tensor, p: dict, config: LiNoConfig, mode: str,
         pre = parts[0]
     else:
         pre = add(parts[0], parts[1])
-    ntf = tanh(pre) if config.fusion == "tanh" else pre
-    if not config.integration:
-        return ntf
+    ntf = tanh(pre)
     if config.ablation != "no_cd":
         w = softmax_axis(ntf, axis=-2)
         pooled = sum_axis(mul(w, ntf), axis=-2, keepdims=True)
@@ -411,7 +371,7 @@ def forward(x, params: dict, config: LiNoConfig, mode: str = "eval",
             rng: Optional[np.random.Generator] = None) -> ForwardResult:
     """Full pass on raw windows [..., channels, lookback]."""
     x = np.asarray(x, dtype=config.np_dtype())
-    xn, stats = revin_normalize(x, config.revin_eps)
+    xn, stats = revin_normalize(x)
     y_norm, trace = forward_normalized(Tensor(xn), params, config, mode, rng)
     y = revin_denormalize(y_norm, stats, config.horizon)
     return ForwardResult(y, y_norm, stats, trace)

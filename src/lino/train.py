@@ -4,12 +4,17 @@ The loop is deliberately boring. Per epoch: shuffle the training windows,
 walk minibatches (the last partial one included), optionally add input
 noise, run the forward in train mode under a tape, backprop, Adam step.
 Validation runs in eval mode after every epoch and feeds an early stopper
-with strict-improvement semantics; the best parameters are kept aside and
-restored at the end, so the returned model is the best validation model,
-not the last one.
+with strict-improvement semantics (a fixed `EarlyStopper.MIN_DELTA`); the
+best parameters are kept aside and restored at the end, so the returned
+model is the best validation model, not the last one.
 
 Everything that draws randomness pulls from a named per-consumer stream
 of the run seed, which is what makes reruns bit-identical.
+
+A checkpoint holds its model config as a JSON header and its tensors in
+`param_shapes` order. Checkpoints from versions whose model config had
+`mlp_hidden`, `revin_eps`, `fusion` and `integration` still load when
+those keys hold the values that version's command line always wrote.
 """
 
 from __future__ import annotations
@@ -87,19 +92,20 @@ class EarlyStopper:
     """Stop after `patience` consecutive epochs without strict improvement.
 
     Improvement means the new value undercuts the best seen by more than
-    `min_delta`; ties and drift within tolerance burn patience.
+    `MIN_DELTA`; ties and drift within tolerance burn patience.
     """
 
-    def __init__(self, patience: int = 6, min_delta: float = 1e-7):
+    MIN_DELTA = 1e-7
+
+    def __init__(self, patience: int = 6):
         self.patience = patience
-        self.min_delta = min_delta
         self.best: Optional[float] = None
         self.best_epoch = 0
         self.bad_epochs = 0
 
     def update(self, epoch: int, value: float) -> bool:
         """Feed one validation value; returns True when it improved."""
-        if self.best is None or value < self.best - self.min_delta:
+        if self.best is None or value < self.best - self.MIN_DELTA:
             self.best = value
             self.best_epoch = epoch
             self.bad_epochs = 0
@@ -122,7 +128,6 @@ class TrainConfig:
     batch_size: int = 32
     max_epochs: int = 100
     patience: int = 6
-    min_delta: float = 1e-7
     noise_alpha: float = 0.0   # train-time input noise scale
     seed: int = 1
 
@@ -173,7 +178,7 @@ def train(train_x: np.ndarray, train_y: np.ndarray,
     dropout_rng = stream(tcfg.seed, "dropout")
     noise_rng = stream(tcfg.seed, "noise")
     shuffle_rng = stream(tcfg.seed, "shuffle")
-    stopper = EarlyStopper(tcfg.patience, tcfg.min_delta)
+    stopper = EarlyStopper(tcfg.patience)
 
     history = []
     best_params = {k: t.data.copy() for k, t in params.items()}
@@ -232,6 +237,10 @@ def train(train_x: np.ndarray, train_y: np.ndarray,
 _MAGIC = b"LINOCKP1"
 _DTYPES = {0: np.dtype("<f8"), 1: np.dtype("<f4")}
 _DTYPE_CODES = {np.dtype("float64"): 0, np.dtype("float32"): 1}
+# model header keys that earlier versions wrote, each with the only value
+# their command line could give it
+_RETIRED_MODEL_KEYS = {"mlp_hidden": 0, "revin_eps": 1e-5, "fusion": "tanh",
+                       "integration": True}
 
 
 def save_checkpoint(path: str, config: LiNoConfig, params: dict,
@@ -272,13 +281,20 @@ def save_checkpoint(path: str, config: LiNoConfig, params: dict,
         raise
 
 
-def load_checkpoint(path: str, expect: Optional[LiNoConfig] = None):
+def _current_fields(model: dict) -> dict:
+    """The stored model header without the retired keys that hold the one
+    value earlier versions wrote; any other value of a retired key stays
+    and is rejected with the header."""
+    return {k: v for k, v in model.items()
+            if not (k in _RETIRED_MODEL_KEYS and type(v) is type(_RETIRED_MODEL_KEYS[k])
+                    and v == _RETIRED_MODEL_KEYS[k])}
+
+
+def load_checkpoint(path: str):
     """Read a checkpoint back as (config, params, extra).
 
     Verifies the magic, the trailing checksum, and that the stored tensors
-    exactly match the stored configuration's declared shapes. With
-    `expect` given, every structural field must agree with the stored
-    model config; a mismatch is reported by field name.
+    exactly match the stored configuration's declared shapes.
     """
     if not os.path.exists(path):
         raise CheckpointError(f"checkpoint not found: {path}")
@@ -302,17 +318,9 @@ def load_checkpoint(path: str, expect: Optional[LiNoConfig] = None):
     header = json.loads(body[off:off + header_len].decode())
     off += header_len
     try:
-        config = LiNoConfig(**header["model"])
-    except (KeyError, TypeError, ConfigError) as exc:
+        config = LiNoConfig(**_current_fields(header["model"]))
+    except (KeyError, TypeError, AttributeError, ConfigError) as exc:
         raise CheckpointError(f"{path}: bad model header: {exc}") from None
-    if expect is not None:
-        for field_name in ("channels", "lookback", "horizon", "dim", "blocks",
-                           "mlp_hidden", "variant"):
-            got = getattr(config, field_name)
-            want = getattr(expect, field_name)
-            if got != want:
-                raise CheckpointError(
-                    f"{path}: checkpoint {field_name}={got}, expected {field_name}={want}")
     count = take("<I")
     shapes = param_shapes(config)
     params = {}

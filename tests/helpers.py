@@ -1,4 +1,5 @@
-"""Shared test utilities: finite-difference gradient checking.
+"""Shared test utilities: finite-difference gradient checking, generic
+parameter points, and checkpoint header surgery.
 
 The checker is the independent oracle for every vjp in the engine: it
 perturbs raw numpy inputs of a pure forward function and compares central
@@ -6,6 +7,10 @@ differences against the gradients the tape produces.
 """
 
 from __future__ import annotations
+
+import hashlib
+import json
+import struct
 
 import numpy as np
 
@@ -87,3 +92,15 @@ def check_gradients(op, arrays, tol=1e-4, h=1e-5, seed=0):
         err = relative_error(leaf.grad, num)
         assert err < tol, f"gradient mismatch: rel err {err:.3e} >= {tol}"
     return True
+
+
+def rewrite_model_header(path, change):
+    """Update the model header of the checkpoint at `path` with `change`
+    and rewrite the file with a matching checksum (layout in lino.train)."""
+    blob = path.read_bytes()
+    (size,) = struct.unpack_from("<Q", blob, 8)
+    header = json.loads(blob[16:16 + size])
+    header["model"].update(change)
+    raw = json.dumps(header, sort_keys=True).encode()
+    body = blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + size:-32]
+    path.write_bytes(body + hashlib.sha256(body).digest())

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -137,8 +138,8 @@ def test_gradient_cases_cover_model_primitives():
     y = rng.normal(size=(3, 2, 4))
     base = LiNoConfig(channels=2, lookback=8, horizon=4, dim=8, blocks=2,
                       dropout=0.2)
-    configs = ([base.with_(variant=v) for v in VARIANTS]
-               + [base.with_(ablation=a) for a in ABLATIONS])
+    configs = ([replace(base, variant=v) for v in VARIANTS]
+               + [replace(base, ablation=a) for a in ABLATIONS])
     recorded = set()
     for config in configs:
         params = init_params(config, stream(0, "init"))

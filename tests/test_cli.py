@@ -6,13 +6,13 @@ not model quality.
 """
 
 import csv
-import hashlib
-import json
 import os
-import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+from helpers import rewrite_model_header
 
 import lino.cli as cli
 from lino.data import ETT_SPLIT_COUNTS
@@ -73,6 +73,42 @@ class TestConfigFile:
         assert parsed == {"seeds": [1, 2, 3], "univariate": True,
                           "alphas": [0.0, 0.5]}
 
+    @pytest.mark.parametrize("key,text,expected", [
+        ("dataset", "data/ETTh2.csv", "data/ETTh2.csv"),
+        ("lookback", "48", 48),
+        ("lr", "1e-3", 1e-3),
+        ("univariate", "no", False),
+        ("horizons", "24, 48,", [24, 48]),
+        ("alphas", "0, 0.5", [0.0, 0.5]),
+    ])
+    def test_value_parses_as_its_default_type(self, tmp_path, key, text, expected):
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text(f"{key} = {text}\n")
+        parsed = cli.parse_config_file(str(cfg))[key]
+        assert parsed == expected
+        assert type(parsed) is type(expected)
+        if isinstance(expected, list):
+            assert [type(v) for v in parsed] == [type(v) for v in expected]
+
+    @pytest.mark.parametrize("key,text", [("lookback", "4.5"), ("seeds", "1, 2.5"),
+                                          ("univariate", "maybe"), ("dropout", "x")])
+    def test_value_of_wrong_type_rejected(self, tmp_path, key, text):
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text(f"{key} = {text}\n")
+        with pytest.raises(ConfigError, match=f"line 1: bad value for {key}"):
+            cli.parse_config_file(str(cfg))
+
+    def test_readme_table_lists_every_key_and_default(self):
+        """The README's config key table names exactly the keys a config
+        file may set, each with its default."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Config keys\n", 1)[1].split("\n## ", 1)[0]
+        rows = [[cell.strip().strip("`") for cell in line.strip("|").split("|")]
+                for line in section.splitlines() if line.startswith("| `")]
+        assert [row[0] for row in rows] == list(cli._DEFAULTS)
+        for key, default, _ in rows:
+            assert cli._parse_value(key, default) == cli._DEFAULTS[key], key
+
     def test_cli_overrides_file_overrides_defaults(self, tmp_path):
         cfg = write_cfg(tmp_path / "a.cfg", dim=512, blocks=3)
         rc = cli.resolve(["train", "--config", cfg, "--dim", "256"])
@@ -129,6 +165,24 @@ class TestValidation:
         assert cli.main(argv + ["--out", str(out), "--unsafe-grid"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ablations are defined for the primary variant only")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["noise", "--variant", "ln"],
+        ["noise", "--ablate", "no_cd"],
+    ])
+    def test_noise_runs_only_its_own_sweep(self, argv, tmp_path, monkeypatch, capsys):
+        """`noise` always sweeps lino, mu and raw without ablation, so a
+        variant or ablation it would ignore is refused before any data
+        loads."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran past validation")
+
+        monkeypatch.setattr(cli, "train", refuse)
+        monkeypatch.setattr(cli.RunConfig, "load_values", refuse)
+        out = tmp_path / "r"
+        assert cli.main(argv + ["--out", str(out), "--unsafe-grid"]) == 2
+        assert capsys.readouterr().err.startswith("error: noise sweeps the lino, mu and raw")
         assert not out.exists()
 
     def test_ett_names_pick_published_split_counts(self):
@@ -279,6 +333,16 @@ class TestNoiseCommand:
         assert "+" in gap_line or "-" in gap_line
 
 
+def save_tiny_checkpoint(outd, change):
+    """An initialised two-channel checkpoint at `outd/checkpoint` whose
+    model header is then updated with `change`."""
+    cfg = LiNoConfig(channels=2, lookback=8, horizon=4, dim=8, blocks=1)
+    path = outd / "checkpoint"
+    outd.mkdir()
+    save_checkpoint(str(path), cfg, init_params(cfg, stream(0, "init")))
+    rewrite_model_header(path, change)
+
+
 class TestExportCommands:
     def test_decompose_emits_all_series(self, trained_run):
         tmp, cfg = trained_run
@@ -317,19 +381,19 @@ class TestExportCommands:
         """A well-formed checkpoint whose model header names an unknown
         field, or holds an invalid value, exits 3 rather than 2 or a
         traceback."""
-        cfg = LiNoConfig(channels=2, lookback=8, horizon=4, dim=8, blocks=1)
-        path = tmp_path / "r" / "checkpoint"
-        path.parent.mkdir()
-        save_checkpoint(str(path), cfg, init_params(cfg, stream(0, "init")))
-        blob = path.read_bytes()
-        (size,) = struct.unpack_from("<Q", blob, 8)
-        header = json.loads(blob[16:16 + size])
-        header["model"].update(change)
-        raw = json.dumps(header, sort_keys=True).encode()
-        body = blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + size:-32]
-        path.write_bytes(body + hashlib.sha256(body).digest())
+        save_tiny_checkpoint(tmp_path / "r", change)
         assert cli.main(["probe", "--out", str(tmp_path / "r")]) == 3
         assert "bad model header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change", [{"mlp_hidden": 5}, {"revin_eps": 1e-3},
+                                        {"fusion": "identity"}, {"integration": False}])
+    def test_retired_key_other_value_rejected(self, tmp_path, capsys, change):
+        """A retired model key loads only at the one value earlier versions
+        wrote; any other value asks for a model this version cannot build."""
+        save_tiny_checkpoint(tmp_path / "r", change)
+        assert cli.main(["decompose", "--out", str(tmp_path / "r")]) == 3
+        err = capsys.readouterr().err
+        assert "bad model header" in err and next(iter(change)) in err
 
 
 class TestSynthCommand:

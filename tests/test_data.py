@@ -94,7 +94,6 @@ class TestSplits:
         assert (splits.train.start, splits.train.stop) == (0, 60)
         assert (splits.val.start, splits.val.stop) == (52, 80)
         assert (splits.test.start, splits.test.stop) == (72, 100)
-        assert splits.raw_counts == (60, 20, 20)
 
     def test_train_too_short_for_context(self):
         with pytest.raises(DataError, match="lookback"):

@@ -15,34 +15,10 @@ from lino.data import SplitSpec, SynthSpec, prepare, synth_generate
 from lino.errors import DataError, DimensionError
 from lino.evaluate import (EvalReport, ReportRow, decomposition_table,
                            evaluate, export_decomposition, li_block_map,
-                           mae, model_map, mse, no_block_map, probe_affine)
+                           model_map, no_block_map, probe_affine)
 from lino.model import Forecaster, LiNoConfig, init_params
 from lino.seeding import stream
 from lino.train import TrainConfig, train
-
-
-class TestPointMetrics:
-    def test_mae_two_point_example(self):
-        assert mae(np.array([2.0, 5.0]), np.array([1.0, 3.0])) == 1.5
-
-    def test_mse_two_point_example(self):
-        assert mse(np.array([3.0, 1.0]), np.array([1.0, 1.0])) == 2.0
-
-    def test_zero_on_equal_inputs(self):
-        y = np.random.default_rng(0).normal(size=(4, 3))
-        assert mse(y, y) == 0.0
-        assert mae(y, y) == 0.0
-
-    def test_mae_bounded_by_rms(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            a = rng.normal(size=(5, 7))
-            b = rng.normal(size=(5, 7))
-            assert mae(a, b) <= np.sqrt(mse(a, b)) + 1e-15
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(DimensionError, match="shapes"):
-            mse(np.zeros(3), np.zeros(4))
 
 
 def last_value_predictor(x):

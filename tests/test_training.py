@@ -4,7 +4,7 @@ reference, stopping semantics, loop determinism, checkpoint format."""
 import numpy as np
 import pytest
 
-from helpers import check_gradients
+from helpers import check_gradients, rewrite_model_header
 
 from lino.errors import CheckpointError, ConfigError, NonFiniteError
 from lino.model import LiNoConfig, forward, init_params
@@ -111,7 +111,7 @@ class TestEarlyStopper:
     def test_plateau_sequence(self):
         """Values 5,4,4,4,4,4,4,4: improvement at epoch 2, patience 6 burns
         through epochs 3-8, stop signalled after epoch 8."""
-        stopper = EarlyStopper(patience=6, min_delta=1e-7)
+        stopper = EarlyStopper(patience=6)
         history = []
         for epoch, val in enumerate([5.0, 4.0, 4.0, 4.0, 4.0, 4.0, 4.0, 4.0], start=1):
             stopper.update(epoch, val)
@@ -121,7 +121,7 @@ class TestEarlyStopper:
         assert stopper.best_epoch == 2
 
     def test_tolerance_blocks_tiny_gains(self):
-        stopper = EarlyStopper(patience=2, min_delta=1e-7)
+        stopper = EarlyStopper(patience=2)
         assert stopper.update(1, 1.0)
         assert not stopper.update(2, 1.0 - 5e-8)   # within tolerance: no credit
         assert stopper.best_epoch == 1
@@ -177,8 +177,8 @@ class TestTrainLoop:
             ((forward(x, result.params, cfg).y.data - y) ** 2).mean())
         assert abs(returned_val - result.best_val) < 1e-12
         # best-so-far under strict-improvement-with-tolerance semantics: the
-        # kept value can exceed the raw minimum by at most min_delta
-        assert result.best_val <= min(row[2] for row in result.history) + tcfg.min_delta
+        # kept value can exceed the raw minimum by at most MIN_DELTA
+        assert result.best_val <= min(row[2] for row in result.history) + EarlyStopper.MIN_DELTA
 
     def test_last_partial_batch_used(self):
         """Batch size 7 over 29 windows leaves a tail of 1; training must
@@ -253,12 +253,20 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(str(path))
 
-    def test_channel_mismatch_named(self, tmp_path):
-        cfg = tiny_config(channels=2)
+    def test_parent_header_loads(self, tmp_path):
+        """A header that still carries the four retired model keys, at the
+        values earlier versions always wrote, loads to the same config and
+        params."""
+        cfg = tiny_config(blocks=2)
+        params = self._params(cfg, seed=3)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(str(path), cfg, self._params(cfg))
-        with pytest.raises(CheckpointError, match="channels"):
-            load_checkpoint(str(path), expect=tiny_config(channels=3))
+        save_checkpoint(str(path), cfg, params)
+        rewrite_model_header(path, {"mlp_hidden": 0, "revin_eps": 1e-5,
+                                    "fusion": "tanh", "integration": True})
+        loaded_cfg, loaded, _ = load_checkpoint(str(path))
+        assert loaded_cfg == cfg
+        assert list(loaded) == list(params)
+        assert all(np.array_equal(loaded[k].data, params[k].data) for k in params)
 
     def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
         cfg = tiny_config()
