@@ -86,14 +86,20 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_value(key: str, text: str):
+def _item_type(key: str) -> type:
+    """The type one value of `key` parses as: its default's type, or the
+    first item's type for a list default."""
     default = _DEFAULTS[key]
-    if isinstance(default, list):
-        kind = type(default[0])
+    return type(default[0]) if isinstance(default, list) else type(default)
+
+
+def _parse_value(key: str, text: str):
+    kind = _item_type(key)
+    if isinstance(_DEFAULTS[key], list):
         return [kind(part.strip()) for part in text.split(",") if part.strip()]
-    if isinstance(default, bool):
+    if kind is bool:
         return _parse_bool(text)
-    return type(default)(text)
+    return kind(text)
 
 
 def parse_config_file(path: str) -> dict:
@@ -465,16 +471,16 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command)
         p.add_argument("--config", help="flat key=value settings file")
         p.add_argument("--dataset", help="CSV path, or 'synth' for the built-in generator")
-        p.add_argument("--horizon", type=int, help="single forecast horizon")
-        p.add_argument("--blocks", type=int, help="decomposition levels")
-        p.add_argument("--dim", type=int, help="embedding width")
-        p.add_argument("--dropout", type=float)
-        p.add_argument("--lr", type=float)
-        p.add_argument("--batch", type=int)
-        p.add_argument("--seed", type=int, help="single training seed")
+        p.add_argument("--horizon", type=_item_type("horizons"), help="single forecast horizon")
+        p.add_argument("--blocks", type=_item_type("blocks"), help="decomposition levels")
+        p.add_argument("--dim", type=_item_type("dim"), help="embedding width")
+        p.add_argument("--dropout", type=_item_type("dropout"))
+        p.add_argument("--lr", type=_item_type("lr"))
+        p.add_argument("--batch", type=_item_type("batch"))
+        p.add_argument("--seed", type=_item_type("seeds"), help="single training seed")
         p.add_argument("--variant", choices=VARIANTS)
         p.add_argument("--ablate", choices=ABLATIONS, dest="ablation")
-        p.add_argument("--alpha", type=float, help="training-noise level")
+        p.add_argument("--alpha", type=_item_type("alphas"), help="training-noise level")
         p.add_argument("--out", help="run directory")
         p.add_argument("--unsafe-grid", action="store_true",
                        help="allow settings outside the supported sweep")

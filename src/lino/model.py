@@ -169,7 +169,7 @@ def revin_normalize(x: np.ndarray):
     return (x - mu) / sigma, (mu, sigma)
 
 
-def revin_denormalize(y_norm: Tensor, stats, horizon: int) -> Tensor:
+def revin_denormalize(y_norm: Tensor, stats) -> Tensor:
     """Differentiable inverse map back onto each window's own scale."""
     mu, sigma = stats
     shape = y_norm.shape
@@ -373,7 +373,7 @@ def forward(x, params: dict, config: LiNoConfig, mode: str = "eval",
     x = np.asarray(x, dtype=config.np_dtype())
     xn, stats = revin_normalize(x)
     y_norm, trace = forward_normalized(Tensor(xn), params, config, mode, rng)
-    y = revin_denormalize(y_norm, stats, config.horizon)
+    y = revin_denormalize(y_norm, stats)
     return ForwardResult(y, y_norm, stats, trace)
 
 

@@ -95,21 +95,27 @@ def freq_projection(x: Tensor, w_re: Tensor, w_im: Tensor) -> Tensor:
     complex matrix shared across channels, transform back. Linear in x:
 
         y = ((x @ fwd) @ [[w_re^T, w_im^T], [-w_im^T, w_re^T]]) @ inv
+
+    The leading axes of x are flattened into rows, so each of the three
+    products, forward and backward, is one 2-d GEMM over [prod(lead), n].
+    As with `linear`, outputs then agree across batch layouts to rounding,
+    not bitwise.
     """
     fwd, inv = _bases_for(x.data, "freq_projection")
-    b = n_bins(x.shape[-1])
+    n = x.shape[-1]
+    b = n_bins(n)
     if w_re.shape != (b, b) or w_im.shape != (b, b):
         raise DimensionError(
             f"freq_projection: weights {w_re.shape}/{w_im.shape} must be ({b}, {b})")
     wr_t, wi_t = w_re.data.T, w_im.data.T
     mix = np.block([[wr_t, wi_t], [-wi_t, wr_t]])
-    spec = x.data @ fwd
-    y = (spec @ mix) @ inv
+    spec = x.data.reshape(-1, n) @ fwd
+    y = ((spec @ mix) @ inv).reshape(x.shape)
 
     def vjp(g):
-        g_mixed = g @ inv.T
-        gx = (g_mixed @ mix.T) @ fwd.T
-        g_mix = spec.reshape(-1, 2 * b).T @ g_mixed.reshape(-1, 2 * b)
+        g_mixed = g.reshape(-1, n) @ inv.T
+        gx = ((g_mixed @ mix.T) @ fwd.T).reshape(x.shape)
+        g_mix = spec.T @ g_mixed
         g_re = (g_mix[:b, :b] + g_mix[b:, b:]).T
         g_im = (g_mix[:b, b:] - g_mix[b:, :b]).T
         return gx, g_re, g_im

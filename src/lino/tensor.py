@@ -228,6 +228,11 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     """Affine map over the trailing axis: x @ w + b.
 
     x: [..., In], w: [In, Out], b: [Out] or None. Leading axes are batch.
+    They are flattened into rows, so the forward and each matmul of the
+    backward is one 2-d GEMM over [prod(lead), In], not one small GEMM per
+    leading index. A row's result can then differ in the last bits with
+    the rows that share its GEMM, so outputs agree across batch layouts to
+    rounding, not bitwise.
     """
     if w.data.ndim != 2:
         raise DimensionError(f"linear: weight must be 2-d, got {w.shape}")
@@ -236,18 +241,18 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
         raise DimensionError(f"linear: input trailing dim {x.shape[-1]} != weight rows {n_in}")
     if b is not None and b.shape != (n_out,):
         raise DimensionError(f"linear: bias shape {b.shape} != ({n_out},)")
-    xd, wd = x.data, w.data
-    y = xd @ wd
+    xd, wd = x.data.reshape(-1, n_in), w.data
+    y = (xd @ wd).reshape(x.shape[:-1] + (n_out,))
     if b is not None:
         y = y + b.data
 
     def vjp(g):
-        gx = g @ wd.T
-        gw = xd.reshape(-1, n_in).T @ g.reshape(-1, n_out)
+        g = g.reshape(-1, n_out)
+        gx = (g @ wd.T).reshape(x.shape)
+        gw = xd.T @ g
         if b is None:
             return gx, gw
-        gb = g.reshape(-1, n_out).sum(axis=0)
-        return gx, gw, gb
+        return gx, gw, g.sum(axis=0)
 
     parents = (x, w) if b is None else (x, w, b)
     return _record(y, parents, vjp, "linear")

@@ -82,6 +82,11 @@ GRADIENT_CASES = [
     ("repeat_axis", lambda x: repeat_axis(x, 1, 5), [_r(size=(3, 1, 4))]),
     ("freq_projection", lambda x, wr, wi: freq_projection(x, wr, wi),
      [_r(size=(3, 8)), _r(size=(5, 5)), _r(size=(5, 5))]),
+    # leading axes flatten into one GEMM; these cover that reshape
+    ("linear_batched", lambda x, w, b: linear(x, w, b),
+     [_r(size=(2, 3, 4)), _r(size=(4, 3)), _r(size=(3,))]),
+    ("freq_projection_batched", lambda x, wr, wi: freq_projection(x, wr, wi),
+     [_r(size=(2, 3, 8)), _r(size=(5, 5)), _r(size=(5, 5))]),
 ]
 
 

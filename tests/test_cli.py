@@ -90,6 +90,25 @@ class TestConfigFile:
         if isinstance(expected, list):
             assert [type(v) for v in parsed] == [type(v) for v in expected]
 
+    @pytest.mark.parametrize("flag,text,dest,key", [
+        ("--horizon", "24", "horizon", "horizons"),
+        ("--blocks", "3", "blocks", "blocks"),
+        ("--dim", "16", "dim", "dim"),
+        ("--dropout", "0.2", "dropout", "dropout"),
+        ("--lr", "1e-3", "lr", "lr"),
+        ("--batch", "64", "batch", "batch"),
+        ("--seed", "7", "seed", "seeds"),
+        ("--alpha", "0.5", "alpha", "alphas"),
+    ])
+    def test_flag_parses_as_its_key_default_type(self, flag, text, dest, key):
+        """A typed flag parses as its config key's default type, or as the
+        item type of a list key it feeds."""
+        default = cli._DEFAULTS[key]
+        expected = type(default[0]) if isinstance(default, list) else type(default)
+        parsed = vars(cli.build_parser().parse_args(["train", flag, text]))[dest]
+        assert type(parsed) is expected
+        assert parsed == expected(text)
+
     @pytest.mark.parametrize("key,text", [("lookback", "4.5"), ("seeds", "1, 2.5"),
                                           ("univariate", "maybe"), ("dropout", "x")])
     def test_value_of_wrong_type_rejected(self, tmp_path, key, text):
