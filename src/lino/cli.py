@@ -15,8 +15,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import (ETT_SPLIT_COUNTS, SplitSpec, SynthSpec, load_csv,
-                   prepare, save_csv, synth_generate)
+from .data import (ETT_SPLIT_COUNTS, SplitSpec, SynthSpec, chrono_split,
+                   load_csv, make_windows, prepare, save_csv, standardize,
+                   synth_generate)
 from .errors import ConfigError, DataError, DimensionError, NonFiniteError
 from .evaluate import (REPORT_COLUMNS, EvalReport, ReportRow, WindowMetrics,
                        decomposition_table, evaluate, export_decomposition,
@@ -393,8 +394,11 @@ def cmd_decompose(rc: RunConfig) -> int:
     if values.shape[1] != config.channels:
         raise DataError(f"dataset has {values.shape[1]} channels, "
                         f"checkpoint expects {config.channels}")
-    prep = prepare(values, rc.split_spec(), config.lookback, config.horizon)
-    x_test, _ = prep.test
+    # as `prepare` does, with train-span statistics, but only the test
+    # split is windowed: one test window is all this command reads
+    splits = chrono_split(len(values), rc.split_spec(), config.lookback)
+    std, _, _ = standardize(values, splits.train)
+    x_test, _ = make_windows(std, splits.test, config.lookback, config.horizon)
     if not 0 <= rc.window < len(x_test):
         raise ConfigError(f"window index {rc.window} outside [0, {len(x_test)})")
     os.makedirs(outd, exist_ok=True)

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import DataError, DimensionError
 from .model import (LiNoConfig, forward, forward_normalized, li_block,
-                    no_block, scoped)
+                    no_block, no_projection, scoped)
 from .seeding import stream
 from .tensor import Tensor
 
@@ -198,11 +198,12 @@ def no_block_map(params: dict, config: LiNoConfig, level: int) -> Callable:
     """The given level's nonlinear pattern extractor, flattened the same
     way. Probing it is a linearisation, so expect a nonzero residual."""
     sc = scoped(params, f"level{level}.no")
+    projection = no_projection(sc, config)
     c, d = config.channels, config.dim
 
     def f(vec):
         r = Tensor(np.asarray(vec, dtype=config.np_dtype()).reshape(c, d))
-        return no_block(r, sc, config, "eval").data.reshape(-1)
+        return no_block(r, sc, projection, config, "eval").data.reshape(-1)
 
     return f
 

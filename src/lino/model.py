@@ -11,6 +11,12 @@ stack), and subtracts that too, handing the final remainder to the next
 level. Each extracted pattern gets its own affine head onto the horizon;
 the forecast is the sum of all head outputs, denormalised.
 
+Both projections are linear maps over the feature axis, shared across
+channels, so each level applies them as one D x D operator: the time
+weight plus the frequency projection of an identity (`no_projection`).
+The operators are built once per `forward` call, which records them on
+the tape once per training step, or once per `Forecaster`.
+
 Because every level's input is exactly what the previous level failed to
 explain, the embedded input telescopes into the sum of all extracted
 patterns plus the final remainder. That identity is load-bearing (tests
@@ -189,30 +195,52 @@ def li_block(h: Tensor, phi: Tensor, beta: Tensor, p: float, mode: str,
     return dropout(causal_depthwise_conv(h, phi, beta), p, mode, rng)
 
 
-def no_block(r: Tensor, p: dict, config: LiNoConfig, mode: str,
-             rng: Optional[np.random.Generator] = None) -> Tensor:
+def no_projection(p: dict, config: LiNoConfig) -> tuple:
+    """The nonlinear block's input projection as one (W, b) pair, so that
+    `linear(r, W, b)` is its pre-activation.
+
+    The time projection `r @ time.w + time.b` and the frequency projection
+    `freq_projection(r, w_re, w_im)` are both linear maps over the D axis,
+    shared across channels, and the frequency one equals `r @ S` with
+    `S = freq_projection(I_D, w_re, w_im)`. So the block needs one D x D
+    operator: `time.w + S` with `time.b` under `none`, `S` alone with no
+    bias under `no_te`, `time.w` and `time.b` under `no_fe`. Building S
+    costs three D x D x (D + 2) products, more than the spectral work of
+    a batch-1 call, so a `Forecaster` builds it once, not per predict.
+    """
+    if config.ablation == "no_fe":
+        return p["time.w"], p["time.b"]
+    eye = Tensor(np.eye(config.dim, dtype=config.np_dtype()))
+    spectral = freq_projection(eye, p["freq.w_re"], p["freq.w_im"])
+    if config.ablation == "no_te":
+        return spectral, None
+    return add(p["time.w"], spectral), p["time.b"]
+
+
+def build_projections(params: dict, config: LiNoConfig) -> tuple:
+    """`no_projection` of every level, in level order; empty under `no_no`,
+    which runs no nonlinear block."""
+    if config.ablation == "no_no":
+        return ()
+    return tuple(no_projection(scoped(params, f"level{i}.no"), config)
+                 for i in range(config.blocks))
+
+
+def no_block(r: Tensor, p: dict, projection: tuple, config: LiNoConfig,
+             mode: str, rng: Optional[np.random.Generator] = None) -> Tensor:
     """Nonlinear pattern extractor.
 
     `p` holds this block's parameters under local names (see
-    `_param_table`; strip the level prefix with `scoped`). Steps: project
-    the remainder in the time domain and the frequency domain, sum and
-    saturate; mix channels through softmax-weighted pooling and an MLP on
-    the concatenated [own features, pooled summary]; integrate with two
-    residual layer-norm stages around a feedforward MLP.
+    `_param_table`; strip the level prefix with `scoped`), and
+    `projection` is its fused (W, b) from `no_projection`. Steps: project
+    the remainder with that one D x D operator (the time- and
+    frequency-domain projections summed) and saturate; mix channels
+    through softmax-weighted pooling and an MLP on the concatenated [own
+    features, pooled summary]; integrate with two residual layer-norm
+    stages around a feedforward MLP.
     """
     c = r.shape[-2]
-    parts = []
-    if config.ablation != "no_te":
-        parts.append(linear(r, p["time.w"], p["time.b"]))
-    if config.ablation != "no_fe":
-        parts.append(freq_projection(r, p["freq.w_re"], p["freq.w_im"]))
-    if not parts:
-        pre = Tensor(np.zeros(r.shape, dtype=r.dtype))
-    elif len(parts) == 1:
-        pre = parts[0]
-    else:
-        pre = add(parts[0], parts[1])
-    ntf = tanh(pre)
+    ntf = tanh(linear(r, *projection))
     if config.ablation != "no_cd":
         w = softmax_axis(ntf, axis=-2)
         pooled = sum_axis(mul(w, ntf), axis=-2, keepdims=True)
@@ -257,21 +285,26 @@ def _zeros_like(t: Tensor) -> Tensor:
 
 def forward_normalized(xn: Tensor, params: dict, config: LiNoConfig,
                        mode: str = "eval",
-                       rng: Optional[np.random.Generator] = None):
+                       rng: Optional[np.random.Generator] = None,
+                       projections: Optional[tuple] = None):
     """Run the configured recursion on an already-normalised input.
 
     xn: [..., channels, lookback]. Returns (y_norm, ForwardTrace) with
     y_norm: [..., channels, horizon]. The trace's `terms` list is the
     exact sequence summed into y_norm, so `sum(terms) == y_norm` bitwise.
+    `projections` is `build_projections(params, config)`; when omitted it
+    is built here, so under a tape it is recorded once per step.
     """
     if xn.shape[-2] != config.channels or xn.shape[-1] != config.lookback:
         raise ConfigError(
             f"input trailing shape {xn.shape[-2:]} != "
             f"({config.channels}, {config.lookback})")
+    if projections is None:
+        projections = build_projections(params, config)
     h = linear(xn, params["embed.w"], params["embed.b"])
     fn = {"lino": _forward_lino, "mu": _forward_mu,
           "raw": _forward_raw, "ln": _forward_ln}[config.variant]
-    return fn(h, params, config, mode, rng)
+    return fn(h, params, projections, config, mode, rng)
 
 
 def _accumulate(terms):
@@ -281,7 +314,7 @@ def _accumulate(terms):
     return total
 
 
-def _forward_lino(h, params, config, mode, rng):
+def _forward_lino(h, params, projections, config, mode, rng):
     embedded = h
     levels, terms = [], []
     for i in range(config.blocks):
@@ -298,7 +331,7 @@ def _forward_lino(h, params, config, mode, rng):
             no_pat, no_pred = _zeros_like(r), None
             h = r
         else:
-            no_pat = no_block(r, scoped(sc, "no"), config, mode, rng)
+            no_pat = no_block(r, scoped(sc, "no"), projections[i], config, mode, rng)
             no_pred = linear(no_pat, sc["no_head.w"], sc["no_head.b"])
             h = sub(r, no_pat)
             terms.append(no_pred)
@@ -307,7 +340,7 @@ def _forward_lino(h, params, config, mode, rng):
     return y, ForwardTrace(embedded, levels, h, terms)
 
 
-def _forward_mu(h, params, config, mode, rng):
+def _forward_mu(h, params, projections, config, mode, rng):
     """Comparison recursion: one pattern per level; the nonlinear block
     reads the linear block's output and only the combined pattern is
     subtracted from the running features."""
@@ -316,7 +349,7 @@ def _forward_mu(h, params, config, mode, rng):
     for i in range(config.blocks):
         sc = scoped(params, f"level{i}")
         li_pat = li_block(h, sc["li.phi"], sc["li.beta"], config.dropout, mode, rng)
-        no_pat = no_block(li_pat, scoped(sc, "no"), config, mode, rng)
+        no_pat = no_block(li_pat, scoped(sc, "no"), projections[i], config, mode, rng)
         pred = linear(no_pat, sc["no_head.w"], sc["no_head.b"])
         h = sub(h, no_pat)
         terms.append(pred)
@@ -325,7 +358,7 @@ def _forward_mu(h, params, config, mode, rng):
     return y, ForwardTrace(embedded, levels, h, terms)
 
 
-def _forward_raw(h, params, config, mode, rng):
+def _forward_raw(h, params, projections, config, mode, rng):
     """Comparison recursion: blocks chained feature-to-feature with no
     subtraction anywhere; a single head reads the last level's features."""
     embedded = h
@@ -333,7 +366,7 @@ def _forward_raw(h, params, config, mode, rng):
     for i in range(config.blocks):
         sc = scoped(params, f"level{i}")
         li_pat = li_block(h, sc["li.phi"], sc["li.beta"], config.dropout, mode, rng)
-        no_pat = no_block(li_pat, scoped(sc, "no"), config, mode, rng)
+        no_pat = no_block(li_pat, scoped(sc, "no"), projections[i], config, mode, rng)
         h = no_pat
         levels.append(LevelTrace(li_pat, no_pat, None, None))
     last = scoped(params, f"level{config.blocks - 1}")
@@ -341,7 +374,7 @@ def _forward_raw(h, params, config, mode, rng):
     return y, ForwardTrace(embedded, levels, h, [y])
 
 
-def _forward_ln(h, params, config, mode, rng):
+def _forward_ln(h, params, projections, config, mode, rng):
     """Comparison recursion: chained like `raw` but every block keeps its
     own head; still no residual subtraction."""
     embedded = h
@@ -350,7 +383,7 @@ def _forward_ln(h, params, config, mode, rng):
         sc = scoped(params, f"level{i}")
         li_pat = li_block(h, sc["li.phi"], sc["li.beta"], config.dropout, mode, rng)
         li_pred = linear(li_pat, sc["li_head.w"], sc["li_head.b"])
-        no_pat = no_block(li_pat, scoped(sc, "no"), config, mode, rng)
+        no_pat = no_block(li_pat, scoped(sc, "no"), projections[i], config, mode, rng)
         no_pred = linear(no_pat, sc["no_head.w"], sc["no_head.b"])
         h = no_pat
         terms.extend([li_pred, no_pred])
@@ -368,21 +401,34 @@ class ForwardResult:
 
 
 def forward(x, params: dict, config: LiNoConfig, mode: str = "eval",
-            rng: Optional[np.random.Generator] = None) -> ForwardResult:
-    """Full pass on raw windows [..., channels, lookback]."""
+            rng: Optional[np.random.Generator] = None,
+            projections: Optional[tuple] = None) -> ForwardResult:
+    """Full pass on raw windows [..., channels, lookback]; `projections`
+    as in `forward_normalized`."""
     x = np.asarray(x, dtype=config.np_dtype())
     xn, stats = revin_normalize(x)
-    y_norm, trace = forward_normalized(Tensor(xn), params, config, mode, rng)
+    y_norm, trace = forward_normalized(Tensor(xn), params, config, mode, rng,
+                                       projections)
     y = revin_denormalize(y_norm, stats)
     return ForwardResult(y, y_norm, stats, trace)
 
 
 class Forecaster:
-    """Bound (params, config) pair with an eval-mode prediction surface."""
+    """Bound (params, config) pair with an eval-mode prediction surface.
+
+    The nonlinear blocks' fused projections are built once, here, from the
+    parameters as they are at construction: `predict` is then bitwise
+    `forward(x, params, config).y.data`, without rebuilding a D x D
+    operator per call. A later change to the projection weights in
+    `params` (`time.*`, `freq.*`) is not seen by `predict`; build a new
+    Forecaster instead.
+    """
 
     def __init__(self, params: dict, config: LiNoConfig):
         self.params = params
         self.config = config
+        self.projections = build_projections(params, config)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return forward(x, self.params, self.config, mode="eval").y.data
+        return forward(x, self.params, self.config, mode="eval",
+                       projections=self.projections).y.data

@@ -20,6 +20,8 @@ float32 signal stays float32.
 The model's only spectral op is `freq_projection`, which is linear in its
 input and is recorded as one tape primitive: transform, mix the bins with
 one complex matrix written as a real [2b, 2b] block matrix, transform back.
+The model applies it to an identity, which yields the projection as an
+[n, n] matrix it can fold into its time-domain weight.
 """
 
 from __future__ import annotations
@@ -114,7 +116,8 @@ def freq_projection(x: Tensor, w_re: Tensor, w_im: Tensor) -> Tensor:
 
     def vjp(g):
         g_mixed = g.reshape(-1, n) @ inv.T
-        gx = ((g_mixed @ mix.T) @ fwd.T).reshape(x.shape)
+        # the model's x is a constant identity (see model.no_projection)
+        gx = ((g_mixed @ mix.T) @ fwd.T).reshape(x.shape) if x.requires_grad else None
         g_mix = spec.T @ g_mixed
         g_re = (g_mix[:b, :b] + g_mix[b:, b:]).T
         g_im = (g_mix[:b, b:] - g_mix[b:, :b]).T

@@ -90,13 +90,11 @@ GRADIENT_CASES = [
 ]
 
 
-def test_01_gradient_suite():
-    t0 = time.time()
-    rng = np.random.default_rng(11)
-    for name, op, arrays in GRADIENT_CASES:
-        assert check_gradients(op, arrays, tol=1e-4), name
-
-    config = LiNoConfig(channels=2, lookback=8, horizon=4, dim=8, blocks=1)
+def _model_gradient_check(config, rng):
+    """Tape gradients of a tiny model's loss against central differences,
+    parameter by parameter. Returns (worst relative error, names of the
+    parameters that got no gradient); a parameter with none must have
+    central differences of exactly zero."""
     params = randomized_params(config, seed=3)
     x = rng.normal(size=(4, 2, 8))
     y = rng.normal(size=(4, 2, 4))
@@ -110,10 +108,11 @@ def test_01_gradient_suite():
         loss = mse_loss(res.y, Tensor(y))
     backward(tape, loss)
 
-    worst = 0.0
+    worst, missing = 0.0, []
     h = 1e-5
     for name, tensor in params.items():
-        assert tensor.grad is not None, name
+        if tensor.grad is None:
+            missing.append(name)
         flat = tensor.data.reshape(-1)
         numeric = np.zeros_like(flat)
         for j in range(flat.size):
@@ -124,14 +123,41 @@ def test_01_gradient_suite():
             down = loss_value()
             flat[j] = keep
             numeric[j] = (up - down) / (2.0 * h)
-        err = relative_error(tensor.grad.reshape(-1), numeric)
+        analytic = np.zeros_like(flat) if tensor.grad is None else tensor.grad.reshape(-1)
+        err = relative_error(analytic, numeric)
         assert err < 1e-3, f"{name}: rel err {err:.2e}"
         worst = max(worst, err)
+    return worst, missing
+
+
+def test_01_gradient_suite():
+    t0 = time.time()
+    rng = np.random.default_rng(11)
+    for name, op, arrays in GRADIENT_CASES:
+        assert check_gradients(op, arrays, tol=1e-4), name
+
+    config = LiNoConfig(channels=2, lookback=8, horizon=4, dim=8, blocks=1)
+    worst, missing = _model_gradient_check(config, rng)
+    assert missing == [], f"no gradient for {missing}"
 
     elapsed = time.time() - t0
     _verdict(1, "gradient suite", elapsed < 60.0,
              f"{len(GRADIENT_CASES)} primitives, end-to-end worst rel err "
              f"{worst:.2e}, {elapsed:.1f}s")
+
+
+@pytest.mark.parametrize("ablation, unused", [
+    ("no_te", ["level0.no.time.w", "level0.no.time.b"]),
+    ("no_fe", ["level0.no.freq.w_re", "level0.no.freq.w_im"]),
+])
+def test_01_gradients_with_one_projection(ablation, unused):
+    """01's end-to-end check when the fused projection keeps only one of
+    its two terms: the kept term's gradients match central differences
+    and the dropped term's parameters get none."""
+    config = LiNoConfig(channels=2, lookback=8, horizon=4, dim=8, blocks=1,
+                        ablation=ablation)
+    _, missing = _model_gradient_check(config, np.random.default_rng(11))
+    assert missing == unused
 
 
 def test_gradient_cases_cover_model_primitives():

@@ -10,10 +10,12 @@ from helpers import check_gradients, randomized_params
 
 import lino.tensor as T
 from lino.errors import ConfigError
-from lino.model import (REVIN_EPS, Forecaster, LiNoConfig, forward,
-                        forward_normalized, init_params, li_block, no_block,
+from lino.model import (ABLATIONS, REVIN_EPS, VARIANTS, Forecaster, LiNoConfig,
+                        build_projections, forward, forward_normalized,
+                        init_params, li_block, no_block, no_projection,
                         revin_denormalize, revin_normalize, scoped)
 from lino.seeding import stream
+from lino.spectral import freq_projection
 from lino.tensor import Tape, Tensor, backward
 
 
@@ -187,6 +189,11 @@ class TestLiBlock:
 # nonlinear block
 # ---------------------------------------------------------------------------
 
+def run_no_block(r, p, cfg):
+    """One nonlinear block in eval mode with its own fused projection."""
+    return no_block(r, p, no_projection(p, cfg), cfg, "eval")
+
+
 class TestNoBlock:
     def _block_params(self, cfg, seed=0):
         return scoped(randomized_params(cfg, seed), "level0.no")
@@ -196,7 +203,7 @@ class TestNoBlock:
         cfg = tiny_config()
         p = scoped(init_params(cfg, stream(0, "init")), "level0.no")
         r = Tensor(np.zeros((3, 2, 8)))
-        out = no_block(r, p, cfg, "eval")
+        out = run_no_block(r, p, cfg)
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_single_channel_pooling_degenerates(self):
@@ -211,24 +218,24 @@ class TestNoBlock:
         p["mix.w2"] = Tensor(np.random.default_rng(0).normal(size=(d, d)))
         p["mix.b2"] = Tensor(np.zeros(d))
         r = Tensor(np.random.default_rng(1).normal(size=(2, 1, 8)))
-        with_mix = no_block(r, p, cfg, "eval").data
-        without = no_block(r, p, replace(cfg, ablation="no_cd"), "eval").data
+        with_mix = run_no_block(r, p, cfg).data
+        without = run_no_block(r, p, replace(cfg, ablation="no_cd")).data
         np.testing.assert_array_equal(with_mix, without)
 
     def test_te_fe_flags_cut_dependencies(self):
         cfg = tiny_config()
         p = self._block_params(cfg, seed=2)
         r = Tensor(np.random.default_rng(3).normal(size=(2, 2, 8)))
-        base_no_te = no_block(r, p, replace(cfg, ablation="no_te"), "eval").data
+        no_te, no_fe = replace(cfg, ablation="no_te"), replace(cfg, ablation="no_fe")
+        base_no_te = run_no_block(r, p, no_te).data
         p2 = dict(p)
         p2["time.w"] = Tensor(np.random.default_rng(9).normal(size=(8, 8)))
-        np.testing.assert_array_equal(
-            base_no_te, no_block(r, p2, replace(cfg, ablation="no_te"), "eval").data)
-        base_no_fe = no_block(r, p, replace(cfg, ablation="no_fe"), "eval").data
+        p2["time.b"] = Tensor(np.random.default_rng(11).normal(size=8))
+        np.testing.assert_array_equal(base_no_te, run_no_block(r, p2, no_te).data)
+        base_no_fe = run_no_block(r, p, no_fe).data
         p3 = dict(p)
         p3["freq.w_re"] = Tensor(np.random.default_rng(10).normal(size=(5, 5)))
-        np.testing.assert_array_equal(
-            base_no_fe, no_block(r, p3, replace(cfg, ablation="no_fe"), "eval").data)
+        np.testing.assert_array_equal(base_no_fe, run_no_block(r, p3, no_fe).data)
 
     def test_gradients_through_block(self):
         cfg = tiny_config()
@@ -238,10 +245,37 @@ class TestNoBlock:
 
         def op(r, *weights):
             block = {n: w for n, w in zip(names, weights)}
-            return no_block(r, block, cfg, "eval")
+            return run_no_block(r, block, cfg)
 
         check_gradients(op, [np.random.default_rng(6).normal(size=(2, 8))] + arrays,
                         tol=1e-3)
+
+
+class TestFusedProjection:
+    """The one D x D operator per level against the two projections it
+    replaces, summed as separate paths."""
+
+    @pytest.mark.parametrize("ablation", ["none", "no_te", "no_fe"])
+    def test_matches_time_plus_frequency_projection(self, ablation):
+        cfg = LiNoConfig(channels=7, lookback=32, horizon=16, dim=64, blocks=1,
+                         ablation=ablation)
+        p = scoped(randomized_params(cfg, seed=12), "level0.no")
+        r = Tensor(np.random.default_rng(13).normal(size=(5, 7, 64)))
+        parts = []
+        if ablation != "no_te":
+            parts.append(T.linear(r, p["time.w"], p["time.b"]).data)
+        if ablation != "no_fe":
+            parts.append(freq_projection(r, p["freq.w_re"], p["freq.w_im"]).data)
+        want = sum(parts)
+        got = T.linear(r, *no_projection(p, cfg)).data
+        gap = np.max(np.abs(got - want)) / np.max(np.abs(want))
+        assert gap <= 1e-12, f"relative gap {gap:.1e}"
+
+    def test_one_operator_per_level_and_none_without_nonlinear_blocks(self):
+        cfg = tiny_config(blocks=3)
+        params = randomized_params(cfg, seed=1)
+        assert [w.shape for w, _ in build_projections(params, cfg)] == [(8, 8)] * 3
+        assert build_projections(params, replace(cfg, ablation="no_no")) == ()
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +493,18 @@ class TestForecaster:
         params = init_params(cfg, stream(0, "init"))
         with pytest.raises(ConfigError):
             Forecaster(params, cfg).predict(np.zeros((2, 3, 8)))
+
+    @pytest.mark.parametrize("variant, ablation",
+                             [(v, "none") for v in VARIANTS]
+                             + [("lino", a) for a in ABLATIONS if a != "none"])
+    def test_predict_is_forward_bitwise(self, variant, ablation):
+        """The projections built at construction are the ones `forward`
+        builds per call, bit for bit."""
+        cfg = tiny_config(blocks=2, variant=variant, ablation=ablation)
+        params = randomized_params(cfg, seed=7)
+        x = np.random.default_rng(7).normal(size=(5, 2, 8))
+        assert np.array_equal(Forecaster(params, cfg).predict(x),
+                              forward(x, params, cfg).y.data)
 
     def test_batch_layout_changes_forecasts_only_by_rounding(self):
         """The matmuls flatten the leading axes into one GEMM, so a window's
