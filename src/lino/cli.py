@@ -8,6 +8,7 @@ seeds, and input files: metric files rerun bitwise identical.
 
 import argparse
 import csv
+import itertools
 import os
 import sys
 import time
@@ -18,7 +19,8 @@ import numpy as np
 from .data import (ETT_SPLIT_COUNTS, SplitSpec, SynthSpec, chrono_split,
                    load_csv, make_windows, prepare, save_csv, standardize,
                    synth_generate)
-from .errors import ConfigError, DataError, DimensionError, NonFiniteError
+from .errors import (ConfigError, DataError, DimensionError, NonFiniteError,
+                     WorkerDiedError)
 from .evaluate import (REPORT_COLUMNS, EvalReport, ReportRow, WindowMetrics,
                        decomposition_table, evaluate, export_decomposition,
                        li_block_map, model_map, no_block_map, probe_affine)
@@ -269,34 +271,97 @@ class Fit(NamedTuple):
                          self.metrics.mae, self.runtime)
 
 
+def _fit(rc: RunConfig, prep, channels: int, combo) -> Fit:
+    """Train and test the model of one (variant, ablation, horizon, seed,
+    alpha) combo on the prepared split set of its horizon."""
+    variant, ablation, horizon, seed, alpha = combo
+    config = LiNoConfig(channels=channels, lookback=rc.lookback,
+                        horizon=horizon, dim=rc.dim, blocks=rc.blocks,
+                        dropout=rc.dropout, variant=variant, ablation=ablation)
+    tcfg = TrainConfig(lr=rc.lr, batch_size=rc.batch, max_epochs=rc.epochs,
+                       patience=rc.patience, noise_alpha=alpha, seed=seed)
+    started = time.time()
+    result = train(*prep.train, *prep.val, config, tcfg)
+    metrics = evaluate(Forecaster(result.params, config), *prep.test)
+    return Fit(variant, ablation, horizon, seed, alpha, config, result,
+               metrics, time.time() - started)
+
+
+def _worker_count(combos: int) -> int:
+    """Processes to fit a run of `combos` combos in: one per CPU this
+    process may run on, at most one per combo, and 1 (in-process) where
+    the platform cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, combos)
+
+
+# (rc, prep, channels) of the run a forked worker fits combos of; set only
+# in worker processes, by the pool's initializer
+_worker_run = None
+
+
+def _adopt_run(*run) -> None:
+    global _worker_run
+    _worker_run = run
+
+
+def _fit_in_worker(combo) -> Fit:
+    return _fit(*_worker_run, combo)
+
+
+def _fit_run(rc: RunConfig, prep, channels: int, run: list):
+    """Yield the `Fit` of each combo of `run`, which share `prep`, in
+    order.
+
+    One combo, or one CPU, fits in this process. Otherwise a pool of
+    forked workers fits them: fork hands each worker the prepared split
+    set, the numpy/BLAS state and the thread settings of this process
+    without pickling the data, so each worker's bits are the ones an
+    in-process fit would give, and starts it without the numpy import a
+    `spawn` worker pays per pool. The first failure, or a consumer that
+    stops early, cancels the fits still queued; a worker that dies raises
+    `WorkerDiedError`.
+    """
+    workers = _worker_count(len(run))
+    if workers == 1:
+        for combo in run:
+            yield _fit(rc, prep, channels, combo)
+        return
+    # imported here, as only a fan-out needs them: at module level they
+    # add about 27 ms and 2 MB to the start of every command
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_adopt_run, initargs=(rc, prep, channels))
+    try:
+        yield from pool.map(_fit_in_worker, run)
+    except BrokenProcessPool as exc:
+        raise WorkerDiedError(f"a fit worker process died: {exc}") from None
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _fits(rc: RunConfig, combos):
     """Train and test one model per (variant, ablation, horizon, seed,
     alpha) combo and yield each `Fit` in combo order.
 
     The values load once and the run directory is created before the
-    first fit. `prepare` reruns only when the horizon differs from the
-    previous combo's, and the old split set is dropped first, so at most
-    one prepared set is alive at a time.
+    first fit. The combos are walked in maximal runs that share a horizon;
+    `prepare` runs once per run, and a run's split set is dropped before
+    the next is built, so at most one prepared set is alive at a time.
     """
     values = rc.load_values()
     spec = rc.split_spec()
     os.makedirs(rc.run_dir(), exist_ok=True)
-    prep, prepared = None, None
-    for variant, ablation, horizon, seed, alpha in combos:
-        if horizon != prepared:
-            prep = None  # free the old split set before building the next
-            prep = prepare(values, spec, rc.lookback, horizon)
-            prepared = horizon
-        config = LiNoConfig(channels=values.shape[1], lookback=rc.lookback,
-                            horizon=horizon, dim=rc.dim, blocks=rc.blocks,
-                            dropout=rc.dropout, variant=variant, ablation=ablation)
-        tcfg = TrainConfig(lr=rc.lr, batch_size=rc.batch, max_epochs=rc.epochs,
-                           patience=rc.patience, noise_alpha=alpha, seed=seed)
-        started = time.time()
-        result = train(*prep.train, *prep.val, config, tcfg)
-        metrics = evaluate(Forecaster(result.params, config), *prep.test)
-        yield Fit(variant, ablation, horizon, seed, alpha, config, result,
-                  metrics, time.time() - started)
+    for horizon, run in itertools.groupby(combos, key=lambda combo: combo[2]):
+        yield from _fit_run(rc, prepare(values, spec, rc.lookback, horizon),
+                            values.shape[1], list(run))
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +592,9 @@ def main(argv=None) -> int:
     except NonFiniteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except WorkerDiedError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

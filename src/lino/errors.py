@@ -3,7 +3,8 @@
 The CLI maps these onto process exit codes, so raising the right class
 matters more than the message text: ConfigError and DimensionError are
 usage problems, DataError covers bad or missing inputs, NonFiniteError
-signals numerical failure at run time.
+signals numerical failure at run time, and WorkerDiedError a fit worker
+process that ended without returning its fit.
 """
 
 
@@ -25,3 +26,7 @@ class CheckpointError(DataError):
 
 class NonFiniteError(ArithmeticError):
     """A forward value or gradient stopped being finite."""
+
+
+class WorkerDiedError(RuntimeError):
+    """A fit worker process died (a signal, or out of memory)."""

@@ -55,7 +55,9 @@ def _active_tape() -> Optional["Tape"]:
 
 
 def _check_finite(data: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(data)):
+    # a NaN or an infinity makes the sum non-finite; finite values whose sum
+    # overflows take the elementwise check
+    if not np.isfinite(data.sum()) and not np.isfinite(data).all():
         raise NonFiniteError(f"{op}: non-finite values in output")
 
 

@@ -32,7 +32,8 @@ import numpy as np
 
 from .data import add_noise
 from .errors import CheckpointError, ConfigError, NonFiniteError
-from .model import LiNoConfig, Tensor, forward, init_params, param_shapes
+from .model import (LiNoConfig, Tensor, build_projections, forward, init_params,
+                    param_shapes)
 from .seeding import stream
 from .tensor import Tape, backward, mean_all, mul, sub
 
@@ -152,8 +153,10 @@ class TrainResult:
 def _predict_mse(params: dict, config: LiNoConfig, x: np.ndarray, y: np.ndarray,
                  chunk: int = 1024) -> float:
     total, count = 0.0, 0
+    projections = build_projections(params, config)
     for lo in range(0, len(x), chunk):
-        yh = forward(x[lo:lo + chunk], params, config, mode="eval").y.data
+        yh = forward(x[lo:lo + chunk], params, config, mode="eval",
+                     projections=projections).y.data
         yb = y[lo:lo + chunk]
         total += float(((yh - yb) ** 2).sum())
         count += yb.size

@@ -6,7 +6,9 @@ not model quality.
 """
 
 import csv
+import multiprocessing
 import os
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,7 @@ from helpers import rewrite_model_header
 
 import lino.cli as cli
 from lino.data import ETT_SPLIT_COUNTS
-from lino.errors import ConfigError
+from lino.errors import ConfigError, DataError, NonFiniteError
 from lino.model import LiNoConfig, init_params
 from lino.seeding import stream
 from lino.train import load_checkpoint, save_checkpoint
@@ -449,6 +451,141 @@ class TestFitLoop:
         assert run([command, "--config", cfg, "--out", str(tmp_path / "r"),
                     "--unsafe-grid"]) == 0
         assert horizons == prepared
+
+
+def force_workers(monkeypatch, count):
+    """Fit every run of combos in `count` processes, whatever the CPUs."""
+    monkeypatch.setattr(cli, "_worker_count", lambda combos: min(count, combos))
+
+
+def logging_train(monkeypatch, log, then=None):
+    """Make every fit append its process id to `log`, then call `then`
+    (if given) before training."""
+    real = cli.train
+
+    def train(*args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        if then is not None:
+            then(args[-1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "train", train)
+
+
+def fit_pids(log):
+    return [int(line) for line in Path(log).read_text().split()]
+
+
+FAN_OUT_RUNS = {
+    "train": {"horizons": "4,8", "seeds": "1,2", "epochs": 1},
+    "ablate": {"epochs": 1},
+    "noise": {"alphas": "0.0, 1.0", "epochs": 1},
+}
+
+
+class TestFanOut:
+    """Multi-combo commands fit in forked worker processes."""
+
+    @pytest.mark.parametrize("command", sorted(FAN_OUT_RUNS))
+    def test_workers_do_not_change_bytes(self, tmp_path, capsys, monkeypatch, command):
+        cfg = write_cfg(tmp_path / "t.cfg", **{**TINY, **FAN_OUT_RUNS[command]})
+        outputs = {}
+        for workers in (1, 2):
+            force_workers(monkeypatch, workers)
+            outd = tmp_path / f"w{workers}"
+            assert run([command, "--config", cfg, "--out", str(outd),
+                        "--unsafe-grid"]) == 0
+            # summary.txt holds wall-clock runtimes
+            outputs[workers] = {p.name: p.read_bytes() for p in sorted(outd.iterdir())
+                                if p.name != "summary.txt"}
+        assert outputs[1].keys() == outputs[2].keys()
+        if command == "train":
+            assert sum(name.startswith("checkpoint_") for name in outputs[1]) == 4
+        for name in outputs[1]:
+            assert outputs[1][name] == outputs[2][name], name
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs")
+    def test_fits_run_in_distinct_children(self, tmp_path, capsys, monkeypatch):
+        log = tmp_path / "fits.log"
+        logging_train(monkeypatch, log)
+        cfg = write_cfg(tmp_path / "t.cfg", **{**TINY, **FAN_OUT_RUNS["ablate"]})
+        assert run(["ablate", "--config", cfg, "--out", str(tmp_path / "r"),
+                    "--unsafe-grid"]) == 0
+        pids = fit_pids(log)
+        assert len(pids) == 6 and os.getpid() not in pids
+        assert len(set(pids)) >= 2
+
+    def test_single_combo_fits_in_process(self, tmp_path, capsys, monkeypatch):
+        log = tmp_path / "fits.log"
+        logging_train(monkeypatch, log)
+        force_workers(monkeypatch, 2)
+        cfg = write_cfg(tmp_path / "t.cfg", **TINY)
+        assert run(["train", "--config", cfg, "--out", str(tmp_path / "r"),
+                    "--unsafe-grid"]) == 0
+        assert fit_pids(log) == [os.getpid()]
+
+    @pytest.mark.parametrize("error,code", [(NonFiniteError, 4), (ConfigError, 2),
+                                            (DataError, 3)])
+    def test_worker_failure_keeps_exit_code(self, tmp_path, capsys, monkeypatch,
+                                            error, code):
+        def fail_seed_2(tcfg):
+            if tcfg.seed == 2:
+                raise error("fit failed in a worker")
+
+        log = tmp_path / "fits.log"
+        logging_train(monkeypatch, log, then=fail_seed_2)
+        force_workers(monkeypatch, 2)
+        cfg = write_cfg(tmp_path / "t.cfg", **{**TINY, **FAN_OUT_RUNS["train"]})
+        assert run(["train", "--config", cfg, "--out", str(tmp_path / "r"),
+                    "--unsafe-grid"]) == code
+        assert capsys.readouterr().err == "error: fit failed in a worker\n"
+        assert os.getpid() not in fit_pids(log)
+        assert not multiprocessing.active_children()
+
+    def test_non_finite_fit_in_worker_exits_4(self, tmp_path, capsys, monkeypatch):
+        """A learning rate that makes training diverge, on a sweep whose
+        fits all run in workers."""
+        force_workers(monkeypatch, 2)
+        cfg = write_cfg(tmp_path / "t.cfg", **{**TINY, **FAN_OUT_RUNS["ablate"],
+                                               "lr": "1e300"})
+        assert run(["ablate", "--config", cfg, "--out", str(tmp_path / "r"),
+                    "--unsafe-grid"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_killed_worker_exits_5(self, tmp_path, capsys, monkeypatch):
+        parent = os.getpid()
+
+        def die_in_child(tcfg):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        logging_train(monkeypatch, tmp_path / "fits.log", then=die_in_child)
+        force_workers(monkeypatch, 2)
+        cfg = write_cfg(tmp_path / "t.cfg", **{**TINY, **FAN_OUT_RUNS["ablate"]})
+        assert run(["ablate", "--config", cfg, "--out", str(tmp_path / "r"),
+                    "--unsafe-grid"]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: a fit worker process died") and err.count("\n") == 1
+        assert not multiprocessing.active_children()
+
+    def test_consumer_stopping_cancels_queued_fits(self, tmp_path, capsys, monkeypatch):
+        """Closing the `_fits` generator after its first fit, as a command
+        that raises does, cancels the fits still queued and reaps the
+        workers."""
+        log = tmp_path / "fits.log"
+        logging_train(monkeypatch, log)
+        force_workers(monkeypatch, 2)
+        rc = cli.resolve(["ablate", "--config", write_cfg(
+            tmp_path / "t.cfg", **{**TINY, "seeds": "1,2,3,4", "epochs": 1}),
+            "--out", str(tmp_path / "r"), "--unsafe-grid"])
+        combos = [("lino", "none", 8, seed, 0.0) for seed in range(1, 13)]
+        fits = cli._fits(rc, combos)
+        assert next(fits).seed == 1
+        fits.close()
+        assert not multiprocessing.active_children()
+        assert len(fit_pids(log)) < len(combos)
 
 
 class TestUnreadableInputs:

@@ -451,6 +451,18 @@ class TestTape:
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
             T.mul(big, big)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_each_nonfinite_value_raises(self, bad):
+        with pytest.raises(NonFiniteError, match="mul"):
+            T.mul(Tensor([1.0, bad, 2.0]), Tensor([1.0, 1.0, 1.0]))
+
+    def test_finite_values_with_overflowing_sum_pass(self):
+        """The check reduces to one sum first; a sum that overflows while
+        every value is finite must not raise."""
+        with np.errstate(over="ignore"):
+            out = T.mul(Tensor([1e308, 1e308]), Tensor([1.0, 1.0]))
+        np.testing.assert_array_equal(out.data, [1e308, 1e308])
+
 
 class TestFiniteDifferenceOracle:
     def test_checker_catches_wrong_gradient(self):
