@@ -163,6 +163,9 @@ class RunConfig:
             raise ConfigError(f"noise sweeps the lino, mu and raw variants without "
                               f"ablation; got variant {self.variant!r}, "
                               f"ablation {self.ablation!r}")
+        if self.command == "noise" and len(self.horizons) > 1:
+            raise ConfigError(f"noise sweeps one horizon, got {len(self.horizons)}: "
+                              f"{', '.join(map(str, self.horizons))}")
         if self.command in _TRAINING_COMMANDS and not self.unsafe_grid:
             for key, allowed in _GRID.items():
                 value = getattr(self, key)

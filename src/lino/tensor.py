@@ -250,7 +250,7 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
 
     def vjp(g):
         g = g.reshape(-1, n_out)
-        gx = (g @ wd.T).reshape(x.shape)
+        gx = (g @ wd.T).reshape(x.shape) if x.requires_grad else None
         gw = xd.T @ g
         if b is None:
             return gx, gw
@@ -265,12 +265,86 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
 # was the fastest size in a sweep from 32 KiB to 1 MiB at D=256 and D=512.
 _CONV_BLOCK_BYTES = 1 << 19
 
+# Most columns (rows of D values, one per window and channel) that the conv
+# forward runs in the Toeplitz form; wider inputs take the blocked loop. In
+# a sweep over 1-28 columns at D = 16, 96, 256 and 512, the Toeplitz form
+# won at every D up to 8 columns; the blocked loop won from 10 columns at
+# D = 16 and from about 16-24 at D >= 96 (BENCH_serve.json).
+_CONV_TOEPLITZ_COLS = 8
+
+# Outputs per tile of the Toeplitz form. At D=512 a [512, 128] tile of
+# terms (512 KiB) stays in L2; 128 beat 32, 64 and untiled at D=256 and
+# D=512.
+_CONV_TOEPLITZ_TILE = 128
+
 
 def _conv_block_width(c: int, d: int, itemsize: int) -> int:
     """Columns per block of the conv forward: a multiple of the channel
     count, so every block starts at channel 0, and at least one row of
     channels."""
     return c * max(1, _CONV_BLOCK_BYTES // (c * d * itemsize))
+
+
+def _conv_toeplitz(rows, pd, bd, out_rows, dtype) -> None:
+    """The conv forward, one column at a time.
+
+    The column goes into the tail of a zero-padded buffer, read back as the
+    view toe[k, t] = column[t - k] (zero for t < k). For a tile of outputs
+    t0 <= t < t1, one multiply by the kernel forms the terms
+    phi[c, k] * column[t - k] for every k < t1, and `add.reduce` over the
+    outer axis sums them for k ascending from +0.0. Each output gets every
+    one of its terms in one reduce; the extra terms (t < k) are exact
+    zeros, which change no bit. Tiling skips the zero terms k >= t1 and
+    keeps the product buffer in cache.
+    """
+    cols, d = rows.shape
+    c = len(pd)
+    tile = min(d, _CONV_TOEPLITZ_TILE)
+    # one allocation for the products, the accumulator and the padded column
+    buf = np.empty(d * tile + cols * d + 2 * d - 1, dtype=dtype)
+    prod = buf[: d * tile]
+    acc = buf[d * tile : d * tile + cols * d].reshape(cols, d)
+    pad = buf[d * tile + cols * d :]
+    pad[: d - 1] = 0
+    toe = sliding_window_view(pad, d)[::-1]
+    for j in range(cols):
+        np.copyto(pad[d - 1 :], rows[j])
+        for t0 in range(0, d, tile):
+            t1 = min(d, t0 + tile)
+            terms = prod[: t1 * (t1 - t0)].reshape(t1, t1 - t0)
+            np.multiply(pd[j % c, :t1, None], toe[:t1, t0:t1], out=terms)
+            np.add.reduce(terms, axis=0, initial=0.0, out=acc[j, t0:t1])
+    np.add(acc.reshape(-1, c, d), bd[:, None], out=out_rows.reshape(-1, c, d))
+
+
+def _conv_blocked(rows, pd, bd, out_rows, dtype) -> None:
+    """The conv forward in position-major blocks of columns.
+
+    Blocks of columns are copied into [D, width] buffers sized by
+    `_CONV_BLOCK_BYTES`. Each k step is then one contiguous multiply into a
+    reused product buffer and one contiguous add into rows k.. of the
+    accumulator. A block's width is a multiple of C, so one [D, width] tile
+    of the kernel serves every block.
+    """
+    cols, d = rows.shape
+    c = len(pd)
+    width = min(_conv_block_width(c, d, dtype.itemsize), cols)
+    kern = np.tile(pd.T, width // c)  # kern[k, j] = phi[j % C, k]
+    bias = np.tile(bd, width // c)
+    # one allocation: three separate buffers raised the peak RSS of a
+    # paper-shape training run by about 5%
+    x_buf, acc_buf, prod_buf = np.empty((3, d * width), dtype=dtype)
+    for j in range(0, cols, width):
+        w = min(width, cols - j)
+        x = x_buf[: d * w].reshape(d, w)
+        acc = acc_buf[: d * w].reshape(d, w)
+        prod = prod_buf[: d * w].reshape(d, w)
+        np.copyto(x, rows[j : j + w].T)
+        acc.fill(0)
+        for k in range(d):
+            np.multiply(kern[k, :w], x[: d - k], out=prod[: d - k])
+            np.add(acc[k:], prod[: d - k], out=acc[k:])
+        np.add(acc, bias[:w], out=out_rows[j : j + w].T)
 
 
 def causal_depthwise_conv(h: Tensor, phi: Tensor, beta: Tensor) -> Tensor:
@@ -280,18 +354,34 @@ def causal_depthwise_conv(h: Tensor, phi: Tensor, beta: Tensor) -> Tensor:
     out[..., c, d] = sum_{k=0..d} phi[c, k] * h[..., c, d-k] + beta[c].
 
     The forward computes every output element as a brute-force (c, d, k)
-    loop does, bitwise: an accumulator starts at zero, takes
+    loop does, bitwise: an accumulator starts at +0.0, takes
     acc = fl(acc + fl(phi[c, k] * h[..., c, d-k])) for k ascending, and
-    then adds beta[c]; fl rounds to the common dtype of h and phi. Only
-    the memory layout differs from that loop. The leading axes and
-    channels flatten into columns, and blocks of columns are copied into
-    position-major [D, width] buffers sized by `_CONV_BLOCK_BYTES`. Each k
-    step is then one contiguous multiply into a reused product buffer and
-    one contiguous add into rows k.. of the accumulator. A block's width
-    is a multiple of C, so one [D, width] tile of the kernel serves every
-    block. BLAS and FFT forms stay off-limits: a matmul may reorder the
-    sum and fuse multiply-adds, and an FFT rounds differently, so neither
-    would match the loop bitwise.
+    then adds beta[c]; fl rounds to the common dtype of h and phi. The
+    leading axes and channels flatten into columns of D values, and one of
+    two forms runs, chosen by the column count:
+
+    * up to `_CONV_TOEPLITZ_COLS` (8) columns, which covers one window of
+      up to 8 channels, the Toeplitz form (`_conv_toeplitz`): per column,
+      one copy and then one multiply and one `add.reduce` per tile of
+      `_CONV_TOEPLITZ_TILE` outputs, each over every term of the tile's
+      outputs, zero terms above the diagonal included;
+    * wider inputs, the blocked loop (`_conv_blocked`): 2·D numpy calls
+      per block of columns, each over the terms of one k.
+
+    The Toeplitz form does up to twice the arithmetic of the loop but
+    makes far fewer calls, so it wins while per-call cost dominates. A
+    crossover sweep over the column count at D = 16 to 512 set the bound.
+    Measured per call at D=256, one BLAS thread: 7 columns (one
+    paper-shape window) 0.6 against 2.1 ms, 14 columns about even, and
+    the Toeplitz form loses from about 16 columns on, so training and
+    evaluation batches keep the blocked loop (BENCH_serve.json).
+
+    The Toeplitz form is bitwise only because numpy reduces over an outer
+    axis of a contiguous array one row at a time, in index order, with no
+    pairwise or reordered summation; the bitwise tests against the loop
+    reference pin this for both forms. BLAS and FFT forms stay off-limits:
+    a matmul may reorder the sum and fuse multiply-adds, and an FFT rounds
+    differently, so neither would match the loop bitwise.
 
     The backward is a matmul form and agrees with the k-loop adjoint to
     rounding: the input gradient multiplies by each channel's Toeplitz
@@ -308,26 +398,9 @@ def causal_depthwise_conv(h: Tensor, phi: Tensor, beta: Tensor) -> Tensor:
     hd, pd = h.data, phi.data
     out = np.empty(hd.shape, dtype=np.result_type(hd, beta.data))
     if out.size:
-        dtype = np.result_type(hd, pd)
-        cols = hd.size // d  # a multiple of C, as is the width
-        width = min(_conv_block_width(c, d, dtype.itemsize), cols)
-        kern = np.tile(pd.T, width // c)  # kern[k, j] = phi[j % C, k]
-        bias = np.tile(beta.data, width // c)
-        rows, out_rows = hd.reshape(cols, d), out.reshape(cols, d)
-        # one allocation: three separate buffers raised the peak RSS of a
-        # paper-shape training run by about 5%
-        x_buf, acc_buf, prod_buf = np.empty((3, d * width), dtype=dtype)
-        for j in range(0, cols, width):
-            w = min(width, cols - j)
-            x = x_buf[: d * w].reshape(d, w)
-            acc = acc_buf[: d * w].reshape(d, w)
-            prod = prod_buf[: d * w].reshape(d, w)
-            np.copyto(x, rows[j : j + w].T)
-            acc.fill(0)
-            for k in range(d):
-                np.multiply(kern[k, :w], x[: d - k], out=prod[: d - k])
-                np.add(acc[k:], prod[: d - k], out=acc[k:])
-            np.add(acc, bias[:w], out=out_rows[j : j + w].T)
+        rows = hd.reshape(-1, d)
+        form = _conv_toeplitz if len(rows) <= _CONV_TOEPLITZ_COLS else _conv_blocked
+        form(rows, pd, beta.data, out.reshape(-1, d), np.result_type(hd, pd))
 
     lead = hd.shape[:-2]
 

@@ -191,17 +191,20 @@ def train(train_x: np.ndarray, train_y: np.ndarray,
         epochs_run = epoch
         order = shuffle_rng.permutation(n)
         sq_sum = 0.0
-        for lo in range(0, n, tcfg.batch_size):
+        for step, lo in enumerate(range(0, n, tcfg.batch_size), start=1):
             idx = order[lo:lo + tcfg.batch_size]
             xb, yb = train_x[idx], train_y[idx]
             if tcfg.noise_alpha > 0.0:
                 xb = add_noise(xb, tcfg.noise_alpha, noise_rng).astype(dtype)
-            with Tape() as tape:
-                res = forward(xb, params, config, mode="train", rng=dropout_rng)
-                loss = mse_loss(res.y, Tensor(yb))
-            backward(tape, loss)
-            grads = {name: t.grad for name, t in params.items() if t.grad is not None}
-            params, state = adam_step(params, grads, state, tcfg.lr)
+            try:
+                with Tape() as tape:
+                    res = forward(xb, params, config, mode="train", rng=dropout_rng)
+                    loss = mse_loss(res.y, Tensor(yb))
+                backward(tape, loss)
+                grads = {name: t.grad for name, t in params.items() if t.grad is not None}
+                params, state = adam_step(params, grads, state, tcfg.lr)
+            except NonFiniteError as exc:
+                raise NonFiniteError(f"epoch {epoch}, step {step}: {exc}") from exc
             sq_sum += loss.item() * yb.size
         train_mse = sq_sum / train_y.size
         val_mse = _predict_mse(params, config, val_x, val_y)

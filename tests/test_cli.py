@@ -8,6 +8,7 @@ not model quality.
 import csv
 import multiprocessing
 import os
+import re
 import signal
 from pathlib import Path
 
@@ -204,6 +205,20 @@ class TestValidation:
         out = tmp_path / "r"
         assert cli.main(argv + ["--out", str(out), "--unsafe-grid"]) == 2
         assert capsys.readouterr().err.startswith("error: noise sweeps the lino, mu and raw")
+        assert not out.exists()
+
+    def test_noise_refuses_more_than_one_horizon(self, tmp_path, monkeypatch, capsys):
+        """`noise` fits one horizon; a list of two is refused before any
+        data loads instead of fitting only the first."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran past validation")
+
+        monkeypatch.setattr(cli, "train", refuse)
+        monkeypatch.setattr(cli.RunConfig, "load_values", refuse)
+        cfg = write_cfg(tmp_path / "n.cfg", **{**TINY, "horizons": "8, 12"})
+        out = tmp_path / "r"
+        assert cli.main(["noise", "--config", cfg, "--out", str(out), "--unsafe-grid"]) == 2
+        assert capsys.readouterr().err == "error: noise sweeps one horizon, got 2: 8, 12\n"
         assert not out.exists()
 
     def test_ett_names_pick_published_split_counts(self):
@@ -634,3 +649,6 @@ class TestNumericalFailureExit:
             code = cli.main(["train", "--config", cfg,
                              "--out", str(tmp_path / "r"), "--unsafe-grid"])
         assert code == 4
+        # the step that went non-finite is named with its epoch and op
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: epoch 1, step \d+: \S+: non-finite .*\n", err), err

@@ -170,7 +170,7 @@ class TestCausalConv:
 
     @staticmethod
     def _case(name):
-        """(h, phi, beta, dtype) for one blocked-forward case."""
+        """(h, phi, beta, dtype) for one forward case."""
         rng = np.random.default_rng(zlib.crc32(name.encode()))
         if name == "blocks":
             # two full column blocks plus a remainder of one channel row
@@ -187,20 +187,62 @@ class TestCausalConv:
             c, d = 4, 16
             h = rng.normal(size=(d, c, 5)).transpose(2, 1, 0)
             assert not h.flags.c_contiguous
-        else:  # float32
+        elif name == "float32":
             c, d = 3, 24
             h = rng.normal(size=(4, c, d)).astype(np.float32)
+        elif name == "window_float32":
+            c, d = 3, 24
+            h = rng.normal(size=(1, c, d)).astype(np.float32)
+        elif name == "window_transposed":
+            c, d = 4, 16
+            h = rng.normal(size=(d, c, 1)).transpose(2, 1, 0)
+            assert not h.flags.c_contiguous
+        elif name == "window_2d":
+            c, d = 5, 12
+            h = rng.normal(size=(c, d))
+        elif name == "widest_toeplitz":
+            # two output tiles, the second a remainder of three
+            c, d = 1, T._CONV_TOEPLITZ_TILE + 3
+            h = rng.normal(size=(T._CONV_TOEPLITZ_COLS, c, d))
+        else:  # narrowest_blocked
+            c, d = 1, 256
+            h = rng.normal(size=(T._CONV_TOEPLITZ_COLS + 1, c, d))
         phi = rng.normal(size=(c, d)).astype(h.dtype)
         beta = rng.normal(size=(c,)).astype(h.dtype)
+        if name == "window_2d":
+            # channel 0: input -0.0, kernel positive, bias -0.0. Every term
+            # is -0.0, so the loop's sum, started at +0.0, is +0.0; a sum
+            # started from its first term would end at -0.0
+            h[0] = -0.0
+            phi[0] = np.abs(phi[0])
+            beta[0] = -0.0
         return h, phi, beta, h.dtype
 
-    @pytest.mark.parametrize("name", ["blocks", "d256", "batch1", "transposed", "float32"])
-    def test_blocked_forward_matches_reference_bitwise(self, name):
+    @pytest.mark.parametrize("name", ["blocks", "d256", "batch1", "transposed", "float32",
+                                      "window_float32", "window_transposed", "window_2d",
+                                      "widest_toeplitz", "narrowest_blocked"])
+    def test_blocked_forward_matches_reference_bitwise(self, name, monkeypatch):
+        """Both forward forms, the Toeplitz form (at most
+        `_CONV_TOEPLITZ_COLS` columns) and the blocked loop, agree with the
+        triple loop exactly, sign of zero included."""
         h, phi, beta, dtype = self._case(name)
+        wide = ("blocks", "transposed", "float32", "narrowest_blocked")
+        form = "_conv_blocked" if name in wide else "_conv_toeplitz"
+        called = []
+        helper = getattr(T, form)
+
+        def spy(*args):
+            called.append(form)
+            return helper(*args)
+
+        monkeypatch.setattr(T, form, spy)
         before = [a.copy() for a in (h, phi, beta)]
         out = T.causal_depthwise_conv(Tensor(h), Tensor(phi), Tensor(beta)).data
+        assert called == [form]
         assert out.dtype == dtype
-        assert np.array_equal(out, conv_reference(h, phi, beta, dtype=dtype))
+        ref = conv_reference(h, phi, beta, dtype=dtype)
+        assert np.array_equal(out, ref)
+        assert np.array_equal(np.signbit(out), np.signbit(ref))
         for arr, copy in zip((h, phi, beta), before):
             assert np.array_equal(arr, copy)
 
