@@ -147,6 +147,9 @@ class RunConfig:
             raise ConfigError(f"horizons must be positive, got {self.horizons}")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        if min(self.seeds + [self.synth_seed]) < 0:
+            raise ConfigError(f"seeds must be non-negative, got seeds {self.seeds}, "
+                              f"synth_seed {self.synth_seed}")
         if not self.alphas:
             raise ConfigError("at least one noise alpha is required")
         for a in list(self.alphas) + [self.alpha]:
@@ -173,11 +176,28 @@ class RunConfig:
                     raise ConfigError(
                         f"{key}={value} is outside the supported sweep {allowed}; "
                         "pass --unsafe-grid to run it anyway")
+        if self.command in _TRAINING_COMMANDS:
+            # the model and training checks, before any data loads; the
+            # channel count is not known yet and passes any value >= 1
+            for horizon in self.horizons:
+                self.fit_configs(1, (self.variant, self.ablation, horizon,
+                                     self.seeds[0], self.alpha))
         if self.command in _TRAINING_COMMANDS + ("decompose",):
             if self.dataset != "synth" and not os.path.exists(self.dataset):
                 raise DataError(f"dataset not found: {self.dataset}")
 
     # -- derived pieces ----------------------------------------------------
+
+    def fit_configs(self, channels: int, combo) -> tuple:
+        """(LiNoConfig, TrainConfig) of one (variant, ablation, horizon,
+        seed, alpha) combo on `channels` channels."""
+        variant, ablation, horizon, seed, alpha = combo
+        config = LiNoConfig(channels=channels, lookback=self.lookback,
+                            horizon=horizon, dim=self.dim, blocks=self.blocks,
+                            dropout=self.dropout, variant=variant, ablation=ablation)
+        tcfg = TrainConfig(lr=self.lr, batch_size=self.batch, max_epochs=self.epochs,
+                           patience=self.patience, noise_alpha=alpha, seed=seed)
+        return config, tcfg
 
     def dataset_stem(self) -> str:
         if self.dataset == "synth":
@@ -278,11 +298,7 @@ def _fit(rc: RunConfig, prep, channels: int, combo) -> Fit:
     """Train and test the model of one (variant, ablation, horizon, seed,
     alpha) combo on the prepared split set of its horizon."""
     variant, ablation, horizon, seed, alpha = combo
-    config = LiNoConfig(channels=channels, lookback=rc.lookback,
-                        horizon=horizon, dim=rc.dim, blocks=rc.blocks,
-                        dropout=rc.dropout, variant=variant, ablation=ablation)
-    tcfg = TrainConfig(lr=rc.lr, batch_size=rc.batch, max_epochs=rc.epochs,
-                       patience=rc.patience, noise_alpha=alpha, seed=seed)
+    config, tcfg = rc.fit_configs(channels, combo)
     started = time.time()
     result = train(*prep.train, *prep.val, config, tcfg)
     metrics = evaluate(Forecaster(result.params, config), *prep.test)

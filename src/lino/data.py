@@ -49,8 +49,9 @@ def load_csv(path: str):
     Accepts an optional header row and an optional leading date column: a
     first row is a header when any cell past the first fails to parse as
     a number, and a first column is a timestamp when it fails to parse in
-    the data rows. Everything that remains must be numeric; violations
-    are reported with row and column indices (1-based, as in the file).
+    the data rows. Everything that remains must be a finite number (`nan`
+    and `inf` parse but are rejected); violations are reported with row
+    and column indices (1-based, as in the file).
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -87,6 +88,12 @@ def load_csv(path: str):
                 raise DataError(
                     f"{path}: non-numeric value {cell!r} at row "
                     f"{i + 1 + int(has_header)}, column {j + 1 + first_col}") from None
+    finite = np.isfinite(values)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise DataError(
+            f"{path}: non-finite value {data_rows[i][j + first_col]!r} at row "
+            f"{i + 1 + int(has_header)}, column {j + 1 + first_col}")
     if header:
         columns = [c.strip() for c in header[first_col:]]
     else:

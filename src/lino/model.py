@@ -13,7 +13,8 @@ the forecast is the sum of all head outputs, denormalised.
 
 Both projections are linear maps over the feature axis, shared across
 channels, so each level applies them as one D x D operator: the time
-weight plus the frequency projection of an identity (`no_projection`).
+weight plus the frequency projection's operator, which `freq_projection`
+builds from the complex bin weights alone (`no_projection`).
 The operators are built once per `forward` call, which records them on
 the tape once per training step, or once per `Forecaster`.
 
@@ -200,18 +201,18 @@ def no_projection(p: dict, config: LiNoConfig) -> tuple:
     `linear(r, W, b)` is its pre-activation.
 
     The time projection `r @ time.w + time.b` and the frequency projection
-    `freq_projection(r, w_re, w_im)` are both linear maps over the D axis,
-    shared across channels, and the frequency one equals `r @ S` with
-    `S = freq_projection(I_D, w_re, w_im)`. So the block needs one D x D
-    operator: `time.w + S` with `time.b` under `none`, `S` alone with no
-    bias under `no_te`, `time.w` and `time.b` under `no_fe`. Building S
-    costs three D x D x (D + 2) products, more than the spectral work of
-    a batch-1 call, so a `Forecaster` builds it once, not per predict.
+    (transform, mix the bins with `w_re + i w_im`, transform back) are both
+    linear maps over the D axis, shared across channels, and the frequency
+    one equals `r @ S` with `S = freq_projection(w_re, w_im)`. So the block
+    needs one D x D operator: `time.w + S` with `time.b` under `none`, `S`
+    alone with no bias under `no_te`, `time.w` and `time.b` under `no_fe`.
+    Building S costs two GEMMs of at most D x (D + 2) x (D + 2), more than
+    the spectral work of a batch-1 call, so a `Forecaster` builds it once,
+    not per predict.
     """
     if config.ablation == "no_fe":
         return p["time.w"], p["time.b"]
-    eye = Tensor(np.eye(config.dim, dtype=config.np_dtype()))
-    spectral = freq_projection(eye, p["freq.w_re"], p["freq.w_im"])
+    spectral = freq_projection(p["freq.w_re"], p["freq.w_im"])
     if config.ablation == "no_te":
         return spectral, None
     return add(p["time.w"], spectral), p["time.b"]

@@ -1,4 +1,4 @@
-"""Frequency-domain ops as matrix products against cached real DFT bases.
+"""The model's frequency-domain projection, built from cached real DFT bases.
 
 The transform pair is deliberately plain: unnormalised forward DFT, 1/n on
 the inverse. A real signal of even length n maps to b = n//2 + 1 complex
@@ -12,16 +12,12 @@ bases, built once per (n, dtype) and cached read-only:
   for the imaginary parts of the DC and Nyquist bins are zero, so the map
   is total: any (re, im) pair yields a real signal.
 
-Every even length takes the same path; odd lengths are a configuration
-error by contract. The bases are built in the input's floating dtype, so a
-float32 signal stays float32.
-
-`rfft_arrays`/`irfft_arrays` are the plain transform pair on ndarrays.
-The model's only spectral op is `freq_projection`, which is linear in its
-input and is recorded as one tape primitive: transform, mix the bins with
-one complex matrix written as a real [2b, 2b] block matrix, transform back.
-The model applies it to an identity, which yields the projection as an
-[n, n] matrix it can fold into its time-domain weight.
+The model's only spectral op is `freq_projection`, one tape primitive on
+the complex bin-mixing weights alone: transform, mix the bins with one
+complex matrix written as a real [2b, 2b] block matrix, transform back,
+as an [n, n] operator the model folds into its time-domain weight
+(`x @ S` is the projection of a signal x). The bases are built in the
+weights' floating dtype, so float32 weights give a float32 operator.
 """
 
 from __future__ import annotations
@@ -32,11 +28,6 @@ import numpy as np
 
 from .errors import DimensionError
 from .tensor import Tensor, _record
-
-
-def _require_even(n: int, who: str) -> None:
-    if n < 2 or n % 2 != 0:
-        raise DimensionError(f"{who}: trailing length must be even and >= 2, got {n}")
 
 
 def n_bins(n: int) -> int:
@@ -61,66 +52,29 @@ def _bases(n: int, dtype: np.dtype):
     return fwd, inv
 
 
-def _bases_for(x: np.ndarray, who: str):
-    n = x.shape[-1]
-    _require_even(n, who)
-    return _bases(n, np.result_type(x.dtype, np.float32))
+def freq_projection(w_re: Tensor, w_im: Tensor) -> Tensor:
+    """The learnable frequency-domain filter as an [n, n] operator, for
+    n = 2(b - 1) from the [b, b] complex weights w_re + i w_im that mix
+    the bins (shared across channels):
 
+        S = (fwd @ [[w_re^T, w_im^T], [-w_im^T, w_re^T]]) @ inv
 
-def rfft_arrays(x: np.ndarray):
-    """Half spectrum of a real signal: (re, im), each [..., n//2+1]."""
-    fwd, _ = _bases_for(x, "rfft")
-    spec = x @ fwd
-    b = n_bins(x.shape[-1])
-    return spec[..., :b], spec[..., b:]
-
-
-def irfft_arrays(sre: np.ndarray, sim: np.ndarray, n: int) -> np.ndarray:
-    """Real signal from a half spectrum; the inverse carries the 1/n factor.
-
-    The upper bins follow from conjugate symmetry and the imaginary parts
-    of the DC and Nyquist bins are ignored, so any (re, im) pair yields a
-    real signal.
+    so `x @ S` transforms a real signal x, mixes its bins and transforms
+    back. The forward pass and the weight gradients each take two GEMMs.
     """
-    _require_even(n, "irfft")
-    b = n_bins(n)
-    if sre.shape[-1] != b or sim.shape[-1] != b:
-        raise DimensionError(
-            f"irfft: spectrum has {sre.shape[-1]} bins, length {n} needs {b}")
-    spec = np.concatenate([sre, sim], axis=-1)
-    _, inv = _bases(n, np.result_type(spec.dtype, np.float32))
-    return spec @ inv
-
-
-def freq_projection(x: Tensor, w_re: Tensor, w_im: Tensor) -> Tensor:
-    """Learnable filter in the frequency domain: transform, mix bins with a
-    complex matrix shared across channels, transform back. Linear in x:
-
-        y = ((x @ fwd) @ [[w_re^T, w_im^T], [-w_im^T, w_re^T]]) @ inv
-
-    The leading axes of x are flattened into rows, so each of the three
-    products, forward and backward, is one 2-d GEMM over [prod(lead), n].
-    As with `linear`, outputs then agree across batch layouts to rounding,
-    not bitwise.
-    """
-    fwd, inv = _bases_for(x.data, "freq_projection")
-    n = x.shape[-1]
-    b = n_bins(n)
-    if w_re.shape != (b, b) or w_im.shape != (b, b):
-        raise DimensionError(
-            f"freq_projection: weights {w_re.shape}/{w_im.shape} must be ({b}, {b})")
+    b = w_re.shape[0] if w_re.shape else 0
+    if b < 2 or w_re.shape != (b, b) or w_im.shape != (b, b):
+        raise DimensionError(f"freq_projection: weights {w_re.shape}/{w_im.shape} "
+                             "must both be (b, b) with b >= 2")
+    fwd, inv = _bases(2 * (b - 1), np.result_type(w_re.dtype, np.float32))
     wr_t, wi_t = w_re.data.T, w_im.data.T
     mix = np.block([[wr_t, wi_t], [-wi_t, wr_t]])
-    spec = x.data.reshape(-1, n) @ fwd
-    y = ((spec @ mix) @ inv).reshape(x.shape)
+    s = (fwd @ mix) @ inv
 
     def vjp(g):
-        g_mixed = g.reshape(-1, n) @ inv.T
-        # the model's x is a constant identity (see model.no_projection)
-        gx = ((g_mixed @ mix.T) @ fwd.T).reshape(x.shape) if x.requires_grad else None
-        g_mix = spec.T @ g_mixed
+        g_mix = fwd.T @ (g @ inv.T)
         g_re = (g_mix[:b, :b] + g_mix[b:, b:]).T
         g_im = (g_mix[:b, b:] - g_mix[b:, :b]).T
-        return gx, g_re, g_im
+        return g_re, g_im
 
-    return _record(y, (x, w_re, w_im), vjp, "freq_projection")
+    return _record(s, (w_re, w_im), vjp, "freq_projection")

@@ -19,7 +19,8 @@ The op vocabulary is exactly what the model and its loss record:
 `add`, `sub`, `mul`, `scale` and `tanh` elementwise; `linear` and
 `causal_depthwise_conv`; `softmax_axis`, `layer_norm` and `dropout`;
 `sum_axis`, `sum_all`, `mean_all`, `concat` and `repeat_axis`. The model's
-one other primitive, `freq_projection`, lives in `spectral`. Every op has a
+one other primitive, `freq_projection`, lives in `spectral`: it maps the
+complex frequency weights alone to a D x D operator. Every op has a
 finite-difference gradient case in the acceptance suite.
 
 Binary ops require operands of identical shape (scalars aside). There is

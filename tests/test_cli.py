@@ -145,6 +145,18 @@ class TestConfigFile:
         assert rc.horizons == [12] and rc.seeds == [7]
 
 
+@pytest.fixture
+def no_compute(monkeypatch):
+    """Fail the test if a command gets past validation: it may neither
+    load or generate data nor train."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran past validation")
+
+    monkeypatch.setattr(cli, "train", refuse)
+    monkeypatch.setattr(cli, "synth_generate", refuse)
+    monkeypatch.setattr(cli.RunConfig, "load_values", refuse)
+
+
 class TestValidation:
     def test_off_grid_dim_rejected(self):
         with pytest.raises(ConfigError, match="dim=100.*unsafe-grid"):
@@ -177,12 +189,7 @@ class TestValidation:
         ["train", "--variant", "mu", "--ablate", "no_li"],
         ["noise", "--variant", "ln", "--ablate", "no_cd"],
     ])
-    def test_ablation_needs_primary_variant(self, argv, tmp_path, monkeypatch, capsys):
-        def refuse(*args, **kwargs):
-            raise AssertionError("ran past validation")
-
-        monkeypatch.setattr(cli, "train", refuse)
-        monkeypatch.setattr(cli.RunConfig, "load_values", refuse)
+    def test_ablation_needs_primary_variant(self, argv, tmp_path, capsys, no_compute):
         out = tmp_path / "r"
         assert cli.main(argv + ["--out", str(out), "--unsafe-grid"]) == 2
         err = capsys.readouterr().err
@@ -193,32 +200,56 @@ class TestValidation:
         ["noise", "--variant", "ln"],
         ["noise", "--ablate", "no_cd"],
     ])
-    def test_noise_runs_only_its_own_sweep(self, argv, tmp_path, monkeypatch, capsys):
+    def test_noise_runs_only_its_own_sweep(self, argv, tmp_path, capsys, no_compute):
         """`noise` always sweeps lino, mu and raw without ablation, so a
         variant or ablation it would ignore is refused before any data
         loads."""
-        def refuse(*args, **kwargs):
-            raise AssertionError("ran past validation")
-
-        monkeypatch.setattr(cli, "train", refuse)
-        monkeypatch.setattr(cli.RunConfig, "load_values", refuse)
         out = tmp_path / "r"
         assert cli.main(argv + ["--out", str(out), "--unsafe-grid"]) == 2
         assert capsys.readouterr().err.startswith("error: noise sweeps the lino, mu and raw")
         assert not out.exists()
 
-    def test_noise_refuses_more_than_one_horizon(self, tmp_path, monkeypatch, capsys):
+    def test_noise_refuses_more_than_one_horizon(self, tmp_path, capsys, no_compute):
         """`noise` fits one horizon; a list of two is refused before any
         data loads instead of fitting only the first."""
-        def refuse(*args, **kwargs):
-            raise AssertionError("ran past validation")
-
-        monkeypatch.setattr(cli, "train", refuse)
-        monkeypatch.setattr(cli.RunConfig, "load_values", refuse)
         cfg = write_cfg(tmp_path / "n.cfg", **{**TINY, "horizons": "8, 12"})
         out = tmp_path / "r"
         assert cli.main(["noise", "--config", cfg, "--out", str(out), "--unsafe-grid"]) == 2
         assert capsys.readouterr().err == "error: noise sweeps one horizon, got 2: 8, 12\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, key, argv", [
+        ("train", "seeds", ["--seed", "-1"]),
+        ("probe", "seeds", ["--config", "seeds = -1"]),
+        ("synth", "synth_seed", ["--config", "synth_seed = -3"]),
+    ])
+    def test_negative_seed_rejected_before_data(self, command, key, argv, tmp_path,
+                                                capsys, no_compute):
+        if argv[0] == "--config":
+            (tmp_path / "s.cfg").write_text(argv[1] + "\n")
+            argv = ["--config", str(tmp_path / "s.cfg")]
+        out = tmp_path / "r"
+        assert cli.main([command, *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seeds must be non-negative") and key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("train", "dim", 7), ("train", "lookback", 0), ("train", "dropout", 1.0),
+        ("train", "blocks", 0), ("train", "batch", 0), ("train", "lr", -1),
+        ("train", "patience", 0), ("train", "epochs", 0),
+        ("ablate", "dim", 7), ("noise", "epochs", 0),
+    ])
+    def test_model_and_training_settings_rejected_before_data(
+            self, command, key, value, tmp_path, capsys, no_compute):
+        """What `LiNoConfig` or `TrainConfig` would reject is refused
+        before any data loads or the run directory exists, also for a
+        multi-combo command that would fit in worker processes."""
+        cfg = write_cfg(tmp_path / "t.cfg", **{**TINY, key: value})
+        out = tmp_path / "r"
+        assert cli.main([command, "--config", cfg, "--out", str(out),
+                         "--unsafe-grid"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
     def test_ett_names_pick_published_split_counts(self):
@@ -624,6 +655,32 @@ class TestUnreadableInputs:
         assert run(["train", "--config", cfg, "--out", str(tmp_path / "r"),
                     "--unsafe-grid"]) == 3
         assert f"error: {data}: not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_csv_cell_exits_3(self, tmp_path, capsys, cell):
+        """`float()` parses nan and inf; the loader refuses them, naming
+        the cell, before `train` builds a run directory."""
+        data = tmp_path / "bad.csv"
+        rows = [f"{i},{i % 7}" for i in range(200)]
+        rows[5] = f"5,{cell}"
+        data.write_text("a,b\n" + "\n".join(rows) + "\n")
+        cfg = write_cfg(tmp_path / "t.cfg", **{**TINY, "dataset": str(data)})
+        assert run(["train", "--config", cfg, "--out", str(tmp_path / "r"),
+                    "--unsafe-grid"]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {data}: non-finite value {cell!r} at row 7, column 2\n")
+        assert not (tmp_path / "r").exists()
+
+    def test_non_finite_csv_cell_in_decompose_exits_3(self, tmp_path, capsys):
+        save_tiny_checkpoint(tmp_path / "r", {})
+        data = tmp_path / "bad.csv"
+        rows = [f"{i},{i % 7}" for i in range(200)]
+        rows[150] = "nan,150"
+        data.write_text("\n".join(rows) + "\n")
+        cfg = write_cfg(tmp_path / "t.cfg", **{**TINY, "dataset": str(data)})
+        assert run(["decompose", "--config", cfg, "--out", str(tmp_path / "r")]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {data}: non-finite value 'nan' at row 151, column 1\n")
 
     def test_config_directory_exits_2(self, tmp_path, capsys):
         assert run(["train", "--config", str(tmp_path)]) == 2

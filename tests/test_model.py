@@ -15,7 +15,6 @@ from lino.model import (ABLATIONS, REVIN_EPS, VARIANTS, Forecaster, LiNoConfig,
                         init_params, li_block, no_block, no_projection,
                         revin_denormalize, revin_normalize, scoped)
 from lino.seeding import stream
-from lino.spectral import freq_projection
 from lino.tensor import Tape, Tensor, backward
 
 
@@ -265,11 +264,23 @@ class TestFusedProjection:
         if ablation != "no_te":
             parts.append(T.linear(r, p["time.w"], p["time.b"]).data)
         if ablation != "no_fe":
-            parts.append(freq_projection(r, p["freq.w_re"], p["freq.w_im"]).data)
+            # numpy.fft: transform, mix bins, transform back
+            w = p["freq.w_re"].data + 1j * p["freq.w_im"].data
+            parts.append(np.fft.irfft(np.fft.rfft(r.data, axis=-1) @ w.T, n=64, axis=-1))
         want = sum(parts)
         got = T.linear(r, *no_projection(p, cfg)).data
         gap = np.max(np.abs(got - want)) / np.max(np.abs(want))
         assert gap <= 1e-12, f"relative gap {gap:.1e}"
+
+    def test_one_spectral_node_per_level_on_its_weights(self):
+        cfg = tiny_config(blocks=3, dropout=0.2)
+        params = init_params(cfg, stream(0, "init"))
+        x = np.random.default_rng(5).normal(size=(3, 2, 8))
+        with Tape() as tape:
+            forward(x, params, cfg, mode="train", rng=stream(0, "dropout"))
+        parents = [node.parents for node in tape.nodes if node.op == "freq_projection"]
+        assert parents == [(params[f"level{i}.no.freq.w_re"], params[f"level{i}.no.freq.w_im"])
+                           for i in range(3)]
 
     def test_one_operator_per_level_and_none_without_nonlinear_blocks(self):
         cfg = tiny_config(blocks=3)
