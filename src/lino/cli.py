@@ -9,6 +9,7 @@ seeds, and input files: metric files rerun bitwise identical.
 import argparse
 import csv
 import itertools
+import math
 import os
 import sys
 import time
@@ -143,6 +144,12 @@ class RunConfig:
             setattr(self, key, value)
 
     def validate(self) -> None:
+        for key in _DEFAULTS:
+            if _item_type(key) is float:
+                value = getattr(self, key)
+                for v in value if isinstance(value, list) else [value]:
+                    if not math.isfinite(v):
+                        raise ConfigError(f"{key} must be a finite number, got {v}")
         if any(h < 1 for h in self.horizons) or not self.horizons:
             raise ConfigError(f"horizons must be positive, got {self.horizons}")
         if not self.seeds:

@@ -44,9 +44,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .spectral import freq_projection, n_bins
-from .tensor import (Tape, Tensor, add, causal_depthwise_conv, concat, dropout,
-                     layer_norm, linear, mul, repeat_axis, softmax_axis, sub,
-                     sum_axis, tanh)
+from .tensor import (Tensor, add, causal_depthwise_conv, concat, dropout, layer_norm,
+                     linear, mul, repeat_axis, softmax_axis, sub, sum_axis, tanh)
 
 VARIANTS = ("lino", "mu", "raw", "ln")
 ABLATIONS = ("none", "no_li", "no_no", "no_te", "no_fe", "no_cd")

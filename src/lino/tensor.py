@@ -21,7 +21,10 @@ The op vocabulary is exactly what the model and its loss record:
 `sum_axis`, `sum_all`, `mean_all`, `concat` and `repeat_axis`. The model's
 one other primitive, `freq_projection`, lives in `spectral`: it maps the
 complex frequency weights alone to a D x D operator. Every op has a
-finite-difference gradient case in the acceptance suite.
+finite-difference gradient case in the acceptance suite. The conv is the
+one op whose forward depends on whether it is recorded: a recorded call
+runs a GEMM that agrees with the brute-force loop to rounding, an
+unrecorded one a loop form that is bitwise that loop.
 
 Binary ops require operands of identical shape (scalars aside). There is
 no generalized broadcasting; the few places the model needs a broadcast
@@ -135,12 +138,20 @@ class Tape:
         return len(self.nodes)
 
 
+def _recording_tape(parents: Sequence[Tensor]) -> Optional[Tape]:
+    """The tape an op on `parents` is recorded on: the active tape, if one
+    is active and some parent requires grad; else None."""
+    tape = _active_tape()
+    if tape is not None and any(p.requires_grad for p in parents):
+        return tape
+    return None
+
+
 def _record(data: np.ndarray, parents: Sequence[Tensor], vjp: Callable, op: str) -> Tensor:
     _check_finite(data, op)
-    tape = _active_tape()
-    needs = tape is not None and any(p.requires_grad for p in parents)
-    out = Tensor(data, requires_grad=needs)
-    if needs:
+    tape = _recording_tape(parents)
+    out = Tensor(data, requires_grad=tape is not None)
+    if tape is not None:
         tape.nodes.append(_Node(out, tuple(parents), vjp, op))
     return out
 
@@ -348,46 +359,63 @@ def _conv_blocked(rows, pd, bd, out_rows, dtype) -> None:
         np.add(acc, bias[:w], out=out_rows[j : j + w].T)
 
 
+def _conv_operator(pd: np.ndarray) -> np.ndarray:
+    """Each channel's Toeplitz operator as one contiguous [C, D, D] array:
+    toeplitz[c, i, j] = phi[c, i - j], zero above the diagonal. It is a
+    copy of a strided view of the kernel, zero-padded on the left."""
+    c, d = pd.shape
+    padded = np.concatenate([np.zeros((c, d - 1), dtype=pd.dtype), pd], axis=-1)
+    return np.ascontiguousarray(sliding_window_view(padded, d, axis=-1)[..., ::-1])
+
+
 def causal_depthwise_conv(h: Tensor, phi: Tensor, beta: Tensor) -> Tensor:
     """Per-channel causal convolution with full receptive field.
 
     h: [..., C, D], phi: [C, D], beta: [C]. Left zero-padding, so
     out[..., c, d] = sum_{k=0..d} phi[c, k] * h[..., c, d-k] + beta[c].
 
-    The forward computes every output element as a brute-force (c, d, k)
-    loop does, bitwise: an accumulator starts at +0.0, takes
-    acc = fl(acc + fl(phi[c, k] * h[..., c, d-k])) for k ascending, and
-    then adds beta[c]; fl rounds to the common dtype of h and phi. The
-    leading axes and channels flatten into columns of D values, and one of
-    two forms runs, chosen by the column count:
+    The leading axes and channels flatten into columns of D values, and
+    the forward runs in one of three forms:
 
-    * up to `_CONV_TOEPLITZ_COLS` (8) columns, which covers one window of
-      up to 8 channels, the Toeplitz form (`_conv_toeplitz`): per column,
-      one copy and then one multiply and one `add.reduce` per tile of
-      `_CONV_TOEPLITZ_TILE` outputs, each over every term of the tile's
-      outputs, zero terms above the diagonal included;
-    * wider inputs, the blocked loop (`_conv_blocked`): 2·D numpy calls
-      per block of columns, each over the terms of one k.
+    * a recorded call (a tape is active and some parent requires grad, the
+      rule `_record` applies), the GEMM form: each channel's Toeplitz
+      operator (`_conv_operator`) is built once, and one batched matmul
+      over channels computes out[c] = h[c] @ toeplitz[c].T + beta[c]. The
+      vjp closes over the same operator;
+    * an unrecorded call of up to `_CONV_TOEPLITZ_COLS` (8) columns, which
+      covers one window of up to 8 channels, the Toeplitz form
+      (`_conv_toeplitz`): per column, one copy and then one multiply and
+      one `add.reduce` per tile of `_CONV_TOEPLITZ_TILE` outputs, each
+      over every term of the tile's outputs, zero terms above the diagonal
+      included;
+    * a wider unrecorded call, the blocked loop (`_conv_blocked`): 2·D
+      numpy calls per block of columns, each over the terms of one k.
 
-    The Toeplitz form does up to twice the arithmetic of the loop but
-    makes far fewer calls, so it wins while per-call cost dominates. A
-    crossover sweep over the column count at D = 16 to 512 set the bound.
-    Measured per call at D=256, one BLAS thread: 7 columns (one
-    paper-shape window) 0.6 against 2.1 ms, 14 columns about even, and
-    the Toeplitz form loses from about 16 columns on, so training and
-    evaluation batches keep the blocked loop (BENCH_serve.json).
+    The two unrecorded forms compute every output element as a
+    brute-force (c, d, k) loop does, bitwise: an accumulator starts at
+    +0.0, takes acc = fl(acc + fl(phi[c, k] * h[..., c, d-k])) for k
+    ascending, and then adds beta[c]; fl rounds to the common dtype of h
+    and phi. The Toeplitz form is bitwise only because numpy reduces over
+    an outer axis of a contiguous array one row at a time, in index order,
+    with no pairwise or reordered summation; the bitwise tests against the
+    loop reference pin this for both forms. So eval, validation and
+    `Forecaster.predict` are bitwise the loop. The GEMM form is not: BLAS
+    may reorder the sum and fuse multiply-adds, so a recorded forward
+    agrees with the loop to rounding (about 1e-15 relative in float64),
+    as the backward does. It is deterministic at a fixed BLAS thread
+    count, so reruns stay bitwise.
 
-    The Toeplitz form is bitwise only because numpy reduces over an outer
-    axis of a contiguous array one row at a time, in index order, with no
-    pairwise or reordered summation; the bitwise tests against the loop
-    reference pin this for both forms. BLAS and FFT forms stay off-limits:
-    a matmul may reorder the sum and fuse multiply-adds, and an FFT rounds
-    differently, so neither would match the loop bitwise.
+    Between the loop forms, the Toeplitz form does up to twice the
+    arithmetic of the loop but makes far fewer calls, so it wins while
+    per-call cost dominates; a crossover sweep over the column count at
+    D = 16 to 512 set the bound (BENCH_serve.json). The GEMM form beats
+    the blocked loop at training widths, where the loop is bound by
+    memory traffic: at (32, 7, 256), one BLAS thread, 1.6 against 8.6 ms
+    per call (BENCH_convgemm.json).
 
-    The backward is a matmul form and agrees with the k-loop adjoint to
-    rounding: the input gradient multiplies by each channel's Toeplitz
-    operator, a strided view of the zero-padded kernel, and the kernel
-    gradient sums the superdiagonals of h^T g.
+    The backward agrees with the k-loop adjoint to rounding: the input
+    gradient multiplies by each channel's Toeplitz operator, and the
+    kernel gradient sums the superdiagonals of h^T g.
     """
     if h.data.ndim < 2:
         raise DimensionError(f"conv: input needs [..., C, D], got {h.shape}")
@@ -396,23 +424,28 @@ def causal_depthwise_conv(h: Tensor, phi: Tensor, beta: Tensor) -> Tensor:
         raise DimensionError(f"conv: kernel shape {phi.shape} != ({c}, {d})")
     if beta.shape != (c,):
         raise DimensionError(f"conv: bias shape {beta.shape} != ({c},)")
-    hd, pd = h.data, phi.data
-    out = np.empty(hd.shape, dtype=np.result_type(hd, beta.data))
-    if out.size:
+    hd, pd, bd = h.data, phi.data, beta.data
+    out = np.empty(hd.shape, dtype=np.result_type(hd, bd))
+    # channel-major [C, N, D] views, N = product of the leading axes; each
+    # channel's [N, D] slice has row stride C·D, which BLAS takes as is
+    def channel_major(a):
+        return a.reshape(-1, c, d).transpose(1, 0, 2)
+
+    toeplitz = None
+    if _recording_tape((h, phi, beta)) is not None:
+        toeplitz = _conv_operator(pd)
+        ov = channel_major(out)
+        np.matmul(channel_major(hd), toeplitz.transpose(0, 2, 1), out=ov)
+        ov += bd[:, None, None]
+    elif out.size:
         rows = hd.reshape(-1, d)
         form = _conv_toeplitz if len(rows) <= _CONV_TOEPLITZ_COLS else _conv_blocked
-        form(rows, pd, beta.data, out.reshape(-1, d), np.result_type(hd, pd))
-
-    lead = hd.shape[:-2]
+        form(rows, pd, bd, out.reshape(-1, d), np.result_type(hd, pd))
 
     def vjp(g):
-        # channel-major [C, N, D] layout, N = product of the leading axes
-        gc = np.moveaxis(g, -2, 0).reshape(c, -1, d)
-        hc = np.moveaxis(hd, -2, 0).reshape(c, -1, d)
-        # toeplitz[c, i, j] = phi[c, i - j], zero above the diagonal
-        padded = np.concatenate([np.zeros((c, d - 1), dtype=pd.dtype), pd], axis=-1)
-        toeplitz = sliding_window_view(padded, d, axis=-1)[..., ::-1]
-        gh = np.moveaxis((gc @ toeplitz).reshape((c,) + lead + (d,)), 0, -2)
+        hv, gv = channel_major(hd), channel_major(g)
+        gh = np.empty(hd.shape, dtype=np.result_type(g, pd))
+        np.matmul(gv, toeplitz, out=channel_major(gh))
         # gphi[c, k] = sum_j (h^T g)[c, j, j + k]. Rows of h^T g go into a
         # buffer of row width 2D, zero past D; reread in rows of width 2D + 1,
         # row j starts j places later, so column k holds superdiagonal k.
@@ -420,9 +453,9 @@ def causal_depthwise_conv(h: Tensor, phi: Tensor, beta: Tensor) -> Tensor:
         skew = np.zeros(d * (2 * d + 1), dtype=np.result_type(hd, g))
         gphi = np.empty_like(pd)
         for ci in range(c):
-            np.matmul(hc[ci].T, gc[ci], out=skew[: 2 * d * d].reshape(d, 2 * d)[:, :d])
+            np.matmul(hv[ci].T, gv[ci], out=skew[: 2 * d * d].reshape(d, 2 * d)[:, :d])
             gphi[ci] = skew.reshape(d, 2 * d + 1)[:, :d].sum(axis=0)
-        gbeta = gc.sum(axis=(1, 2))
+        gbeta = gv.sum(axis=(1, 2))
         return gh, gphi, gbeta
 
     return _record(out, (h, phi, beta), vjp, "causal_depthwise_conv")

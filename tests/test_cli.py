@@ -252,6 +252,25 @@ class TestValidation:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    FLOAT_KEYS = ("lr", "dropout", "alpha", "alphas", "val_ratio", "test_ratio",
+                  "synth_noise", "synth_linear", "synth_nonlinear")
+
+    def test_float_keys_listed(self):
+        assert set(self.FLOAT_KEYS) == {k for k in cli._DEFAULTS if cli._item_type(k) is float}
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_float_rejected_before_data(self, key, value, tmp_path, capsys,
+                                                   no_compute):
+        """A non-finite float setting is a config error: exit 2 with an
+        `error:` line naming the key, before any data loads or the run
+        directory exists."""
+        cfg = write_cfg(tmp_path / "t.cfg", **{**TINY, key: value})
+        out = tmp_path / "r"
+        assert cli.main(["train", "--config", cfg, "--out", str(out), "--unsafe-grid"]) == 2
+        assert capsys.readouterr().err == f"error: {key} must be a finite number, got {value}\n"
+        assert not out.exists()
+
     def test_ett_names_pick_published_split_counts(self):
         def spec_for(path):
             rc = cli.RunConfig("train", {**cli._DEFAULTS, "dataset": path})

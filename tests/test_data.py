@@ -1,8 +1,6 @@
 """Data-layer tests: CSV parsing edge cases, split arithmetic, window
 extraction, standardisation, the synthetic generator, noise injection."""
 
-import warnings
-
 import numpy as np
 import pytest
 
