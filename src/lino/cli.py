@@ -7,6 +7,7 @@ seeds, and input files: metric files rerun bitwise identical.
 """
 
 import argparse
+import contextlib
 import csv
 import itertools
 import math
@@ -308,7 +309,10 @@ def _fit(rc: RunConfig, prep, channels: int, combo) -> Fit:
     config, tcfg = rc.fit_configs(channels, combo)
     started = time.time()
     result = train(*prep.train, *prep.val, config, tcfg)
-    metrics = evaluate(Forecaster(result.params, config), *prep.test)
+    try:
+        metrics = evaluate(Forecaster(result.params, config), *prep.test)
+    except NonFiniteError as exc:
+        raise NonFiniteError(f"test split: {exc}") from exc
     return Fit(variant, ablation, horizon, seed, alpha, config, result,
                metrics, time.time() - started)
 
@@ -532,8 +536,8 @@ def cmd_probe(rc: RunConfig) -> int:
 
 def cmd_synth(rc: RunConfig) -> int:
     outd = rc.run_dir()
-    os.makedirs(outd, exist_ok=True)
     result = synth_generate(rc.synth_spec())
+    os.makedirs(outd, exist_ok=True)
     save_csv(os.path.join(outd, "synth.csv"), result.values, result.columns)
     for part, series in result.components.items():
         save_csv(os.path.join(outd, f"synth_{part}.csv"), series, result.columns)
@@ -601,26 +605,29 @@ def resolve(argv) -> RunConfig:
     return rc
 
 
+# exit code of each error class a command may end with, checked in order
+_EXIT_CODES = ((ConfigError, 2), (DimensionError, 2), (DataError, 3), (OSError, 3),
+               (NonFiniteError, 4), (WorkerDiedError, 5))
+
+
 def main(argv=None) -> int:
+    """Run one command. An error ends it with one `error:` line and its
+    exit code, and removes the run directory if the command created it
+    and it is still empty."""
+    created = None
     try:
         rc = resolve(argv)
+        if not os.path.exists(rc.run_dir()):
+            created = rc.run_dir()
         return _DISPATCH[rc.command](rc)
-    except (ConfigError, DimensionError) as exc:
+    except tuple(cls for cls, _ in _EXIT_CODES) as exc:
+        # OSError covers an input that cannot be read and an output that
+        # cannot be written
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        # an input that cannot be read or an output that cannot be written
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NonFiniteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except WorkerDiedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+        if created is not None:
+            with contextlib.suppress(OSError):
+                os.rmdir(created)  # fails, as it should, unless empty
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

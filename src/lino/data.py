@@ -227,8 +227,17 @@ class PreparedData:
 
 def prepare(values: np.ndarray, spec: SplitSpec, lookback: int,
             horizon: int) -> PreparedData:
+    """Window each split of `values` standardised with train-span
+    statistics; a channel that is not finite once standardised is a
+    `DataError`."""
     splits = chrono_split(len(values), spec, lookback)
     std, _, _ = standardize(values, splits.train)
+    finite = np.isfinite(std).all(axis=0)
+    if not finite.all():
+        # finite values can still overflow: a train-span mean or scale past
+        # the float range, or a value too large for the train-span scale
+        raise DataError(f"channel {int(np.argmin(finite))} is not finite once "
+                        "standardised with its train-span mean and scale")
     return PreparedData(
         train=make_windows(std, splits.train, lookback, horizon),
         val=make_windows(std, splits.val, lookback, horizon),

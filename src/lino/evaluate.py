@@ -6,7 +6,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DataError, DimensionError
+from .errors import DataError, DimensionError, NonFiniteError
 from .model import (LiNoConfig, forward, forward_normalized, li_block,
                     no_block, no_projection, scoped)
 from .seeding import stream
@@ -45,7 +45,8 @@ def evaluate(predictor, x: np.ndarray, y: np.ndarray,
     [n, channels, horizon] or an object with such a `predict` method.
     Metrics stay on whatever scale the targets are on; the preparation
     pipeline hands standardized windows to keep reported numbers on the
-    standardized scale.
+    standardized scale. A window whose squared error is not finite is a
+    `NonFiniteError`, not an infinite metric.
     """
     predict = getattr(predictor, "predict", predictor)
     x = np.asarray(x)
@@ -67,6 +68,10 @@ def evaluate(predictor, x: np.ndarray, y: np.ndarray,
         axes = tuple(range(1, diff.ndim))
         per_mse[lo:hi] = (diff * diff).mean(axis=axes)
         per_mae[lo:hi] = np.abs(diff).mean(axis=axes)
+    bad = ~np.isfinite(per_mse)
+    if bad.any():
+        raise NonFiniteError(f"evaluate: squared error of window {int(np.argmax(bad))} "
+                             "is not finite")
     return WindowMetrics(per_mse, per_mae)
 
 

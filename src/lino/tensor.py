@@ -70,7 +70,8 @@ class Tensor:
 
     `grad` is populated (for leaves) by `backward`; it is never read by
     forward code. Mutating `data` in place voids the recorded graph, so
-    don't: updates everywhere in this package build new tensors.
+    only `train.adam_step` does, to parameters between steps, when no
+    tape holds them; everything else builds new tensors.
     """
 
     __slots__ = ("data", "requires_grad", "grad")

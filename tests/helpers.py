@@ -1,5 +1,6 @@
 """Shared test utilities: finite-difference gradient checking, generic
-parameter points, and checkpoint header surgery.
+parameter points, a per-parameter reference Adam, and checkpoint header
+surgery.
 
 The checker is the independent oracle for every vjp in the engine: it
 perturbs raw numpy inputs of a pure forward function and compares central
@@ -33,6 +34,32 @@ def randomized_params(config, seed=0, keep=()):
         else:
             out[name] = Tensor(0.4 * rng.normal(size=t.shape), requires_grad=True)
     return out
+
+
+class TextbookAdam:
+    """Bias-corrected Adam written per parameter, one allocating numpy
+    expression per moment: the reference the flat in-place
+    `lino.train.adam_step` must match bitwise."""
+
+    def __init__(self, betas=(0.9, 0.999), eps=1e-8):
+        self.b1, self.b2 = betas
+        self.eps = eps
+        self.t = 0
+        self.m, self.v = {}, {}
+
+    def step(self, values: dict, grads: dict, lr: float) -> dict:
+        """New values of the name -> array dict `values`; a missing
+        gradient counts as zero."""
+        self.t += 1
+        out = {}
+        for name, p in values.items():
+            g = grads.get(name, np.zeros_like(p))
+            m = self.b1 * self.m.get(name, np.zeros_like(p)) + (1.0 - self.b1) * g
+            v = self.b2 * self.v.get(name, np.zeros_like(p)) + (1.0 - self.b2) * g * g
+            self.m[name], self.v[name] = m, v
+            out[name] = p - lr * (m / (1.0 - self.b1 ** self.t)) / (
+                np.sqrt(v / (1.0 - self.b2 ** self.t)) + self.eps)
+        return out
 
 
 def fd_gradients(f, arrays, h=1e-5):

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import rewrite_model_header
+from helpers import TextbookAdam, rewrite_model_header
 
 import lino.cli as cli
 from lino.data import ETT_SPLIT_COUNTS
@@ -301,6 +301,28 @@ class TestTrainCommand:
         for fname in ("checkpoint", "history.csv", "report.csv"):
             assert (tmp_path / "a" / fname).read_bytes() == \
                 (tmp_path / "b" / fname).read_bytes()
+
+    def test_metric_files_match_per_parameter_adam(self, tmp_path, capsys, monkeypatch):
+        """The flat in-place Adam writes the metric CSVs and checkpoint
+        of a two-epoch synth train byte for byte as a per-parameter
+        textbook Adam does."""
+        cfg = write_cfg(tmp_path / "t.cfg", **TINY)
+        assert run(["train", "--config", cfg, "--out", str(tmp_path / "flat"),
+                    "--unsafe-grid"]) == 0
+        ref = TextbookAdam()
+
+        def per_parameter(params, grads, state, lr):
+            new = ref.step({k: t.data for k, t in params.items()}, grads, lr)
+            for k, t in params.items():
+                t.data[...] = new[k]
+
+        monkeypatch.setattr("lino.train.adam_step", per_parameter)
+        assert run(["train", "--config", cfg, "--out", str(tmp_path / "ref"),
+                    "--unsafe-grid"]) == 0
+        assert ref.t > 2
+        for fname in ("checkpoint", "history.csv", "report.csv"):
+            assert (tmp_path / "flat" / fname).read_bytes() == \
+                (tmp_path / "ref" / fname).read_bytes()
 
     def test_different_seed_changes_metrics(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "t.cfg", **TINY)
@@ -728,3 +750,58 @@ class TestNumericalFailureExit:
         # the step that went non-finite is named with its epoch and op
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: epoch 1, step \d+: \S+: non-finite .*\n", err), err
+
+
+def csv_with_cell(path, row, value):
+    """200 rows of a 0..6 ramp (train-span scale 2) with `value` at
+    `row`; split 70/10/20, rows 140-159 are validation and 160-199 test."""
+    rows = [f"{i},{i % 7}" for i in range(200)]
+    rows[row] = f"{row},{value}"
+    path.write_text("a,b\n" + "\n".join(rows) + "\n")
+    return str(path)
+
+
+class TestFailedRunLeavesNoDirectory:
+    """Each failure exits with its documented code and one `error:` line,
+    and removes the run directory the command made."""
+
+    @pytest.mark.parametrize("command,settings,code,error", [
+        # a finite noise scale whose series overflows once standardised
+        ("train", {"synth_noise": "1e308"}, 3,
+         r"channel \d+ is not finite once standardised with its train-span mean and scale"),
+        # a finite step size that diverges
+        ("train", {"lr": "1e308"}, 4, r"epoch 1, step \d+: \S+: non-finite values in output"),
+        # cells the inputs of a split overflow on, and cells only a target holds
+        ("train", {"dataset": 180}, 4, r"test split: \S+: non-finite values in output"),
+        ("train", {"dataset": 199}, 4,
+         r"test split: evaluate: squared error of window \d+ is not finite"),
+        ("train", {"dataset": 150}, 4,
+         r"epoch 1, validation split: \S+: non-finite values in output"),
+        ("train", {"dataset": 159}, 4,
+         r"epoch 1, validation split: mean squared error is not finite"),
+        # a prepare error
+        ("train", {"lookback": 300}, 3, r"train split has \d+ points, need at least .*"),
+        ("synth", {"synth_length": 4}, 2, r"length >= 8.*"),
+    ])
+    def test_exit_code_error_line_and_no_run_directory(self, tmp_path, capsys, command,
+                                                       settings, code, error):
+        if "dataset" in settings:
+            settings = {"dataset": csv_with_cell(tmp_path / "big.csv",
+                                                 settings["dataset"], "1e308")}
+        cfg = write_cfg(tmp_path / "t.cfg", **{**TINY, **settings})
+        out = tmp_path / "r"
+        with np.errstate(all="ignore"):
+            assert run([command, "--config", cfg, "--out", str(out),
+                        "--unsafe-grid"]) == code
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"error: {error}\n", err), err
+        assert not out.exists()
+
+    def test_directory_that_existed_stays(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        out.mkdir()
+        cfg = write_cfg(tmp_path / "t.cfg", **{**TINY, "lr": "1e308"})
+        with np.errstate(all="ignore"):
+            assert run(["train", "--config", cfg, "--out", str(out),
+                        "--unsafe-grid"]) == 4
+        assert out.is_dir()

@@ -4,7 +4,9 @@ reference, stopping semantics, loop determinism, checkpoint format."""
 import numpy as np
 import pytest
 
-from helpers import check_gradients, rewrite_model_header
+import lino.train
+
+from helpers import TextbookAdam, check_gradients, rewrite_model_header
 
 from lino.errors import CheckpointError, ConfigError, NonFiniteError
 from lino.model import LiNoConfig, forward, init_params
@@ -56,26 +58,23 @@ class TestAdam:
 
     def test_zero_gradient_is_noop(self):
         params = self._single(1.5)
-        state = AdamState.fresh(params)
-        new, _ = adam_step(params, {"w": np.zeros(1)}, state, lr=0.1)
-        np.testing.assert_array_equal(new["w"].data, [1.5])
+        adam_step(params, {"w": np.zeros(1)}, AdamState.fresh(params), lr=0.1)
+        np.testing.assert_array_equal(params["w"].data, [1.5])
 
     def test_missing_gradient_holds_still(self):
         params = self._single(1.5)
-        new, _ = adam_step(params, {}, AdamState.fresh(params), lr=0.1)
-        np.testing.assert_array_equal(new["w"].data, [1.5])
+        adam_step(params, {}, AdamState.fresh(params), lr=0.1)
+        np.testing.assert_array_equal(params["w"].data, [1.5])
 
     def test_zero_lr_is_noop(self):
         params = self._single(2.0)
-        new, _ = adam_step(params, {"w": np.array([3.0])},
-                           AdamState.fresh(params), lr=0.0)
-        np.testing.assert_array_equal(new["w"].data, [2.0])
+        adam_step(params, {"w": np.array([3.0])}, AdamState.fresh(params), lr=0.0)
+        np.testing.assert_array_equal(params["w"].data, [2.0])
 
     def test_first_step_magnitude_is_lr(self):
         params = self._single(0.0)
-        new, _ = adam_step(params, {"w": np.array([7.0])},
-                           AdamState.fresh(params), lr=1e-3)
-        assert abs(abs(float(new["w"].data[0])) - 1e-3) < 1e-9
+        adam_step(params, {"w": np.array([7.0])}, AdamState.fresh(params), lr=1e-3)
+        assert abs(abs(float(params["w"].data[0])) - 1e-3) < 1e-9
 
     def test_twenty_steps_match_reference(self):
         """Drive adam_step on a scalar quadratic and compare against an
@@ -97,7 +96,7 @@ class TestAdam:
         mine = []
         for _ in range(20):
             g = grad_of(float(params["w"].data[0]))
-            params, state = adam_step(params, {"w": np.array([g])}, state, lr=lr)
+            adam_step(params, {"w": np.array([g])}, state, lr=lr)
             mine.append(float(params["w"].data[0]))
         np.testing.assert_allclose(mine, reference, atol=1e-12)
 
@@ -105,6 +104,84 @@ class TestAdam:
         params = self._single(0.0)
         with pytest.raises(NonFiniteError, match="w"):
             adam_step(params, {"w": np.array([np.nan])}, AdamState.fresh(params), lr=0.1)
+
+
+def hand_made(sizes, dtype=np.float64, seed=0):
+    """Parameters named p0, p1, ... of the given shapes, at generic values."""
+    rng = np.random.default_rng(seed)
+    return {f"p{i}": Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+            for i, shape in enumerate(sizes)}
+
+
+class TestFlatAdam:
+    """`adam_step` over the flat buffers against `TextbookAdam`, bitwise."""
+
+    def _run(self, params, steps=6, lr=1e-2, missing=(), seed=1):
+        """`steps` updates from random gradients, with the names in
+        `missing` given no gradient on odd steps; asserts every parameter
+        equals the reference after every step."""
+        rng = np.random.default_rng(seed)
+        ref = TextbookAdam()
+        expect = {k: t.data.copy() for k, t in params.items()}
+        state = AdamState.fresh(params)
+        for step in range(steps):
+            grads = {k: (3.0 * rng.normal(size=t.shape)).astype(t.dtype)
+                     for k, t in params.items()
+                     if not (step % 2 and k in missing)}
+            expect = ref.step(expect, grads, lr)
+            adam_step(params, grads, state, lr)
+            for k, t in params.items():
+                assert t.dtype == expect[k].dtype
+                np.testing.assert_array_equal(t.data, expect[k], err_msg=f"{k}, step {step}")
+        assert state.step == steps
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_init_params_match_reference(self, dtype):
+        params = init_params(tiny_config(blocks=2, dtype=dtype), stream(0, "init"))
+        self._run(params)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_parameters_straddling_blocks_match_reference(self, monkeypatch, dtype):
+        # 33 values in blocks of 8: p1 and p3 straddle block edges, and the
+        # last block is one value long
+        monkeypatch.setattr(lino.train, "_ADAM_BLOCK", 8)
+        self._run(hand_made([(5,), (3, 3), (3,), (4, 4)], dtype), missing={"p1"})
+
+    def test_buffer_shorter_than_a_block_matches_reference(self):
+        params = hand_made([(2, 3), (1,), (7,)])
+        assert sum(t.size for t in params.values()) < lino.train._ADAM_BLOCK
+        self._run(params, missing={"p0", "p2"})
+
+    def test_parameters_become_views_of_the_flat_buffer(self):
+        params = hand_made([(2, 3), (4,)])
+        before = {k: t.data.copy() for k, t in params.items()}
+        state = AdamState.fresh(params)
+        assert state.values.size == 10
+        for k, t in params.items():
+            assert np.shares_memory(t.data, state.values)
+            np.testing.assert_array_equal(t.data, before[k])
+
+    def test_nan_in_middle_parameter_named_before_anything_moves(self):
+        params = hand_made([(3,), (2, 2), (5,)])
+        before = {k: t.data.copy() for k, t in params.items()}
+        state = AdamState.fresh(params)
+        grads = {k: np.ones(t.shape) for k, t in params.items()}
+        grads["p1"][1, 0] = np.nan
+        with pytest.raises(NonFiniteError, match=r"non-finite gradient for p1$"):
+            adam_step(params, grads, state, lr=0.1)
+        assert state.step == 0
+        for k, t in params.items():
+            np.testing.assert_array_equal(t.data, before[k])
+
+    def test_finite_gradients_whose_sum_overflows_step(self):
+        params = hand_made([(2,), (2,)])
+        ref = TextbookAdam()
+        grads = {k: np.full(t.shape, 1e308) for k, t in params.items()}
+        with np.errstate(over="ignore"):
+            expect = ref.step({k: t.data.copy() for k, t in params.items()}, grads, 0.1)
+            adam_step(params, grads, AdamState.fresh(params), lr=0.1)
+        for k, t in params.items():
+            np.testing.assert_array_equal(t.data, expect[k])
 
 
 class TestEarlyStopper:
@@ -199,6 +276,32 @@ class TestTrainLoop:
         a = train(x, y, x, y, cfg, base)
         b = train(x, y, x, y, cfg, noisy)
         assert a.history != b.history
+
+    def test_a_gradient_does_not_outlive_its_step(self, monkeypatch):
+        """The parameter tensors live across steps. One that the backward
+        pass does not reach on a step gets no gradient on it, not the
+        gradient of the step before."""
+        x, y = trend_windows(40)
+        seen, live = [], {}
+        real_backward, real_adam = lino.train.backward, lino.train.adam_step
+
+        def backward_skipping_on_even_steps(tape, loss):
+            skip = live["params"]["embed.w"] if len(seen) % 2 else None
+            before = skip.grad if skip is not None else None
+            real_backward(tape, loss)
+            if skip is not None:
+                skip.grad = before   # as if the pass had not reached it
+
+        def recording_adam(params, grads, state, lr):
+            live["params"] = params
+            seen.append("embed.w" in grads)
+            real_adam(params, grads, state, lr)
+
+        monkeypatch.setattr(lino.train, "backward", backward_skipping_on_even_steps)
+        monkeypatch.setattr(lino.train, "adam_step", recording_adam)
+        train(x, y, x, y, tiny_config(), TrainConfig(lr=1e-3, batch_size=8,
+                                                     max_epochs=1, seed=0))
+        assert seen == [True, False, True, False]
 
     def test_alpha_validated(self):
         with pytest.raises(ConfigError):
