@@ -613,13 +613,16 @@ _EXIT_CODES = ((ConfigError, 2), (DimensionError, 2), (DataError, 3), (OSError, 
 def main(argv=None) -> int:
     """Run one command. An error ends it with one `error:` line and its
     exit code, and removes the run directory if the command created it
-    and it is still empty."""
+    and it is still empty. Numpy's floating-point warnings are off while
+    it runs, in forked fit workers too: every op and data load checks
+    finiteness itself, so an overflow reaches stderr as that one line."""
     created = None
     try:
         rc = resolve(argv)
         if not os.path.exists(rc.run_dir()):
             created = rc.run_dir()
-        return _DISPATCH[rc.command](rc)
+        with np.errstate(all="ignore"):
+            return _DISPATCH[rc.command](rc)
     except tuple(cls for cls, _ in _EXIT_CODES) as exc:
         # OSError covers an input that cannot be read and an output that
         # cannot be written

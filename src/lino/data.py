@@ -184,7 +184,8 @@ def chrono_split(length: int, spec: SplitSpec, lookback: int) -> Splits:
 def standardize(values: np.ndarray, train_span: Span, eps: float = 1e-8):
     """Per-channel zero-mean unit-variance transform fitted on the train
     span (population variance). Constant channels get scale 1 with a
-    warning, so they map to zeros instead of blowing up."""
+    warning, so they map to zeros instead of blowing up; a channel that is
+    not finite once standardised is a `DataError`."""
     fit = values[train_span.start:train_span.stop]
     mu = fit.mean(axis=0)
     sigma = fit.std(axis=0)
@@ -194,7 +195,14 @@ def standardize(values: np.ndarray, train_span: Span, eps: float = 1e-8):
             f"channels {np.flatnonzero(dead).tolist()} are constant over the "
             "train span; leaving them unscaled", RuntimeWarning, stacklevel=2)
         sigma = np.where(dead, 1.0, sigma)
-    return (values - mu) / sigma, mu, sigma
+    std = (values - mu) / sigma
+    finite = np.isfinite(std).all(axis=0)
+    if not finite.all():
+        # finite values can still overflow: a train-span mean or scale past
+        # the float range, or a value too large for the train-span scale
+        raise DataError(f"channel {int(np.argmin(finite))} is not finite once "
+                        "standardised with its train-span mean and scale")
+    return std, mu, sigma
 
 
 def make_windows(values: np.ndarray, span: Span, lookback: int, horizon: int):
@@ -228,16 +236,9 @@ class PreparedData:
 def prepare(values: np.ndarray, spec: SplitSpec, lookback: int,
             horizon: int) -> PreparedData:
     """Window each split of `values` standardised with train-span
-    statistics; a channel that is not finite once standardised is a
-    `DataError`."""
+    statistics (`standardize`)."""
     splits = chrono_split(len(values), spec, lookback)
     std, _, _ = standardize(values, splits.train)
-    finite = np.isfinite(std).all(axis=0)
-    if not finite.all():
-        # finite values can still overflow: a train-span mean or scale past
-        # the float range, or a value too large for the train-span scale
-        raise DataError(f"channel {int(np.argmin(finite))} is not finite once "
-                        "standardised with its train-span mean and scale")
     return PreparedData(
         train=make_windows(std, splits.train, lookback, horizon),
         val=make_windows(std, splits.val, lookback, horizon),

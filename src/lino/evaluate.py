@@ -193,7 +193,7 @@ def li_block_map(params: dict, config: LiNoConfig, level: int) -> Callable:
     c, d = config.channels, config.dim
 
     def f(vec):
-        h = Tensor(np.asarray(vec, dtype=config.np_dtype()).reshape(c, d))
+        h = Tensor(np.reshape(vec, (c, d)))
         return li_block(h, sc["li.phi"], sc["li.beta"], 0.0, "eval").data.reshape(-1)
 
     return f
@@ -207,7 +207,7 @@ def no_block_map(params: dict, config: LiNoConfig, level: int) -> Callable:
     c, d = config.channels, config.dim
 
     def f(vec):
-        r = Tensor(np.asarray(vec, dtype=config.np_dtype()).reshape(c, d))
+        r = Tensor(np.reshape(vec, (c, d)))
         return no_block(r, sc, projection, config, "eval").data.reshape(-1)
 
     return f
@@ -219,7 +219,7 @@ def model_map(params: dict, config: LiNoConfig) -> Callable:
     c, t = config.channels, config.lookback
 
     def f(vec):
-        xn = Tensor(np.asarray(vec, dtype=config.np_dtype()).reshape(c, t))
+        xn = Tensor(np.reshape(vec, (c, t)))
         y, _ = forward_normalized(xn, params, config, mode="eval")
         return y.data.reshape(-1)
 

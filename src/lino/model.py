@@ -30,8 +30,8 @@ features flow between levels and where heads attach.
 
 Each parameter is declared once, as a (name, shape, init) row of
 `_param_table`, which both initialisation and checkpoint validation read.
-`LiNoConfig` holds only what callers set: the shapes, dropout, variant,
-ablation and dtype. The feedforward and mixing widths equal `dim`, and the
+`LiNoConfig` holds only what callers set: the shapes, dropout, variant
+and ablation. The feedforward and mixing widths equal `dim`, and the
 instance normalisation's variance guard is the constant `REVIN_EPS`.
 """
 
@@ -69,7 +69,6 @@ class LiNoConfig:
     dropout: float = 0.0
     variant: str = "lino"
     ablation: str = "none"
-    dtype: str = "float64"
 
     def __post_init__(self):
         if self.channels < 1 or self.lookback < 1 or self.horizon < 1:
@@ -88,11 +87,6 @@ class LiNoConfig:
             raise ConfigError(f"ablation {self.ablation!r} not in {ABLATIONS}")
         if self.ablation != "none" and self.variant != "lino":
             raise ConfigError("ablations are defined for the primary variant only")
-        if self.dtype not in ("float64", "float32"):
-            raise ConfigError(f"dtype must be float64 or float32, got {self.dtype!r}")
-
-    def np_dtype(self):
-        return np.float64 if self.dtype == "float64" else np.float32
 
 
 def _param_table(config: LiNoConfig) -> list:
@@ -147,8 +141,7 @@ def param_shapes(config: LiNoConfig) -> dict:
 
 def init_params(config: LiNoConfig, rng: np.random.Generator) -> dict:
     """Fresh parameter dict in canonical order (see `_param_table`)."""
-    return {name: Tensor(np.asarray(_draw(init, rng, shape), dtype=config.np_dtype()),
-                         requires_grad=True)
+    return {name: Tensor(_draw(init, rng, shape), requires_grad=True)
             for name, shape, init in _param_table(config)}
 
 
@@ -179,8 +172,8 @@ def revin_denormalize(y_norm: Tensor, stats) -> Tensor:
     """Differentiable inverse map back onto each window's own scale."""
     mu, sigma = stats
     shape = y_norm.shape
-    s = Tensor(np.broadcast_to(sigma.astype(y_norm.dtype), shape).copy())
-    m = Tensor(np.broadcast_to(mu.astype(y_norm.dtype), shape).copy())
+    s = Tensor(np.broadcast_to(sigma, shape).copy())
+    m = Tensor(np.broadcast_to(mu, shape).copy())
     return add(mul(y_norm, s), m)
 
 
@@ -280,7 +273,7 @@ class ForwardTrace:
 
 
 def _zeros_like(t: Tensor) -> Tensor:
-    return Tensor(np.zeros(t.shape, dtype=t.dtype))
+    return Tensor(np.zeros(t.shape))
 
 
 def forward_normalized(xn: Tensor, params: dict, config: LiNoConfig,
@@ -404,8 +397,9 @@ def forward(x, params: dict, config: LiNoConfig, mode: str = "eval",
             rng: Optional[np.random.Generator] = None,
             projections: Optional[tuple] = None) -> ForwardResult:
     """Full pass on raw windows [..., channels, lookback]; `projections`
-    as in `forward_normalized`."""
-    x = np.asarray(x, dtype=config.np_dtype())
+    as in `forward_normalized`. Windows of any real dtype are normalised in
+    float64."""
+    x = np.asarray(x, dtype=np.float64)
     xn, stats = revin_normalize(x)
     y_norm, trace = forward_normalized(Tensor(xn), params, config, mode, rng,
                                        projections)

@@ -4,7 +4,7 @@ The transform pair is deliberately plain: unnormalised forward DFT, 1/n on
 the inverse. A real signal of even length n maps to b = n//2 + 1 complex
 bins (bin 0 is DC, bin n/2 is Nyquist), laid out as one real vector
 [re | im] of width 2b. Both directions are matmuls against a pair of real
-bases, built once per (n, dtype) and cached read-only:
+bases, built once per n and cached read-only:
 
 * ``fwd`` [n, 2b]: ``x @ fwd`` is the half spectrum;
 * ``inv`` [2b, n]: ``spec @ inv`` is the real inverse. It carries the 1/n
@@ -16,8 +16,7 @@ The model's only spectral op is `freq_projection`, one tape primitive on
 the complex bin-mixing weights alone: transform, mix the bins with one
 complex matrix written as a real [2b, 2b] block matrix, transform back,
 as an [n, n] operator the model folds into its time-domain weight
-(`x @ S` is the projection of a signal x). The bases are built in the
-weights' floating dtype, so float32 weights give a float32 operator.
+(`x @ S` is the projection of a signal x).
 """
 
 from __future__ import annotations
@@ -36,8 +35,8 @@ def n_bins(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _bases(n: int, dtype: np.dtype):
-    """Read-only (fwd [n, 2b], inv [2b, n]) for even length n in `dtype`."""
+def _bases(n: int):
+    """Read-only (fwd [n, 2b], inv [2b, n]) for even length n."""
     b = n_bins(n)
     # reduce b*t mod n before scaling, so large angles lose no precision
     angle = (np.outer(np.arange(n), np.arange(b)) % n) * (2.0 * np.pi / n)
@@ -45,8 +44,9 @@ def _bases(n: int, dtype: np.dtype):
     sin[:, -1] = 0.0  # sin(pi * t) is zero; make the Nyquist column exact
     weights = np.full(b, 2.0 / n)
     weights[[0, -1]] = 1.0 / n
-    fwd = np.concatenate([cos, -sin], axis=1).astype(dtype)
-    inv = np.concatenate([cos * weights, -sin * weights], axis=1).T.astype(dtype)
+    fwd = np.concatenate([cos, -sin], axis=1)
+    # F-ordered as built: a C-ordered copy moves products in the last bits
+    inv = np.concatenate([cos * weights, -sin * weights], axis=1).T
     fwd.setflags(write=False)
     inv.setflags(write=False)
     return fwd, inv
@@ -66,7 +66,7 @@ def freq_projection(w_re: Tensor, w_im: Tensor) -> Tensor:
     if b < 2 or w_re.shape != (b, b) or w_im.shape != (b, b):
         raise DimensionError(f"freq_projection: weights {w_re.shape}/{w_im.shape} "
                              "must both be (b, b) with b >= 2")
-    fwd, inv = _bases(2 * (b - 1), np.result_type(w_re.dtype, np.float32))
+    fwd, inv = _bases(2 * (b - 1))
     wr_t, wi_t = w_re.data.T, w_im.data.T
     mix = np.block([[wr_t, wi_t], [-wi_t, wr_t]])
     s = (fwd @ mix) @ inv

@@ -68,7 +68,9 @@ def _check_finite(data: np.ndarray, op: str) -> None:
 class Tensor:
     """Immutable-by-convention ndarray wrapper carrying grad metadata.
 
-    `grad` is populated (for leaves) by `backward`; it is never read by
+    Data is always float64: the constructor converts whatever it is given,
+    so every value on a tape has the one precision the package computes
+    in. `grad` is populated (for leaves) by `backward`; it is never read by
     forward code. Mutating `data` in place voids the recorded graph, so
     only `train.adam_step` does, to parameters between steps, when no
     tape holds them; everything else builds new tensors.
@@ -76,11 +78,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
-        if arr.dtype.kind != "f":
-            arr = arr.astype(np.float64)
-        self.data = arr
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
 
@@ -92,16 +91,12 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def item(self) -> float:
         return float(self.data)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.shape}, dtype={self.dtype}{flag})"
+        return f"Tensor(shape={self.shape}{flag})"
 
 
 class _Node:
@@ -291,14 +286,14 @@ _CONV_TOEPLITZ_COLS = 8
 _CONV_TOEPLITZ_TILE = 128
 
 
-def _conv_block_width(c: int, d: int, itemsize: int) -> int:
+def _conv_block_width(c: int, d: int) -> int:
     """Columns per block of the conv forward: a multiple of the channel
     count, so every block starts at channel 0, and at least one row of
     channels."""
-    return c * max(1, _CONV_BLOCK_BYTES // (c * d * itemsize))
+    return c * max(1, _CONV_BLOCK_BYTES // (c * d * 8))  # 8 bytes a value
 
 
-def _conv_toeplitz(rows, pd, bd, out_rows, dtype) -> None:
+def _conv_toeplitz(rows, pd, bd, out_rows) -> None:
     """The conv forward, one column at a time.
 
     The column goes into the tail of a zero-padded buffer, read back as the
@@ -314,7 +309,7 @@ def _conv_toeplitz(rows, pd, bd, out_rows, dtype) -> None:
     c = len(pd)
     tile = min(d, _CONV_TOEPLITZ_TILE)
     # one allocation for the products, the accumulator and the padded column
-    buf = np.empty(d * tile + cols * d + 2 * d - 1, dtype=dtype)
+    buf = np.empty(d * tile + cols * d + 2 * d - 1)
     prod = buf[: d * tile]
     acc = buf[d * tile : d * tile + cols * d].reshape(cols, d)
     pad = buf[d * tile + cols * d :]
@@ -330,7 +325,7 @@ def _conv_toeplitz(rows, pd, bd, out_rows, dtype) -> None:
     np.add(acc.reshape(-1, c, d), bd[:, None], out=out_rows.reshape(-1, c, d))
 
 
-def _conv_blocked(rows, pd, bd, out_rows, dtype) -> None:
+def _conv_blocked(rows, pd, bd, out_rows) -> None:
     """The conv forward in position-major blocks of columns.
 
     Blocks of columns are copied into [D, width] buffers sized by
@@ -341,12 +336,12 @@ def _conv_blocked(rows, pd, bd, out_rows, dtype) -> None:
     """
     cols, d = rows.shape
     c = len(pd)
-    width = min(_conv_block_width(c, d, dtype.itemsize), cols)
+    width = min(_conv_block_width(c, d), cols)
     kern = np.tile(pd.T, width // c)  # kern[k, j] = phi[j % C, k]
     bias = np.tile(bd, width // c)
     # one allocation: three separate buffers raised the peak RSS of a
     # paper-shape training run by about 5%
-    x_buf, acc_buf, prod_buf = np.empty((3, d * width), dtype=dtype)
+    x_buf, acc_buf, prod_buf = np.empty((3, d * width))
     for j in range(0, cols, width):
         w = min(width, cols - j)
         x = x_buf[: d * w].reshape(d, w)
@@ -365,7 +360,7 @@ def _conv_operator(pd: np.ndarray) -> np.ndarray:
     toeplitz[c, i, j] = phi[c, i - j], zero above the diagonal. It is a
     copy of a strided view of the kernel, zero-padded on the left."""
     c, d = pd.shape
-    padded = np.concatenate([np.zeros((c, d - 1), dtype=pd.dtype), pd], axis=-1)
+    padded = np.concatenate([np.zeros((c, d - 1)), pd], axis=-1)
     return np.ascontiguousarray(sliding_window_view(padded, d, axis=-1)[..., ::-1])
 
 
@@ -395,16 +390,15 @@ def causal_depthwise_conv(h: Tensor, phi: Tensor, beta: Tensor) -> Tensor:
     The two unrecorded forms compute every output element as a
     brute-force (c, d, k) loop does, bitwise: an accumulator starts at
     +0.0, takes acc = fl(acc + fl(phi[c, k] * h[..., c, d-k])) for k
-    ascending, and then adds beta[c]; fl rounds to the common dtype of h
-    and phi. The Toeplitz form is bitwise only because numpy reduces over
-    an outer axis of a contiguous array one row at a time, in index order,
-    with no pairwise or reordered summation; the bitwise tests against the
-    loop reference pin this for both forms. So eval, validation and
-    `Forecaster.predict` are bitwise the loop. The GEMM form is not: BLAS
-    may reorder the sum and fuse multiply-adds, so a recorded forward
-    agrees with the loop to rounding (about 1e-15 relative in float64),
-    as the backward does. It is deterministic at a fixed BLAS thread
-    count, so reruns stay bitwise.
+    ascending, and then adds beta[c]; fl rounds to float64. The Toeplitz
+    form is bitwise only because numpy reduces over an outer axis of a
+    contiguous array one row at a time, in index order, with no pairwise
+    or reordered summation; the bitwise tests against the loop reference
+    pin this for both forms. So eval, validation and `Forecaster.predict`
+    are bitwise the loop. The GEMM form is not: BLAS may reorder the sum
+    and fuse multiply-adds, so a recorded forward agrees with the loop to
+    rounding (about 1e-15 relative), as the backward does. It is
+    deterministic at a fixed BLAS thread count, so reruns stay bitwise.
 
     Between the loop forms, the Toeplitz form does up to twice the
     arithmetic of the loop but makes far fewer calls, so it wins while
@@ -426,7 +420,7 @@ def causal_depthwise_conv(h: Tensor, phi: Tensor, beta: Tensor) -> Tensor:
     if beta.shape != (c,):
         raise DimensionError(f"conv: bias shape {beta.shape} != ({c},)")
     hd, pd, bd = h.data, phi.data, beta.data
-    out = np.empty(hd.shape, dtype=np.result_type(hd, bd))
+    out = np.empty(hd.shape)
     # channel-major [C, N, D] views, N = product of the leading axes; each
     # channel's [N, D] slice has row stride C·D, which BLAS takes as is
     def channel_major(a):
@@ -441,17 +435,17 @@ def causal_depthwise_conv(h: Tensor, phi: Tensor, beta: Tensor) -> Tensor:
     elif out.size:
         rows = hd.reshape(-1, d)
         form = _conv_toeplitz if len(rows) <= _CONV_TOEPLITZ_COLS else _conv_blocked
-        form(rows, pd, bd, out.reshape(-1, d), np.result_type(hd, pd))
+        form(rows, pd, bd, out.reshape(-1, d))
 
     def vjp(g):
         hv, gv = channel_major(hd), channel_major(g)
-        gh = np.empty(hd.shape, dtype=np.result_type(g, pd))
+        gh = np.empty(hd.shape)
         np.matmul(gv, toeplitz, out=channel_major(gh))
         # gphi[c, k] = sum_j (h^T g)[c, j, j + k]. Rows of h^T g go into a
         # buffer of row width 2D, zero past D; reread in rows of width 2D + 1,
         # row j starts j places later, so column k holds superdiagonal k.
         # One channel at a time keeps the buffer small.
-        skew = np.zeros(d * (2 * d + 1), dtype=np.result_type(hd, g))
+        skew = np.zeros(d * (2 * d + 1))
         gphi = np.empty_like(pd)
         for ci in range(c):
             np.matmul(hv[ci].T, gv[ci], out=skew[: 2 * d * d].reshape(d, 2 * d)[:, :d])

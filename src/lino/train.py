@@ -19,10 +19,11 @@ result is bitwise the per-parameter textbook update.
 Everything that draws randomness pulls from a named per-consumer stream
 of the run seed, which is what makes reruns bit-identical.
 
-A checkpoint holds its model config as a JSON header and its tensors in
-`param_shapes` order. Checkpoints from versions whose model config had
-`mlp_hidden`, `revin_eps`, `fusion` and `integration` still load when
-those keys hold the values that version's command line always wrote.
+A checkpoint holds its model config as a JSON header and its float64
+tensors in `param_shapes` order. Checkpoints from versions whose model
+config had `mlp_hidden`, `revin_eps`, `fusion`, `integration` and `dtype`
+still load when those keys hold the values that version's command line
+always wrote.
 """
 
 from __future__ import annotations
@@ -85,9 +86,8 @@ class AdamState:
     def fresh(cls, params: dict) -> "AdamState":
         """Zero moments for `params`, whose values move into one flat
         buffer: each tensor's `data` is rebound to its view of it."""
-        dtype = np.result_type(*(t.dtype for t in params.values()))
         size = sum(t.size for t in params.values())
-        values, grad = np.empty(size, dtype), np.empty(size, dtype)
+        values, grad = np.empty(size), np.empty(size)
         grad_views, lo = {}, 0
         for name, t in params.items():
             hi = lo + t.size
@@ -96,8 +96,7 @@ class AdamState:
             t.data = view
             grad_views[name] = grad[lo:hi].reshape(t.shape)
             lo = hi
-        return cls(0, values, np.zeros(size, dtype), np.zeros(size, dtype), grad,
-                   grad_views)
+        return cls(0, values, np.zeros(size), np.zeros(size), grad, grad_views)
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
@@ -131,7 +130,7 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
     state.step += 1
     c1, c2 = 1.0 - b1 ** state.step, 1.0 - b2 ** state.step
     size = state.values.size
-    scratch = np.empty((2, min(size, _ADAM_BLOCK)), state.values.dtype)
+    scratch = np.empty((2, min(size, _ADAM_BLOCK)))
     for lo in range(0, size, _ADAM_BLOCK):
         hi = min(lo + _ADAM_BLOCK, size)
         p, m, v, g = (buf[lo:hi] for buf in (state.values, state.m, state.v, state.grad))
@@ -235,11 +234,6 @@ def train(train_x: np.ndarray, train_y: np.ndarray,
           config: LiNoConfig, tcfg: TrainConfig) -> TrainResult:
     """Fit a fresh model on window pairs; arrays are [n, channels, lookback]
     and [n, channels, horizon] on the dataset's standardised scale."""
-    dtype = config.np_dtype()
-    train_x = np.asarray(train_x, dtype=dtype)
-    train_y = np.asarray(train_y, dtype=dtype)
-    val_x = np.asarray(val_x, dtype=dtype)
-    val_y = np.asarray(val_y, dtype=dtype)
     if len(train_x) == 0 or len(val_x) == 0:
         raise ConfigError("train and validation splits must be non-empty")
 
@@ -262,7 +256,7 @@ def train(train_x: np.ndarray, train_y: np.ndarray,
             idx = order[lo:lo + tcfg.batch_size]
             xb, yb = train_x[idx], train_y[idx]
             if tcfg.noise_alpha > 0.0:
-                xb = add_noise(xb, tcfg.noise_alpha, noise_rng).astype(dtype)
+                xb = add_noise(xb, tcfg.noise_alpha, noise_rng)
             try:
                 with Tape() as tape:
                     res = forward(xb, params, config, mode="train", rng=dropout_rng)
@@ -310,19 +304,19 @@ def train(train_x: np.ndarray, train_y: np.ndarray,
 #   entry count         u32
 #   per entry:
 #     name length u16, name utf-8
-#     dtype code  u8   (0 = float64, 1 = float32)
+#     dtype code  u8   (0 = float64, the only code)
 #     ndim        u8, dims u64 each
 #     payload     raw row-major little-endian values
 #   sha256 of everything above, 32 bytes
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"LINOCKP1"
-_DTYPES = {0: np.dtype("<f8"), 1: np.dtype("<f4")}
-_DTYPE_CODES = {np.dtype("float64"): 0, np.dtype("float32"): 1}
+_FLOAT64 = np.dtype("<f8")
+_FLOAT64_CODE = 0
 # model header keys that earlier versions wrote, each with the only value
 # their command line could give it
 _RETIRED_MODEL_KEYS = {"mlp_hidden": 0, "revin_eps": 1e-5, "fusion": "tanh",
-                       "integration": True}
+                       "integration": True, "dtype": "float64"}
 
 
 def save_checkpoint(path: str, config: LiNoConfig, params: dict,
@@ -345,11 +339,10 @@ def save_checkpoint(path: str, config: LiNoConfig, params: dict,
         raw = name.encode()
         buf.write(struct.pack("<H", len(raw)))
         buf.write(raw)
-        code = _DTYPE_CODES[np.dtype(tensor.dtype)]
-        buf.write(struct.pack("<BB", code, tensor.data.ndim))
+        buf.write(struct.pack("<BB", _FLOAT64_CODE, tensor.data.ndim))
         for dim in tensor.shape:
             buf.write(struct.pack("<Q", dim))
-        buf.write(np.ascontiguousarray(tensor.data.astype(_DTYPES[code])).tobytes())
+        buf.write(tensor.data.astype(_FLOAT64, copy=False).tobytes())
     digest = hashlib.sha256(buf.getvalue()).digest()
     buf.write(digest)
     tmp = f"{path}.{os.getpid()}.tmp"
@@ -412,18 +405,17 @@ def load_checkpoint(path: str):
         off += name_len
         code, ndim = take("<BB")
         dims = tuple(take("<Q") for _ in range(ndim))
-        dtype = _DTYPES.get(code)
-        if dtype is None:
+        if code != _FLOAT64_CODE:
             raise CheckpointError(f"{path}: unknown dtype code {code} for {name}")
-        nbytes = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize if dims else dtype.itemsize
-        arr = np.frombuffer(body[off:off + nbytes], dtype=dtype).reshape(dims)
+        nbytes = 8 * int(np.prod(dims, dtype=np.int64))
+        arr = np.frombuffer(body[off:off + nbytes], dtype=_FLOAT64).reshape(dims)
         off += nbytes
         if name not in shapes:
             raise CheckpointError(f"{path}: unexpected tensor {name!r}")
         if dims != shapes[name]:
             raise CheckpointError(
                 f"{path}: tensor {name} has shape {dims}, config requires {shapes[name]}")
-        params[name] = Tensor(arr.astype(config.np_dtype()), requires_grad=True)
+        params[name] = Tensor(arr.copy(), requires_grad=True)
     missing = set(shapes) - set(params)
     if missing:
         raise CheckpointError(f"{path}: missing tensors {sorted(missing)[:3]}...")

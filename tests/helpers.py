@@ -1,6 +1,6 @@
 """Shared test utilities: finite-difference gradient checking, generic
 parameter points, a per-parameter reference Adam, and checkpoint header
-surgery.
+and entry surgery.
 
 The checker is the independent oracle for every vjp in the engine: it
 perturbs raw numpy inputs of a pure forward function and compares central
@@ -130,4 +130,29 @@ def rewrite_model_header(path, change):
     header["model"].update(change)
     raw = json.dumps(header, sort_keys=True).encode()
     body = blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + size:-32]
+    path.write_bytes(body + hashlib.sha256(body).digest())
+
+
+def rewrite_dtype_code(path, name, code):
+    """Set the dtype code byte of tensor `name` in the checkpoint at `path`
+    to `code` and rewrite the file with a matching checksum (layout in
+    lino.train)."""
+    blob = bytearray(path.read_bytes())
+    (size,) = struct.unpack_from("<Q", blob, 8)
+    off = 16 + size
+    (count,) = struct.unpack_from("<I", blob, off)
+    off += 4
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<H", blob, off)
+        entry = blob[off + 2:off + 2 + name_len].decode()
+        off += 2 + name_len
+        ndim = blob[off + 1]
+        dims = struct.unpack_from(f"<{ndim}Q", blob, off + 2)
+        if entry == name:
+            blob[off] = code
+            break
+        off += 2 + 8 * ndim + 8 * int(np.prod(dims))
+    else:
+        raise KeyError(name)
+    body = bytes(blob[:-32])
     path.write_bytes(body + hashlib.sha256(body).digest())

@@ -244,7 +244,7 @@ def test_04_spectral_suite():
     worst_parseval = 0.0
     for n in (8, 12, 16, 20, 64):
         x = rng.normal(size=(5, n))
-        fwd, inv = _bases(n, np.dtype(np.float64))
+        fwd, inv = _bases(n)
         spec = x @ fwd
         back = spec @ inv
         worst_round = max(worst_round, float(np.abs(back - x).max()))

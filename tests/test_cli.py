@@ -5,11 +5,15 @@ contracts, precedence rules, exit codes, and byte-level reproducibility,
 not model quality.
 """
 
+import contextlib
 import csv
 import multiprocessing
 import os
 import re
 import signal
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +42,17 @@ TINY = dict(dataset="synth", synth_length=360, lookback=16, horizons=8,
 
 def run(args):
     return cli.main([a for a in args if a])
+
+
+@contextlib.contextmanager
+def no_runtime_warnings():
+    """Fail if the block emits a RuntimeWarning, numpy's floating-point
+    warnings included."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield
+    messages = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not messages, messages
 
 
 def read_rows(path):
@@ -494,7 +509,8 @@ class TestExportCommands:
         assert "bad model header" in capsys.readouterr().err
 
     @pytest.mark.parametrize("change", [{"mlp_hidden": 5}, {"revin_eps": 1e-3},
-                                        {"fusion": "identity"}, {"integration": False}])
+                                        {"fusion": "identity"}, {"integration": False},
+                                        {"dtype": "float32"}])
     def test_retired_key_other_value_rejected(self, tmp_path, capsys, change):
         """A retired model key loads only at the one value earlier versions
         wrote; any other value asks for a model this version cannot build."""
@@ -743,13 +759,30 @@ class TestNumericalFailureExit:
         # next forward pass overflows float64
         cfg = write_cfg(tmp_path / "t.cfg",
                         **{**TINY, "lr": "1e200", "epochs": 8})
-        with np.errstate(over="ignore", invalid="ignore"):
+        with no_runtime_warnings():
             code = cli.main(["train", "--config", cfg,
                              "--out", str(tmp_path / "r"), "--unsafe-grid"])
         assert code == 4
         # the step that went non-finite is named with its epoch and op
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: epoch 1, step \d+: \S+: non-finite .*\n", err), err
+
+    @pytest.mark.parametrize("seeds", ["1", "1,2"])
+    def test_overflow_prints_one_stderr_line(self, tmp_path, seeds):
+        """Run as a program, where numpy's floating-point warnings would
+        reach stderr, an overflowing run prints only its `error:` line.
+        Two seeds fan out to forked workers where two CPUs are free, which
+        inherit the warning setting."""
+        cfg = write_cfg(tmp_path / "t.cfg", **{**TINY, "lr": "1e308", "seeds": seeds})
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "lino.cli", "train", "--config", cfg,
+                               "--out", str(tmp_path / "r"), "--unsafe-grid"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 4
+        assert re.fullmatch(r"error: epoch 1, step \d+: \S+: non-finite .*\n",
+                            proc.stderr), proc.stderr
 
 
 def csv_with_cell(path, row, value):
@@ -782,15 +815,25 @@ class TestFailedRunLeavesNoDirectory:
         # a prepare error
         ("train", {"lookback": 300}, 3, r"train split has \d+ points, need at least .*"),
         ("synth", {"synth_length": 4}, 2, r"length >= 8.*"),
+        # the train-span check again, on the one window decompose reads
+        ("decompose", {"synth_noise": "1e308"}, 3,
+         r"channel \d+ is not finite once standardised with its train-span mean and scale"),
     ])
     def test_exit_code_error_line_and_no_run_directory(self, tmp_path, capsys, command,
                                                        settings, code, error):
         if "dataset" in settings:
             settings = {"dataset": csv_with_cell(tmp_path / "big.csv",
                                                  settings["dataset"], "1e308")}
+        if command == "decompose":
+            # a checkpoint of TINY's shape on synth's three channels, kept
+            # outside the run directory
+            ckpt = tmp_path / "model.ckpt"
+            model = LiNoConfig(channels=3, lookback=16, horizon=8, dim=8, blocks=1)
+            save_checkpoint(str(ckpt), model, init_params(model, stream(0, "init")))
+            settings = {**settings, "checkpoint": str(ckpt)}
         cfg = write_cfg(tmp_path / "t.cfg", **{**TINY, **settings})
         out = tmp_path / "r"
-        with np.errstate(all="ignore"):
+        with no_runtime_warnings():
             assert run([command, "--config", cfg, "--out", str(out),
                         "--unsafe-grid"]) == code
         err = capsys.readouterr().err
@@ -801,7 +844,7 @@ class TestFailedRunLeavesNoDirectory:
         out = tmp_path / "r"
         out.mkdir()
         cfg = write_cfg(tmp_path / "t.cfg", **{**TINY, "lr": "1e308"})
-        with np.errstate(all="ignore"):
+        with no_runtime_warnings():
             assert run(["train", "--config", cfg, "--out", str(out),
                         "--unsafe-grid"]) == 4
         assert out.is_dir()

@@ -15,13 +15,13 @@ from lino.tensor import Tensor
 def _spectrum(x):
     """Half spectrum (re, im) of real signals along the last axis: x @ fwd."""
     n = x.shape[-1]
-    spec = x @ sp._bases(n, x.dtype)[0]
+    spec = x @ sp._bases(n)[0]
     return spec[..., :sp.n_bins(n)], spec[..., sp.n_bins(n):]
 
 
 def _signal(re, im, n):
     """Real signals from half spectra: [re | im] @ inv."""
-    return np.concatenate([re, im], axis=-1) @ sp._bases(n, re.dtype)[1]
+    return np.concatenate([re, im], axis=-1) @ sp._bases(n)[1]
 
 
 class TestTransformPair:
@@ -93,21 +93,11 @@ class TestTransformPair:
         assert not _signal(re, im, 16).any()
 
     def test_bases_cached_and_read_only(self):
-        fwd, inv = sp._bases(16, np.dtype(np.float64))
-        assert sp._bases(16, np.dtype(np.float64))[0] is fwd
+        fwd, inv = sp._bases(16)
+        assert sp._bases(16)[0] is fwd
         assert fwd.shape == (16, 18) and inv.shape == (18, 16)
         assert not fwd.flags.writeable and not inv.flags.writeable
         np.testing.assert_allclose(fwd @ inv, np.eye(16), atol=1e-12)
-
-    def test_float32_stays_float32(self):
-        x = np.random.default_rng(2).normal(size=(3, 12)).astype(np.float32)
-        re, im = _spectrum(x)
-        assert re.dtype == im.dtype == np.float32
-        assert _signal(re, im, 12).dtype == np.float32
-        w_re, w_im = np.eye(7, dtype=np.float32), np.zeros((7, 7), dtype=np.float32)
-        s = sp.freq_projection(Tensor(w_re), Tensor(w_im))
-        assert s.dtype == np.float32
-        np.testing.assert_allclose(s.data, np.eye(12), atol=1e-5)
 
 
 class TestSpectrumOps:

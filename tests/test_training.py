@@ -6,7 +6,8 @@ import pytest
 
 import lino.train
 
-from helpers import TextbookAdam, check_gradients, rewrite_model_header
+from helpers import (TextbookAdam, check_gradients, rewrite_dtype_code,
+                     rewrite_model_header)
 
 from lino.errors import CheckpointError, ConfigError, NonFiniteError
 from lino.model import LiNoConfig, forward, init_params
@@ -106,10 +107,10 @@ class TestAdam:
             adam_step(params, {"w": np.array([np.nan])}, AdamState.fresh(params), lr=0.1)
 
 
-def hand_made(sizes, dtype=np.float64, seed=0):
+def hand_made(sizes, seed=0):
     """Parameters named p0, p1, ... of the given shapes, at generic values."""
     rng = np.random.default_rng(seed)
-    return {f"p{i}": Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+    return {f"p{i}": Tensor(rng.normal(size=shape), requires_grad=True)
             for i, shape in enumerate(sizes)}
 
 
@@ -125,27 +126,25 @@ class TestFlatAdam:
         expect = {k: t.data.copy() for k, t in params.items()}
         state = AdamState.fresh(params)
         for step in range(steps):
-            grads = {k: (3.0 * rng.normal(size=t.shape)).astype(t.dtype)
+            grads = {k: 3.0 * rng.normal(size=t.shape)
                      for k, t in params.items()
                      if not (step % 2 and k in missing)}
             expect = ref.step(expect, grads, lr)
             adam_step(params, grads, state, lr)
             for k, t in params.items():
-                assert t.dtype == expect[k].dtype
+                assert t.data.dtype == expect[k].dtype
                 np.testing.assert_array_equal(t.data, expect[k], err_msg=f"{k}, step {step}")
         assert state.step == steps
 
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_init_params_match_reference(self, dtype):
-        params = init_params(tiny_config(blocks=2, dtype=dtype), stream(0, "init"))
+    def test_init_params_match_reference(self):
+        params = init_params(tiny_config(blocks=2), stream(0, "init"))
         self._run(params)
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_parameters_straddling_blocks_match_reference(self, monkeypatch, dtype):
+    def test_parameters_straddling_blocks_match_reference(self, monkeypatch):
         # 33 values in blocks of 8: p1 and p3 straddle block edges, and the
         # last block is one value long
         monkeypatch.setattr(lino.train, "_ADAM_BLOCK", 8)
-        self._run(hand_made([(5,), (3, 3), (3,), (4, 4)], dtype), missing={"p1"})
+        self._run(hand_made([(5,), (3, 3), (3,), (4, 4)]), missing={"p1"})
 
     def test_buffer_shorter_than_a_block_matches_reference(self):
         params = hand_made([(2, 3), (1,), (7,)])
@@ -357,7 +356,7 @@ class TestCheckpoint:
             load_checkpoint(str(path))
 
     def test_parent_header_loads(self, tmp_path):
-        """A header that still carries the four retired model keys, at the
+        """A header that still carries the five retired model keys, at the
         values earlier versions always wrote, loads to the same config and
         params."""
         cfg = tiny_config(blocks=2)
@@ -365,7 +364,8 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(str(path), cfg, params)
         rewrite_model_header(path, {"mlp_hidden": 0, "revin_eps": 1e-5,
-                                    "fusion": "tanh", "integration": True})
+                                    "fusion": "tanh", "integration": True,
+                                    "dtype": "float64"})
         loaded_cfg, loaded, _ = load_checkpoint(str(path))
         assert loaded_cfg == cfg
         assert list(loaded) == list(params)
@@ -401,11 +401,12 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
 
-    def test_float32_roundtrip(self, tmp_path):
-        cfg = tiny_config(dtype="float32")
-        params = self._params(cfg)
+    def test_unknown_dtype_code_names_the_tensor(self, tmp_path):
+        """Float64 (code 0) is the only tensor encoding; an entry with any
+        other code is rejected by name, checksum notwithstanding."""
+        cfg = tiny_config()
         path = tmp_path / "model.ckpt"
-        save_checkpoint(str(path), cfg, params)
-        _, loaded, _ = load_checkpoint(str(path))
-        assert loaded["embed.w"].dtype == np.float32
-        assert np.array_equal(loaded["embed.w"].data, params["embed.w"].data)
+        save_checkpoint(str(path), cfg, self._params(cfg))
+        rewrite_dtype_code(path, "level0.li.phi", 1)
+        with pytest.raises(CheckpointError, match="unknown dtype code 1 for level0.li.phi"):
+            load_checkpoint(str(path))
