@@ -163,6 +163,12 @@ class RunConfig:
         for a in list(self.alphas) + [self.alpha]:
             if not 0.0 <= a <= 1.0:
                 raise ConfigError(f"noise alpha must lie in [0, 1], got {a}")
+        # a repeated value would fit, or write, the same rows twice
+        for key in ("horizons", "seeds", "alphas"):
+            values = getattr(self, key)
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ConfigError(f"{key} lists {repeated[0]} more than once")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
         if self.ablation not in ABLATIONS:
@@ -191,6 +197,7 @@ class RunConfig:
                 self.fit_configs(1, (self.variant, self.ablation, horizon,
                                      self.seeds[0], self.alpha))
         if self.command in _TRAINING_COMMANDS + ("decompose",):
+            self.split_spec()  # its ratio checks, before any data loads
             if self.dataset != "synth" and not os.path.exists(self.dataset):
                 raise DataError(f"dataset not found: {self.dataset}")
 

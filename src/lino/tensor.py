@@ -4,8 +4,8 @@ The design is a small explicit-tape engine. A ``Tensor`` wraps an ndarray
 and is treated as an immutable value; a ``Tape`` records every primitive
 applied while it is active, in creation order, which is already a valid
 topological order of the computation graph. ``backward`` walks that record
-once in reverse, accumulating vector-Jacobian products into per-leaf
-gradient buffers.
+once in reverse, accumulating vector-Jacobian products into one gradient
+per leaf, and returns them.
 
 Two properties the rest of the package leans on:
 
@@ -26,10 +26,10 @@ one op whose forward depends on whether it is recorded: a recorded call
 runs a GEMM that agrees with the brute-force loop to rounding, an
 unrecorded one a loop form that is bitwise that loop.
 
-Binary ops require operands of identical shape (scalars aside). There is
-no generalized broadcasting; the few places the model needs a broadcast
-use `repeat_axis` or pre-broadcast constants, which keeps every vjp a
-plain shape-preserving expression.
+Binary ops require operands of identical shape. There is no generalized
+broadcasting; the few places the model needs a broadcast use `repeat_axis`
+or pre-broadcast constants, which keeps every vjp a plain shape-preserving
+expression.
 """
 
 from __future__ import annotations
@@ -66,22 +66,21 @@ def _check_finite(data: np.ndarray, op: str) -> None:
 
 
 class Tensor:
-    """Immutable-by-convention ndarray wrapper carrying grad metadata.
+    """Immutable-by-convention ndarray wrapper with a requires-grad flag.
 
     Data is always float64: the constructor converts whatever it is given,
     so every value on a tape has the one precision the package computes
-    in. `grad` is populated (for leaves) by `backward`; it is never read by
-    forward code. Mutating `data` in place voids the recorded graph, so
-    only `train.adam_step` does, to parameters between steps, when no
-    tape holds them; everything else builds new tensors.
+    in. A tensor holds no gradient; `backward` returns them. Mutating
+    `data` in place voids the recorded graph, so only `train.adam_step`
+    does, to parameters between steps, when no tape holds them;
+    everything else builds new tensors.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self.grad: Optional[np.ndarray] = None
 
     @property
     def shape(self) -> tuple:
@@ -156,8 +155,8 @@ def backward(tape: Tape, loss: Tensor) -> dict:
     """Reverse-accumulate d(loss)/d(leaf) for every requires-grad leaf.
 
     `loss` must be a scalar produced under `tape`. Returns a dict mapping
-    each leaf Tensor that received gradient to its ndarray; the same array
-    is also stored on `leaf.grad`. Fan-out sums, as it must.
+    each leaf Tensor that received gradient to its ndarray; that dict is
+    the only output, and no tensor is changed. Fan-out sums, as it must.
     """
     if loss.size != 1:
         raise DimensionError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -182,11 +181,7 @@ def backward(tape: Tape, loss: Tensor) -> dict:
                 grads[key] = pg
             if key not in produced:
                 leaves[key] = parent
-    out = {}
-    for key, leaf in leaves.items():
-        leaf.grad = grads[key]
-        out[leaf] = grads[key]
-    return out
+    return {leaf: grads[key] for key, leaf in leaves.items()}
 
 
 def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -198,23 +193,17 @@ def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
 # elementwise primitives
 # ---------------------------------------------------------------------------
 
-def add(a: Tensor, b) -> Tensor:
-    if isinstance(b, (int, float)):
-        return _record(a.data + b, (a,), lambda g: (g,), "add")
+def add(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "add")
     return _record(a.data + b.data, (a, b), lambda g: (g, g), "add")
 
 
-def sub(a: Tensor, b) -> Tensor:
-    if isinstance(b, (int, float)):
-        return _record(a.data - b, (a,), lambda g: (g,), "sub")
+def sub(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "sub")
     return _record(a.data - b.data, (a, b), lambda g: (g, -g), "sub")
 
 
-def mul(a: Tensor, b) -> Tensor:
-    if isinstance(b, (int, float)):
-        return scale(a, float(b))
+def mul(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "mul")
     ad, bd = a.data, b.data
     return _record(ad * bd, (a, b), lambda g: (g * bd, g * ad), "mul")

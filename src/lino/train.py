@@ -3,10 +3,11 @@
 The loop is deliberately boring. Per epoch: shuffle the training windows,
 walk minibatches (the last partial one included), optionally add input
 noise, run the forward in train mode under a tape, backprop, Adam step.
-Validation runs in eval mode after every epoch and feeds an early stopper
-with strict-improvement semantics (a fixed `EarlyStopper.MIN_DELTA`); the
-best parameters are kept aside and restored at the end, so the returned
-model is the best validation model, not the last one.
+After every epoch `evaluate` scores the validation split, as it scores the
+test split, and feeds an early stopper with strict-improvement semantics (a
+fixed `EarlyStopper.MIN_DELTA`); the best parameters are kept aside and
+restored at the end, so the returned model is the best validation model,
+not the last one.
 
 Adam works in place. `AdamState.fresh` moves the parameters into one flat
 buffer, each tensor's `data` a view of it, next to flat moment buffers;
@@ -41,8 +42,8 @@ import numpy as np
 
 from .data import add_noise
 from .errors import CheckpointError, ConfigError, NonFiniteError
-from .model import (LiNoConfig, Tensor, build_projections, forward, init_params,
-                    param_shapes)
+from .evaluate import evaluate
+from .model import Forecaster, LiNoConfig, Tensor, forward, init_params, param_shapes
 from .seeding import stream
 from .tensor import Tape, backward, mean_all, mul, sub
 
@@ -213,20 +214,6 @@ class TrainResult:
     history: list            # (epoch, train_mse, val_mse) rows
     best_epoch: int
     best_val: float
-    epochs_run: int
-
-
-def _predict_mse(params: dict, config: LiNoConfig, x: np.ndarray, y: np.ndarray,
-                 chunk: int = 1024) -> float:
-    total, count = 0.0, 0
-    projections = build_projections(params, config)
-    for lo in range(0, len(x), chunk):
-        yh = forward(x[lo:lo + chunk], params, config, mode="eval",
-                     projections=projections).y.data
-        yb = y[lo:lo + chunk]
-        total += float(((yh - yb) ** 2).sum())
-        count += yb.size
-    return total / count
 
 
 def train(train_x: np.ndarray, train_y: np.ndarray,
@@ -247,32 +234,25 @@ def train(train_x: np.ndarray, train_y: np.ndarray,
     history = []
     best_params = {k: t.data.copy() for k, t in params.items()}
     n = len(train_x)
-    epochs_run = 0
     for epoch in range(1, tcfg.max_epochs + 1):
-        epochs_run = epoch
         order = shuffle_rng.permutation(n)
         sq_sum = 0.0
         for step, lo in enumerate(range(0, n, tcfg.batch_size), start=1):
             idx = order[lo:lo + tcfg.batch_size]
-            xb, yb = train_x[idx], train_y[idx]
-            if tcfg.noise_alpha > 0.0:
-                xb = add_noise(xb, tcfg.noise_alpha, noise_rng)
+            xb, yb = add_noise(train_x[idx], tcfg.noise_alpha, noise_rng), train_y[idx]
             try:
                 with Tape() as tape:
                     res = forward(xb, params, config, mode="train", rng=dropout_rng)
                     loss = mse_loss(res.y, Tensor(yb))
-                backward(tape, loss)
-                grads = {name: t.grad for name, t in params.items() if t.grad is not None}
-                # the tensors live across steps, so no gradient may outlive its own
-                for t in params.values():
-                    t.grad = None
-                adam_step(params, grads, state, tcfg.lr)
+                grads = backward(tape, loss)
+                adam_step(params, {name: grads[t] for name, t in params.items() if t in grads},
+                          state, tcfg.lr)
             except NonFiniteError as exc:
                 raise NonFiniteError(f"epoch {epoch}, step {step}: {exc}") from exc
             sq_sum += loss.item() * yb.size
         train_mse = sq_sum / train_y.size
         try:
-            val_mse = _predict_mse(params, config, val_x, val_y)
+            val_mse = evaluate(Forecaster(params, config), val_x, val_y).mse
         except NonFiniteError as exc:
             raise NonFiniteError(f"epoch {epoch}, validation split: {exc}") from exc
         if not np.isfinite(train_mse):
@@ -289,8 +269,7 @@ def train(train_x: np.ndarray, train_y: np.ndarray,
     final = {k: Tensor(v, requires_grad=True) for k, v in best_params.items()}
     return TrainResult(params=final, history=history,
                        best_epoch=stopper.best_epoch,
-                       best_val=float(stopper.best),
-                       epochs_run=epochs_run)
+                       best_val=float(stopper.best))
 
 
 # ---------------------------------------------------------------------------

@@ -267,6 +267,30 @@ class TestValidation:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, key, value, repeated", [
+        ("train", "seeds", "1, 1", "1"), ("train", "horizons", "8, 4, 8", "8"),
+        ("ablate", "seeds", "2, 3, 2", "2"), ("noise", "alphas", "0, 0.5, 0.0", "0.0"),
+        ("probe", "seeds", "1, 1", "1"),
+    ])
+    def test_repeated_list_value_rejected_before_data(self, command, key, value, repeated,
+                                                      tmp_path, capsys, no_compute):
+        """A list that names a value twice would fit and write the same
+        rows twice, and report a spread over one seed."""
+        cfg = write_cfg(tmp_path / "t.cfg", **{**TINY, key: value})
+        out = tmp_path / "r"
+        assert cli.main([command, "--config", cfg, "--out", str(out), "--unsafe-grid"]) == 2
+        assert capsys.readouterr().err == f"error: {key} lists {repeated} more than once\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "ablate", "noise", "decompose"])
+    def test_split_ratios_rejected_before_data(self, command, tmp_path, capsys, no_compute):
+        cfg = write_cfg(tmp_path / "t.cfg", **{**TINY, "val_ratio": 0.9})
+        out = tmp_path / "r"
+        assert cli.main([command, "--config", cfg, "--out", str(out), "--unsafe-grid"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: ratios must be three positive numbers")
+        assert not out.exists()
+
     FLOAT_KEYS = ("lr", "dropout", "alpha", "alphas", "val_ratio", "test_ratio",
                   "synth_noise", "synth_linear", "synth_nonlinear")
 
@@ -785,6 +809,15 @@ class TestNumericalFailureExit:
                             proc.stderr), proc.stderr
 
 
+def ramp_csv(cells=None, rows=200):
+    """The text of a two-column CSV: a row index and a 0..6 ramp, with
+    the rows in `cells` ({row: text}) replaced."""
+    lines = [f"{i},{i % 7}" for i in range(rows)]
+    for row, text in (cells or {}).items():
+        lines[row] = text
+    return "a,b\n" + "\n".join(lines) + "\n"
+
+
 def csv_with_cell(path, row, value):
     """200 rows of a 0..6 ramp (train-span scale 2) with `value` at
     `row`; split 70/10/20, rows 140-159 are validation and 160-199 test."""
@@ -811,7 +844,7 @@ class TestFailedRunLeavesNoDirectory:
         ("train", {"dataset": 150}, 4,
          r"epoch 1, validation split: \S+: non-finite values in output"),
         ("train", {"dataset": 159}, 4,
-         r"epoch 1, validation split: mean squared error is not finite"),
+         r"epoch 1, validation split: evaluate: squared error of window \d+ is not finite"),
         # a prepare error
         ("train", {"lookback": 300}, 3, r"train split has \d+ points, need at least .*"),
         ("synth", {"synth_length": 4}, 2, r"length >= 8.*"),
@@ -848,3 +881,90 @@ class TestFailedRunLeavesNoDirectory:
             assert run(["train", "--config", cfg, "--out", str(out),
                         "--unsafe-grid"]) == 4
         assert out.is_dir()
+
+
+SWEEP_COMMANDS = ("train", "ablate", "noise", "decompose", "probe", "synth")
+
+# (id, one-key change to TINY, exit code of each of SWEEP_COMMANDS); a "csv"
+# value is the text of the dataset, a two-channel CSV
+SWEEP = [
+    ("tiny", {}, (0, 0, 0, 0, 0, 0)),
+    ("seeds-repeated", {"seeds": "1, 1"}, (2, 2, 2, 2, 2, 2)),
+    ("horizons-repeated", {"horizons": "8, 8"}, (2, 2, 2, 2, 2, 2)),
+    ("alphas-repeated", {"alphas": "0.5, 0.5"}, (2, 2, 2, 2, 2, 2)),
+    ("val_ratio-0.9", {"val_ratio": "0.9"}, (2, 2, 2, 2, 0, 0)),
+    ("lr-nan", {"lr": "nan"}, (2, 2, 2, 2, 2, 2)),
+    ("seeds-negative", {"seeds": "-1"}, (2, 2, 2, 2, 2, 2)),
+    ("synth_seed-negative", {"synth_seed": "-1"}, (2, 2, 2, 2, 2, 2)),
+    ("alpha-1.5", {"alpha": "1.5"}, (2, 2, 2, 2, 2, 2)),
+    ("lookback-0", {"lookback": "0"}, (2, 2, 2, 0, 0, 0)),
+    ("dim-odd", {"dim": "7"}, (2, 2, 2, 0, 0, 0)),
+    ("epochs-0", {"epochs": "0"}, (2, 2, 2, 0, 0, 0)),
+    ("batch-0", {"batch": "0"}, (2, 2, 2, 0, 0, 0)),
+    ("dropout-1", {"dropout": "1.0"}, (2, 2, 2, 0, 0, 0)),
+    ("variant-mu", {"variant": "mu"}, (0, 2, 2, 0, 0, 0)),
+    ("horizons-two", {"horizons": "8, 12"}, (0, 0, 2, 0, 0, 0)),
+    ("lr-1e308", {"lr": "1e308"}, (4, 4, 4, 0, 0, 0)),
+    # synth writes the overflowed series out as `inf` cells
+    ("synth_noise-1e308", {"synth_noise": "1e308"}, (3, 3, 3, 3, 0, 0)),
+    ("synth_length-4", {"synth_length": "4"}, (2, 2, 2, 2, 0, 2)),
+    ("synth_length-40", {"synth_length": "40"}, (3, 3, 3, 0, 0, 0)),
+    ("lookback-300", {"lookback": "300"}, (3, 3, 3, 0, 0, 0)),
+    ("dataset-absent", {"dataset": "absent.csv"}, (3, 3, 3, 3, 0, 0)),
+    ("window-out-of-range", {"window": "999999"}, (0, 0, 0, 2, 0, 0)),
+    ("channels-mismatch", {"synth_channels": "2"}, (0, 0, 0, 3, 0, 0)),
+    ("checkpoint-absent", {"checkpoint": "absent.ckpt"}, (0, 0, 0, 3, 3, 0)),
+    ("csv-nan-cell", {"csv": ramp_csv({5: "5,nan"})}, (3, 3, 3, 3, 0, 0)),
+    ("csv-word-cell", {"csv": ramp_csv({5: "5,abc"})}, (3, 3, 3, 3, 0, 0)),
+    ("csv-ragged-row", {"csv": ramp_csv({5: "5,1,2"})}, (3, 3, 3, 3, 0, 0)),
+    ("csv-empty", {"csv": ""}, (3, 3, 3, 3, 0, 0)),
+    ("csv-header-only", {"csv": "a,b\n"}, (3, 3, 3, 3, 0, 0)),
+    ("csv-not-utf8", {"csv": b"a,b\n1,2\n3,\xff\n"}, (3, 3, 3, 3, 0, 0)),
+    ("csv-too-short", {"csv": ramp_csv(rows=20)}, (3, 3, 3, 3, 0, 0)),
+    # 1e308 in a validation input, then in a validation target only; rows
+    # 144-159 are also the input of decompose's test window
+    ("csv-val-input-1e308", {"csv": ramp_csv({150: "150,1e308"})}, (4, 4, 4, 4, 0, 0)),
+    ("csv-val-target-1e308", {"csv": ramp_csv({159: "159,1e308"})}, (4, 4, 4, 4, 0, 0)),
+    ("csv-constant-channel",
+     {"csv": "a,b\n" + "".join(f"{i},3\n" for i in range(200))}, (0, 0, 0, 0, 0, 0)),
+]
+
+
+@pytest.fixture(scope="module")
+def sweep_checkpoints(tmp_path_factory):
+    """Initialised checkpoints of TINY's model on two channels (the CSVs)
+    and three (synth), kept outside every run directory."""
+    tmp = tmp_path_factory.mktemp("sweep")
+    paths = {}
+    for channels in (2, 3):
+        model = LiNoConfig(channels=channels, lookback=16, horizon=8, dim=8, blocks=1)
+        paths[channels] = tmp / f"model{channels}.ckpt"
+        save_checkpoint(str(paths[channels]), model, init_params(model, stream(0, "init")))
+    return paths
+
+
+@pytest.mark.filterwarnings("ignore:channels .* are constant")
+@pytest.mark.parametrize("command, settings, code", [
+    pytest.param(command, settings, codes[i], id=f"{command}-{name}")
+    for name, settings, codes in SWEEP for i, command in enumerate(SWEEP_COMMANDS)])
+def test_failure_mode_sweep(tmp_path, capsys, sweep_checkpoints, command, settings, code):
+    """Every command under one-key config changes and malformed CSVs, one
+    epoch each: it exits with its documented code and never raises; a
+    failure prints exactly one `error:` line and leaves no run
+    directory."""
+    settings = {**TINY, "epochs": 1,
+                "checkpoint": sweep_checkpoints[2 if "csv" in settings else 3], **settings}
+    if "csv" in settings:
+        text = settings.pop("csv")
+        data = tmp_path / "data.csv"
+        data.write_bytes(text if isinstance(text, bytes) else text.encode())
+        settings["dataset"] = str(data)
+    cfg = write_cfg(tmp_path / "t.cfg", **settings)
+    out = tmp_path / "r"
+    assert run([command, "--config", cfg, "--out", str(out), "--unsafe-grid"]) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert "error:" not in err
+    else:
+        assert re.fullmatch(r"error: [^\n]*\n", err), err
+        assert not out.exists()
