@@ -26,6 +26,7 @@ from .errors import (ConfigError, DataError, DimensionError, NonFiniteError,
 from .evaluate import (REPORT_COLUMNS, EvalReport, ReportRow, WindowMetrics,
                        decomposition_table, evaluate, export_decomposition,
                        li_block_map, model_map, no_block_map, probe_affine)
+from .fanout import fan_out
 from .model import (ABLATIONS, VARIANTS, Forecaster, LiNoConfig)
 from .seeding import stream
 from .train import (TrainConfig, TrainResult, load_checkpoint, save_checkpoint,
@@ -324,66 +325,6 @@ def _fit(rc: RunConfig, prep, channels: int, combo) -> Fit:
                metrics, time.time() - started)
 
 
-def _worker_count(combos: int) -> int:
-    """Processes to fit a run of `combos` combos in: one per CPU this
-    process may run on, at most one per combo, and 1 (in-process) where
-    the platform cannot fork."""
-    if not hasattr(os, "fork"):
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(cpus, combos)
-
-
-# (rc, prep, channels) of the run a forked worker fits combos of; set only
-# in worker processes, by the pool's initializer
-_worker_run = None
-
-
-def _adopt_run(*run) -> None:
-    global _worker_run
-    _worker_run = run
-
-
-def _fit_in_worker(combo) -> Fit:
-    return _fit(*_worker_run, combo)
-
-
-def _fit_run(rc: RunConfig, prep, channels: int, run: list):
-    """Yield the `Fit` of each combo of `run`, which share `prep`, in
-    order.
-
-    One combo, or one CPU, fits in this process. Otherwise a pool of
-    forked workers fits them: fork hands each worker the prepared split
-    set, the numpy/BLAS state and the thread settings of this process
-    without pickling the data, so each worker's bits are the ones an
-    in-process fit would give, and starts it without the numpy import a
-    `spawn` worker pays per pool. The first failure, or a consumer that
-    stops early, cancels the fits still queued; a worker that dies raises
-    `WorkerDiedError`.
-    """
-    workers = _worker_count(len(run))
-    if workers == 1:
-        for combo in run:
-            yield _fit(rc, prep, channels, combo)
-        return
-    # imported here, as only a fan-out needs them: at module level they
-    # add about 27 ms and 2 MB to the start of every command
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_adopt_run, initargs=(rc, prep, channels))
-    try:
-        yield from pool.map(_fit_in_worker, run)
-    except BrokenProcessPool as exc:
-        raise WorkerDiedError(f"a fit worker process died: {exc}") from None
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def _fits(rc: RunConfig, combos):
     """Train and test one model per (variant, ablation, horizon, seed,
     alpha) combo and yield each `Fit` in combo order.
@@ -391,14 +332,17 @@ def _fits(rc: RunConfig, combos):
     The values load once and the run directory is created before the
     first fit. The combos are walked in maximal runs that share a horizon;
     `prepare` runs once per run, and a run's split set is dropped before
-    the next is built, so at most one prepared set is alive at a time.
+    the next is built, so at most one prepared set is alive at a time. The
+    fits of a run fan out over forked workers (`fan_out`); the first
+    failure, or a consumer that stops early, cancels the fits still
+    queued.
     """
     values = rc.load_values()
     spec = rc.split_spec()
     os.makedirs(rc.run_dir(), exist_ok=True)
     for horizon, run in itertools.groupby(combos, key=lambda combo: combo[2]):
-        yield from _fit_run(rc, prepare(values, spec, rc.lookback, horizon),
-                            values.shape[1], list(run))
+        yield from fan_out(_fit, list(run), rc, prepare(values, spec, rc.lookback, horizon),
+                           values.shape[1], died="a fit worker process died")
 
 
 # ---------------------------------------------------------------------------
@@ -544,6 +488,10 @@ def cmd_probe(rc: RunConfig) -> int:
 def cmd_synth(rc: RunConfig) -> int:
     outd = rc.run_dir()
     result = synth_generate(rc.synth_spec())
+    finite = np.isfinite(result.values).all(axis=0)
+    if not finite.all():
+        raise DataError(f"synthetic channel {int(np.argmin(finite))} is not finite; "
+                        "lower synth_noise or the amplitudes")
     os.makedirs(outd, exist_ok=True)
     save_csv(os.path.join(outd, "synth.csv"), result.values, result.columns)
     for part, series in result.components.items():
@@ -621,7 +569,7 @@ def main(argv=None) -> int:
     """Run one command. An error ends it with one `error:` line and its
     exit code, and removes the run directory if the command created it
     and it is still empty. Numpy's floating-point warnings are off while
-    it runs, in forked fit workers too: every op and data load checks
+    it runs, in forked workers too: every op and data load checks
     finiteness itself, so an overflow reaches stderr as that one line."""
     created = None
     try:

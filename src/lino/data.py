@@ -185,7 +185,8 @@ def standardize(values: np.ndarray, train_span: Span, eps: float = 1e-8):
     """Per-channel zero-mean unit-variance transform fitted on the train
     span (population variance). Constant channels get scale 1 with a
     warning, so they map to zeros instead of blowing up; a channel that is
-    not finite once standardised is a `DataError`."""
+    not finite once standardised, or whose train-span mean or scale is
+    not, is a `DataError`."""
     fit = values[train_span.start:train_span.stop]
     mu = fit.mean(axis=0)
     sigma = fit.std(axis=0)
@@ -202,6 +203,12 @@ def standardize(values: np.ndarray, train_span: Span, eps: float = 1e-8):
         # the float range, or a value too large for the train-span scale
         raise DataError(f"channel {int(np.argmin(finite))} is not finite once "
                         "standardised with its train-span mean and scale")
+    # a scale that overflows to inf maps its channel to zeros, which the
+    # check above passes
+    fitted = np.isfinite(mu) & np.isfinite(sigma)
+    if not fitted.all():
+        raise DataError(f"channel {int(np.argmin(fitted))} has a train-span mean or "
+                        "scale that is not finite")
     return std, mu, sigma
 
 

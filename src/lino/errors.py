@@ -3,8 +3,9 @@
 The CLI maps these onto process exit codes, so raising the right class
 matters more than the message text: ConfigError and DimensionError are
 usage problems, DataError covers bad or missing inputs, NonFiniteError
-signals numerical failure at run time, and WorkerDiedError a fit worker
-process that ended without returning its fit.
+signals numerical failure at run time, and WorkerDiedError a fan-out
+worker process (a fit's, or one scoring `evaluate`'s batches) that ended
+without returning its result.
 """
 
 
@@ -29,4 +30,6 @@ class NonFiniteError(ArithmeticError):
 
 
 class WorkerDiedError(RuntimeError):
-    """A fit worker process died (a signal, or out of memory)."""
+    """A fan-out worker process died (a signal, or out of memory): one
+    fitting a combo of `train`, `ablate` or `noise`, or one scoring
+    batches of `evaluate`. The message names which."""

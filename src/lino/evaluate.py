@@ -7,6 +7,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DataError, DimensionError, NonFiniteError
+from .fanout import fan_out
 from .model import (LiNoConfig, forward, forward_normalized, li_block,
                     no_block, no_projection, scoped)
 from .seeding import stream
@@ -37,6 +38,20 @@ class WindowMetrics:
         return float(self.per_window_mae.mean())
 
 
+def _score_batch(predict, x: np.ndarray, y: np.ndarray, batch_size: int,
+                 lo: int) -> tuple:
+    """Per-window (mse, mae) arrays of the batch of windows that starts
+    at window `lo`."""
+    hi = min(lo + batch_size, len(x))
+    pred = np.asarray(predict(x[lo:hi]), dtype=np.float64)
+    if pred.shape != y[lo:hi].shape:
+        raise DimensionError(
+            f"prediction shape {pred.shape} != target shape {y[lo:hi].shape}")
+    diff = pred - np.asarray(y[lo:hi], dtype=np.float64)
+    axes = tuple(range(1, diff.ndim))
+    return (diff * diff).mean(axis=axes), np.abs(diff).mean(axis=axes)
+
+
 def evaluate(predictor, x: np.ndarray, y: np.ndarray,
              batch_size: int = 256) -> WindowMetrics:
     """Full pass over the windows of a split, deterministic and dropout-free.
@@ -47,6 +62,11 @@ def evaluate(predictor, x: np.ndarray, y: np.ndarray,
     pipeline hands standardized windows to keep reported numbers on the
     standardized scale. A window whose squared error is not finite is a
     `NonFiniteError`, not an infinite metric.
+
+    The batches fan out over forked workers (`fan_out`), each scoring its
+    batch with the code and data an in-process loop would use, so the
+    per-window metrics do not depend on the worker count. A worker that
+    dies raises `WorkerDiedError`.
     """
     predict = getattr(predictor, "predict", predictor)
     x = np.asarray(x)
@@ -56,18 +76,10 @@ def evaluate(predictor, x: np.ndarray, y: np.ndarray,
         raise DataError("cannot evaluate an empty split")
     if y.shape[0] != n:
         raise DimensionError(f"{n} inputs but {y.shape[0]} targets")
-    per_mse = np.empty(n, dtype=np.float64)
-    per_mae = np.empty(n, dtype=np.float64)
-    for lo in range(0, n, batch_size):
-        hi = min(lo + batch_size, n)
-        pred = np.asarray(predict(x[lo:hi]), dtype=np.float64)
-        if pred.shape != y[lo:hi].shape:
-            raise DimensionError(
-                f"prediction shape {pred.shape} != target shape {y[lo:hi].shape}")
-        diff = pred - np.asarray(y[lo:hi], dtype=np.float64)
-        axes = tuple(range(1, diff.ndim))
-        per_mse[lo:hi] = (diff * diff).mean(axis=axes)
-        per_mae[lo:hi] = np.abs(diff).mean(axis=axes)
+    batches = list(fan_out(_score_batch, range(0, n, batch_size), predict, x, y,
+                           batch_size, died="an evaluate worker process died"))
+    per_mse = np.concatenate([mse for mse, _ in batches])
+    per_mae = np.concatenate([mae for _, mae in batches])
     bad = ~np.isfinite(per_mse)
     if bad.any():
         raise NonFiniteError(f"evaluate: squared error of window {int(np.argmax(bad))} "

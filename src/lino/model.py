@@ -219,6 +219,20 @@ def build_projections(params: dict, config: LiNoConfig) -> tuple:
                  for i in range(config.blocks))
 
 
+def _mix_channels(ntf: Tensor, p: dict) -> Tensor:
+    """`ntf` plus its channel mixing: softmax-weighted pooling over the
+    channel axis, then an MLP on the concatenated [own features, pooled
+    summary]. A function of its own so that, outside a tape, its
+    intermediates are freed when it returns, not held to the end of
+    `no_block`."""
+    w = softmax_axis(ntf, axis=-2)
+    pooled = sum_axis(mul(w, ntf), axis=-2, keepdims=True)
+    stacked = concat([ntf, repeat_axis(pooled, -2, ntf.shape[-2])], axis=-1)
+    hidden = tanh(linear(stacked, p["mix.w1"], p["mix.b1"]))
+    mixed = linear(hidden, p["mix.w2"], p["mix.b2"])
+    return add(ntf, mixed)
+
+
 def no_block(r: Tensor, p: dict, projection: tuple, config: LiNoConfig,
              mode: str, rng: Optional[np.random.Generator] = None) -> Tensor:
     """Nonlinear pattern extractor.
@@ -232,17 +246,8 @@ def no_block(r: Tensor, p: dict, projection: tuple, config: LiNoConfig,
     features, pooled summary]; integrate with two residual layer-norm
     stages around a feedforward MLP.
     """
-    c = r.shape[-2]
     ntf = tanh(linear(r, *projection))
-    if config.ablation != "no_cd":
-        w = softmax_axis(ntf, axis=-2)
-        pooled = sum_axis(mul(w, ntf), axis=-2, keepdims=True)
-        stacked = concat([ntf, repeat_axis(pooled, -2, c)], axis=-1)
-        hidden = tanh(linear(stacked, p["mix.w1"], p["mix.b1"]))
-        mixed = linear(hidden, p["mix.w2"], p["mix.b2"])
-        fused = add(ntf, mixed)
-    else:
-        fused = ntf
+    fused = ntf if config.ablation == "no_cd" else _mix_channels(ntf, p)
     stage1 = layer_norm(fused, p["norm1.gamma"], p["norm1.beta"])
     ff = linear(tanh(linear(stage1, p["ff.w1"], p["ff.b1"])), p["ff.w2"], p["ff.b2"])
     return layer_norm(add(stage1, ff), p["norm2.gamma"], p["norm2.beta"])

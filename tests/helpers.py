@@ -1,6 +1,6 @@
 """Shared test utilities: finite-difference gradient checking, generic
-parameter points, a per-parameter reference Adam, and checkpoint header
-and entry surgery.
+parameter points, a per-parameter reference Adam, checkpoint header and
+entry surgery, and a forced fan-out worker count.
 
 The checker is the independent oracle for every vjp in the engine: it
 perturbs raw numpy inputs of a pure forward function and compares central
@@ -15,9 +15,17 @@ import struct
 
 import numpy as np
 
+import lino.fanout
 from lino.model import init_params
 from lino.seeding import stream
 from lino.tensor import Tape, Tensor, backward, mul, sum_all
+
+
+def force_workers(monkeypatch, count):
+    """Fan out over `count` processes, whatever the CPUs: the fits of a
+    run and the batches of `evaluate`, each still at most one process per
+    item and in-process inside a worker."""
+    monkeypatch.setattr(lino.fanout, "_cpus", lambda: count)
 
 
 def randomized_params(config, seed=0, keep=()):

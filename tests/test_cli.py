@@ -19,12 +19,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import TextbookAdam, rewrite_model_header
+from helpers import TextbookAdam, force_workers, rewrite_model_header
 
 import lino.cli as cli
 from lino.data import ETT_SPLIT_COUNTS
 from lino.errors import ConfigError, DataError, NonFiniteError
-from lino.model import LiNoConfig, init_params
+from lino.model import Forecaster, LiNoConfig, init_params
 from lino.seeding import stream
 from lino.train import load_checkpoint, save_checkpoint
 
@@ -580,11 +580,6 @@ class TestFitLoop:
         assert horizons == prepared
 
 
-def force_workers(monkeypatch, count):
-    """Fit every run of combos in `count` processes, whatever the CPUs."""
-    monkeypatch.setattr(cli, "_worker_count", lambda combos: min(count, combos))
-
-
 def logging_train(monkeypatch, log, then=None):
     """Make every fit append its process id to `log`, then call `then`
     (if given) before training."""
@@ -611,8 +606,29 @@ FAN_OUT_RUNS = {
 }
 
 
+# TINY on a longer series: its validation split (273 windows) and test
+# split (553) span two and three of `evaluate`'s 256-window batches
+MULTI_BATCH = {"synth_length": 2800, "epochs": 1}
+
+
+def logging_predict(monkeypatch, log, then=None):
+    """Make every `Forecaster.predict` call append its process id to
+    `log`, then call `then` (if given) before predicting."""
+    real = Forecaster.predict
+
+    def predict(self, x):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        if then is not None:
+            then()
+        return real(self, x)
+
+    monkeypatch.setattr(Forecaster, "predict", predict)
+
+
 class TestFanOut:
-    """Multi-combo commands fit in forked worker processes."""
+    """Multi-combo commands fit in forked worker processes, and an
+    in-process fit scores its multi-batch splits in them."""
 
     @pytest.mark.parametrize("command", sorted(FAN_OUT_RUNS))
     def test_workers_do_not_change_bytes(self, tmp_path, capsys, monkeypatch, command):
@@ -696,6 +712,58 @@ class TestFanOut:
         err = capsys.readouterr().err
         assert err.startswith("error: a fit worker process died") and err.count("\n") == 1
         assert not multiprocessing.active_children()
+
+    def test_evaluate_workers_do_not_change_bytes(self, tmp_path, capsys, monkeypatch):
+        """One fit, in-process, whose validation and test splits fan out."""
+        cfg = write_cfg(tmp_path / "t.cfg", **{**TINY, **MULTI_BATCH})
+        outputs = {}
+        for workers in (1, 2):
+            log = tmp_path / f"predicts{workers}.log"
+            logging_predict(monkeypatch, log)
+            force_workers(monkeypatch, workers)
+            outd = tmp_path / f"w{workers}"
+            assert run(["train", "--config", cfg, "--out", str(outd), "--unsafe-grid"]) == 0
+            outputs[workers] = {p.name: p.read_bytes() for p in sorted(outd.iterdir())
+                                if p.name != "summary.txt"}
+            # two validation batches, then three test batches
+            pids = fit_pids(log)
+            if workers == 1:
+                assert pids == [os.getpid()] * 5
+            else:
+                assert len(pids) == 5 and os.getpid() not in pids
+        assert outputs[1] == outputs[2]
+
+    def test_predicts_run_in_their_fit_worker(self, tmp_path, capsys, monkeypatch):
+        """A fit worker scores its multi-batch splits in its own process:
+        fan-outs do not nest."""
+        fits, predicts = tmp_path / "fits.log", tmp_path / "predicts.log"
+        logging_train(monkeypatch, fits)
+        logging_predict(monkeypatch, predicts)
+        force_workers(monkeypatch, 2)
+        cfg = write_cfg(tmp_path / "t.cfg", **{**TINY, **MULTI_BATCH, "seeds": "1,2"})
+        assert run(["train", "--config", cfg, "--out", str(tmp_path / "r"),
+                    "--unsafe-grid"]) == 0
+        assert os.getpid() not in fit_pids(fits)
+        assert len(fit_pids(predicts)) == 10
+        assert set(fit_pids(predicts)) == set(fit_pids(fits))
+
+    def test_killed_evaluate_worker_exits_5(self, tmp_path, capsys, monkeypatch):
+        parent = os.getpid()
+
+        def die_in_child():
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        logging_predict(monkeypatch, tmp_path / "predicts.log", then=die_in_child)
+        force_workers(monkeypatch, 2)
+        cfg = write_cfg(tmp_path / "t.cfg", **{**TINY, **MULTI_BATCH})
+        out = tmp_path / "r"
+        assert run(["train", "--config", cfg, "--out", str(out), "--unsafe-grid"]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: an evaluate worker process died: ")
+        assert err.count("\n") == 1
+        assert not multiprocessing.active_children()
+        assert not out.exists()
 
     def test_consumer_stopping_cancels_queued_fits(self, tmp_path, capsys, monkeypatch):
         """Closing the `_fits` generator after its first fit, as a command
@@ -905,8 +973,8 @@ SWEEP = [
     ("variant-mu", {"variant": "mu"}, (0, 2, 2, 0, 0, 0)),
     ("horizons-two", {"horizons": "8, 12"}, (0, 0, 2, 0, 0, 0)),
     ("lr-1e308", {"lr": "1e308"}, (4, 4, 4, 0, 0, 0)),
-    # synth writes the overflowed series out as `inf` cells
-    ("synth_noise-1e308", {"synth_noise": "1e308"}, (3, 3, 3, 3, 0, 0)),
+    # a finite noise scale whose series overflows to `inf` cells
+    ("synth_noise-1e308", {"synth_noise": "1e308"}, (3, 3, 3, 3, 0, 3)),
     ("synth_length-4", {"synth_length": "4"}, (2, 2, 2, 2, 0, 2)),
     ("synth_length-40", {"synth_length": "40"}, (3, 3, 3, 0, 0, 0)),
     ("lookback-300", {"lookback": "300"}, (3, 3, 3, 0, 0, 0)),
@@ -925,6 +993,9 @@ SWEEP = [
     # 144-159 are also the input of decompose's test window
     ("csv-val-input-1e308", {"csv": ramp_csv({150: "150,1e308"})}, (4, 4, 4, 4, 0, 0)),
     ("csv-val-target-1e308", {"csv": ramp_csv({159: "159,1e308"})}, (4, 4, 4, 4, 0, 0)),
+    # 1e308 in the train span: its channel's train-span scale overflows to
+    # inf, which would map the whole channel to zeros
+    ("csv-train-1e308", {"csv": ramp_csv({10: "10,1e308"})}, (3, 3, 3, 3, 0, 0)),
     ("csv-constant-channel",
      {"csv": "a,b\n" + "".join(f"{i},3\n" for i in range(200))}, (0, 0, 0, 0, 0, 0)),
 ]

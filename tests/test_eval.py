@@ -6,13 +6,18 @@ pattern block's probed matrix must show its banded causal structure entry
 by entry.
 """
 
+import multiprocessing
+import os
+import signal
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from helpers import randomized_params
+from helpers import force_workers, randomized_params
 
 from lino.data import SplitSpec, SynthSpec, prepare, synth_generate
-from lino.errors import DataError, DimensionError
+from lino.errors import DataError, DimensionError, NonFiniteError, WorkerDiedError
 from lino.evaluate import (EvalReport, ReportRow, decomposition_table,
                            evaluate, export_decomposition, li_block_map,
                            model_map, no_block_map, probe_affine)
@@ -85,6 +90,94 @@ class TestEvaluate:
     def test_target_count_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             evaluate(last_value_predictor, np.zeros((3, 2, 8)), np.zeros((2, 2, 4)))
+
+
+def pid_logging(predict, log):
+    """`predict`, appending the id of the process each call runs in to
+    the file `log`."""
+    def logged(xb):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return predict(xb)
+    return logged
+
+
+def logged_pids(log):
+    return [int(line) for line in Path(log).read_text().split()]
+
+
+def raise_on_inf_input(xb):
+    """As a model whose forward overflows on an infinite input."""
+    if np.isinf(xb).any():
+        raise NonFiniteError("linear: non-finite values in output")
+    return last_value_predictor(xb)
+
+
+class TestEvaluateFanOut:
+    """`evaluate` scores its batches in forked workers, one per CPU; the
+    results, errors and exit state are those of an in-process loop."""
+
+    def _windows(self, n=40):
+        rng = np.random.default_rng(1)
+        return rng.normal(size=(n, 2, 8)), rng.normal(size=(n, 2, 4))
+
+    def test_worker_count_does_not_change_bits(self, tmp_path, monkeypatch):
+        config = LiNoConfig(channels=2, lookback=8, horizon=4, dim=8, blocks=2)
+        model = Forecaster(randomized_params(config, seed=3), config)
+        x, y = self._windows()
+        metrics, pids = {}, {}
+        for workers in (1, 2):
+            force_workers(monkeypatch, workers)
+            log = tmp_path / f"w{workers}.log"
+            metrics[workers] = evaluate(pid_logging(model.predict, log), x, y, batch_size=8)
+            pids[workers] = logged_pids(log)
+            assert not multiprocessing.active_children()
+        assert pids[1] == [os.getpid()] * 5
+        assert len(pids[2]) == 5 and os.getpid() not in pids[2]
+        for name in ("per_window_mse", "per_window_mae"):
+            assert (getattr(metrics[1], name).tobytes()
+                    == getattr(metrics[2], name).tobytes()), name
+
+    @pytest.mark.parametrize("predictor, inf_window, error, message", [
+        # the last of five batches (windows 32-36) comes back a step short
+        (lambda xb: np.zeros((len(xb), 2, 4 if len(xb) == 8 else 3)), None,
+         DimensionError, "prediction shape (5, 2, 3) != target shape (5, 2, 4)"),
+        (last_value_predictor, 30,
+         NonFiniteError, "evaluate: squared error of window 30 is not finite"),
+        (raise_on_inf_input, 30, NonFiniteError, "linear: non-finite values in output"),
+    ], ids=["shape", "inf-prediction", "raised-in-predict"])
+    def test_errors_match_the_in_process_loop(self, monkeypatch, predictor, inf_window,
+                                              error, message):
+        x, y = self._windows(n=37)
+        if inf_window is not None:
+            x[inf_window, :, -1] = np.inf
+        for workers in (1, 2):
+            force_workers(monkeypatch, workers)
+            with pytest.raises(error) as caught:
+                evaluate(predictor, x, y, batch_size=8)
+            assert type(caught.value) is error and str(caught.value) == message
+            assert not multiprocessing.active_children()
+
+    def test_killed_worker_raises_worker_died(self, monkeypatch):
+        parent = os.getpid()
+
+        def die_in_child(xb):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return last_value_predictor(xb)
+
+        force_workers(monkeypatch, 2)
+        x, y = self._windows()
+        with pytest.raises(WorkerDiedError, match="^an evaluate worker process died: "):
+            evaluate(die_in_child, x, y, batch_size=8)
+        assert not multiprocessing.active_children()
+
+    def test_one_batch_runs_in_process(self, tmp_path, monkeypatch):
+        force_workers(monkeypatch, 2)
+        x, y = self._windows()
+        log = tmp_path / "pids.log"
+        evaluate(pid_logging(last_value_predictor, log), x, y, batch_size=40)
+        assert logged_pids(log) == [os.getpid()]
 
 
 class TestReport:
