@@ -6,10 +6,11 @@ whole series into a feature vector of width `dim`, then runs `blocks`
 levels. Every level extracts a linear pattern (causal depthwise
 convolution), subtracts it, extracts a nonlinear pattern from the
 remainder (time- and frequency-domain projections fused through a
-saturating activation, plus cross-channel mixing and a small feedforward
-stack), and subtracts that too, handing the final remainder to the next
-level. Each extracted pattern gets its own affine head onto the horizon;
-the forecast is the sum of all head outputs, denormalised.
+saturating activation, cross-channel mixing as one `channel_mix` op, and
+a small feedforward stack), and subtracts that too, handing the final
+remainder to the next level. Each extracted pattern gets its own affine
+head onto the horizon; the forecast is the sum of all head outputs,
+denormalised.
 
 Both projections are linear maps over the feature axis, shared across
 channels, so each level applies them as one D x D operator: the time
@@ -44,8 +45,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .spectral import freq_projection, n_bins
-from .tensor import (Tensor, add, causal_depthwise_conv, concat, dropout, layer_norm,
-                     linear, mul, repeat_axis, softmax_axis, sub, sum_axis, tanh)
+from .tensor import (Tensor, add, causal_depthwise_conv, channel_mix, dropout,
+                     layer_norm, linear, mul, sub, tanh)
 
 VARIANTS = ("lino", "mu", "raw", "ln")
 ABLATIONS = ("none", "no_li", "no_no", "no_te", "no_fe", "no_cd")
@@ -219,20 +220,6 @@ def build_projections(params: dict, config: LiNoConfig) -> tuple:
                  for i in range(config.blocks))
 
 
-def _mix_channels(ntf: Tensor, p: dict) -> Tensor:
-    """`ntf` plus its channel mixing: softmax-weighted pooling over the
-    channel axis, then an MLP on the concatenated [own features, pooled
-    summary]. A function of its own so that, outside a tape, its
-    intermediates are freed when it returns, not held to the end of
-    `no_block`."""
-    w = softmax_axis(ntf, axis=-2)
-    pooled = sum_axis(mul(w, ntf), axis=-2, keepdims=True)
-    stacked = concat([ntf, repeat_axis(pooled, -2, ntf.shape[-2])], axis=-1)
-    hidden = tanh(linear(stacked, p["mix.w1"], p["mix.b1"]))
-    mixed = linear(hidden, p["mix.w2"], p["mix.b2"])
-    return add(ntf, mixed)
-
-
 def no_block(r: Tensor, p: dict, projection: tuple, config: LiNoConfig,
              mode: str, rng: Optional[np.random.Generator] = None) -> Tensor:
     """Nonlinear pattern extractor.
@@ -241,13 +228,15 @@ def no_block(r: Tensor, p: dict, projection: tuple, config: LiNoConfig,
     `_param_table`; strip the level prefix with `scoped`), and
     `projection` is its fused (W, b) from `no_projection`. Steps: project
     the remainder with that one D x D operator (the time- and
-    frequency-domain projections summed) and saturate; mix channels
-    through softmax-weighted pooling and an MLP on the concatenated [own
-    features, pooled summary]; integrate with two residual layer-norm
-    stages around a feedforward MLP.
+    frequency-domain projections summed) and saturate; mix channels with
+    one `channel_mix` op (softmax-weighted pooling over channels, then an
+    MLP on [own features | pooled summary] added back), which `no_cd`
+    skips; integrate with two residual layer-norm stages around a
+    feedforward MLP.
     """
     ntf = tanh(linear(r, *projection))
-    fused = ntf if config.ablation == "no_cd" else _mix_channels(ntf, p)
+    fused = ntf if config.ablation == "no_cd" else channel_mix(
+        ntf, p["mix.w1"], p["mix.b1"], p["mix.w2"], p["mix.b2"])
     stage1 = layer_norm(fused, p["norm1.gamma"], p["norm1.beta"])
     ff = linear(tanh(linear(stage1, p["ff.w1"], p["ff.b1"])), p["ff.w2"], p["ff.b2"])
     return layer_norm(add(stage1, ff), p["norm2.gamma"], p["norm2.beta"])

@@ -16,20 +16,21 @@ Two properties the rest of the package leans on:
   error state, never something to propagate silently.
 
 The op vocabulary is exactly what the model and its loss record:
-`add`, `sub`, `mul`, `scale` and `tanh` elementwise; `linear` and
-`causal_depthwise_conv`; `softmax_axis`, `layer_norm` and `dropout`;
-`sum_axis`, `sum_all`, `mean_all`, `concat` and `repeat_axis`. The model's
-one other primitive, `freq_projection`, lives in `spectral`: it maps the
-complex frequency weights alone to a D x D operator. Every op has a
-finite-difference gradient case in the acceptance suite. The conv is the
-one op whose forward depends on whether it is recorded: a recorded call
-runs a GEMM that agrees with the brute-force loop to rounding, an
-unrecorded one a loop form that is bitwise that loop.
+`add`, `sub`, `mul`, `scale` and `tanh` elementwise; `linear`,
+`causal_depthwise_conv` and `channel_mix`, the nonlinear block's
+cross-channel mixing (softmax pooling over channels and a two-layer MLP)
+as one op; `layer_norm` and `dropout`; `sum_all` and `mean_all`. The
+model's one other primitive, `freq_projection`, lives in `spectral`: it
+maps the complex frequency weights alone to a D x D operator. Every op
+has a finite-difference gradient case in the acceptance suite. The conv
+is the one op whose forward depends on whether it is recorded: a
+recorded call runs a GEMM that agrees with the brute-force loop to
+rounding, an unrecorded one a loop form that is bitwise that loop.
 
 Binary ops require operands of identical shape. There is no generalized
-broadcasting; the few places the model needs a broadcast use `repeat_axis`
-or pre-broadcast constants, which keeps every vjp a plain shape-preserving
-expression.
+broadcasting; the pooled channel summary is broadcast inside
+`channel_mix`, and RevIN's statistics are pre-broadcast constants, which
+keeps every vjp a plain shape-preserving expression.
 """
 
 from __future__ import annotations
@@ -445,22 +446,58 @@ def causal_depthwise_conv(h: Tensor, phi: Tensor, beta: Tensor) -> Tensor:
     return _record(out, (h, phi, beta), vjp, "causal_depthwise_conv")
 
 
+def channel_mix(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """Cross-channel mixing as one op: x + tanh([x | p] @ w1 + b1) @ w2 + b2.
+
+    x: [..., C, D], w1: [2D, D], b1, b2: [D], w2: [D, D]. p is each
+    window's pooled summary sum_c s[c] * x[c], with s the max-subtracted
+    softmax over the channel axis, broadcast back over the channels. The
+    first product runs as its halves, x @ w1[:D] + (p @ w1[D:] + b1), so
+    the pooled half costs one row per window. As in `linear`, leading axes
+    flatten into rows and every product is one 2-d GEMM. The
+    pre-activation is checked for NaN/Inf, as a `linear` output is: the
+    tanh would saturate an overflow into a finite output.
+    """
+    if x.data.ndim < 2:
+        raise DimensionError(f"channel_mix: input needs [..., C, D], got {x.shape}")
+    c, d = x.shape[-2:]
+    for name, t, want in (("w1", w1, (2 * d, d)), ("b1", b1, (d,)),
+                          ("w2", w2, (d, d)), ("b2", b2, (d,))):
+        if t.shape != want:
+            raise DimensionError(f"channel_mix: {name} shape {t.shape} != {want}")
+    xd = x.data.reshape(-1, c, d)
+    rows = xd.reshape(-1, d)
+    w1_own, w1_pool = w1.data[:d], w1.data[d:]
+    s = xd - xd.max(axis=1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=1, keepdims=True)
+    pooled = (s * xd).sum(axis=1)
+    pre = (rows @ w1_own).reshape(xd.shape)
+    pre += (pooled @ w1_pool + b1.data)[:, None]
+    _check_finite(pre, "channel_mix")
+    hidden = np.tanh(pre, out=pre).reshape(-1, d)
+    y = hidden @ w2.data + b2.data + rows
+
+    def vjp(g):
+        g = g.reshape(-1, d)
+        gpre = g @ w2.data.T * (1.0 - hidden * hidden)
+        gpooled = gpre.reshape(xd.shape).sum(axis=1)
+        gw1 = np.concatenate([rows.T @ gpre, pooled.T @ gpooled])
+        gx = None
+        if x.requires_grad:
+            # the pooling and the softmax together give channel c
+            # s[c] * (1 + x[c] - p) times the pooled half's input gradient
+            gx = s * (1.0 + xd - pooled[:, None]) * (gpooled @ w1_pool.T)[:, None]
+            gx += (gpre @ w1_own.T + g).reshape(xd.shape)
+            gx = gx.reshape(x.shape)
+        return gx, gw1, gpre.sum(axis=0), hidden.T @ g, g.sum(axis=0)
+
+    return _record(y.reshape(x.shape), (x, w1, b1, w2, b2), vjp, "channel_mix")
+
+
 # ---------------------------------------------------------------------------
 # normalisation and regularisation
 # ---------------------------------------------------------------------------
-
-def softmax_axis(x: Tensor, axis: int) -> Tensor:
-    """Max-subtracted softmax along one axis."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
-
-    def vjp(g):
-        inner = (g * s).sum(axis=axis, keepdims=True)
-        return (s * (g - inner),)
-
-    return _record(s, (x,), vjp, "softmax_axis")
-
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalise the trailing axis to zero mean, unit (population) variance,
@@ -508,20 +545,8 @@ def dropout(x: Tensor, p: float, mode: str, rng: Optional[np.random.Generator] =
 
 
 # ---------------------------------------------------------------------------
-# reductions and shape ops
+# reductions
 # ---------------------------------------------------------------------------
-
-def sum_axis(x: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    axis = axis % x.data.ndim
-    y = x.data.sum(axis=axis, keepdims=keepdims)
-
-    def vjp(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, x.shape).copy(),)
-
-    return _record(y, (x,), vjp, "sum_axis")
-
 
 def sum_all(x: Tensor) -> Tensor:
     y = np.asarray(x.data.sum())
@@ -530,31 +555,3 @@ def sum_all(x: Tensor) -> Tensor:
 
 def mean_all(x: Tensor) -> Tensor:
     return scale(sum_all(x), 1.0 / x.size)
-
-
-def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
-    parts = list(parts)
-    if not parts:
-        raise DimensionError("concat: need at least one tensor")
-    axis = axis % parts[0].data.ndim
-    y = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.shape[axis] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
-
-    def vjp(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return _record(y, tuple(parts), vjp, "concat")
-
-
-def repeat_axis(x: Tensor, axis: int, reps: int) -> Tensor:
-    """Tile a unit-extent axis `reps` times; the vjp sums back over it."""
-    axis = axis % x.data.ndim
-    if x.shape[axis] != 1:
-        raise DimensionError(f"repeat_axis: axis {axis} has extent {x.shape[axis]}, need 1")
-    y = np.repeat(x.data, reps, axis=axis)
-
-    def vjp(g):
-        return (g.sum(axis=axis, keepdims=True),)
-
-    return _record(y, (x,), vjp, "repeat_axis")

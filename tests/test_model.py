@@ -234,6 +234,20 @@ class TestNoBlock:
         check_gradients(op, [np.random.default_rng(6).normal(size=(2, 8))] + arrays,
                         tol=1e-3)
 
+    @pytest.mark.parametrize("ablation, per_level", [("none", 1), ("no_cd", 0)])
+    def test_one_channel_mix_node_per_level(self, ablation, per_level):
+        """A train-mode forward records the mixing as one `channel_mix`
+        node per level, none under `no_cd`, and no generic softmax, sum,
+        concat or repeat node."""
+        cfg = tiny_config(blocks=2, ablation=ablation)
+        params = init_params(cfg, stream(0, "init"))
+        x = np.random.default_rng(0).normal(size=(3, 2, 8))
+        with Tape() as tape:
+            forward(x, params, cfg, mode="train")
+        ops = [node.op for node in tape.nodes]
+        assert ops.count("channel_mix") == per_level * cfg.blocks
+        assert not {"softmax_axis", "sum_axis", "concat", "repeat_axis"} & set(ops)
+
 
 class TestFusedProjection:
     """The one D x D operator per level against the two projections it

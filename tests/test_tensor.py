@@ -340,35 +340,62 @@ class TestCausalConv:
 
 
 # ---------------------------------------------------------------------------
-# softmax / layer norm / dropout
+# channel mixing
 # ---------------------------------------------------------------------------
 
-class TestSoftmax:
-    def test_two_point_example(self):
-        y = T.softmax_axis(Tensor([0.0, np.log(2.0)]), axis=0).data
-        np.testing.assert_allclose(y, [1.0 / 3.0, 2.0 / 3.0], atol=1e-15)
+def channel_mix_reference(x, w1, b1, w2, b2):
+    """The mixing in plain numpy: softmax over channels (axis -2), the
+    pooled summary broadcast back over channels, and one GEMM on the
+    concatenated [own | pooled] features, in the order `w1`'s rows are
+    stored in a checkpoint."""
+    e = np.exp(x - x.max(axis=-2, keepdims=True))
+    s = e / e.sum(axis=-2, keepdims=True)
+    pooled = np.broadcast_to((s * x).sum(axis=-2, keepdims=True), x.shape)
+    return x + np.tanh(np.concatenate([x, pooled], axis=-1) @ w1 + b1) @ w2 + b2
 
-    def test_rows_sum_to_one(self):
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=(4, 5, 6)) * 30.0
-        for axis in (0, 1, 2):
-            s = T.softmax_axis(Tensor(x), axis=axis).data
-            np.testing.assert_allclose(s.sum(axis=axis), 1.0, atol=1e-12)
 
-    def test_shift_invariance(self):
-        x = np.array([1.0, 2.0, 3.0])
-        a = T.softmax_axis(Tensor(x), axis=0).data
-        b = T.softmax_axis(Tensor(x + 100.0), axis=0).data
-        np.testing.assert_allclose(a, b, atol=1e-12)
+def channel_mix_arrays(rng, lead, c, d):
+    return [rng.normal(size=lead + (c, d)), rng.normal(size=(2 * d, d)) / d,
+            rng.normal(size=d), rng.normal(size=(d, d)) / d, rng.normal(size=d)]
+
+
+class TestChannelMix:
+    @pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
+    def test_matches_numpy_reference(self, lead):
+        rng = np.random.default_rng(len(lead))
+        arrays = channel_mix_arrays(rng, lead, 4, 6)
+        got = T.channel_mix(*map(Tensor, arrays)).data
+        assert relative_error(got, channel_mix_reference(*arrays)) < 1e-12
 
     def test_extreme_inputs_stay_finite(self):
-        x = np.array([0.0, 1000.0, -1000.0])
-        s = T.softmax_axis(Tensor(x), axis=0).data
-        assert np.all(np.isfinite(s))
+        """Inputs of +-1000 across channels: the max-subtracted softmax
+        neither overflows nor divides by zero."""
+        x = np.array([0.0, 1000.0, -1000.0])[:, None] * np.ones((3, 4))
+        d = x.shape[-1]
+        out = T.channel_mix(Tensor(x), Tensor(np.zeros((2 * d, d))), Tensor(np.zeros(d)),
+                            Tensor(np.zeros((d, d))), Tensor(np.zeros(d))).data
+        assert np.all(np.isfinite(out))
+        np.testing.assert_array_equal(out, x)
 
-    def test_gradients(self):
-        rng = np.random.default_rng(21)
-        check_gradients(lambda t: T.softmax_axis(t, axis=-2), [rng.normal(size=(3, 4))])
+    @pytest.mark.parametrize("name,shape", [
+        ("w1", (6, 6)), ("w1", (12, 5)), ("b1", (5,)), ("w2", (6, 5)), ("b2", (7,)),
+    ])
+    def test_weight_shapes_checked(self, name, shape):
+        rng = np.random.default_rng(3)
+        arrays = dict(zip(("x", "w1", "b1", "w2", "b2"), channel_mix_arrays(rng, (2,), 3, 6)))
+        arrays[name] = rng.normal(size=shape)
+        with pytest.raises(DimensionError, match=f"channel_mix: {name} shape"):
+            T.channel_mix(*map(Tensor, arrays.values()))
+
+    def test_overflowing_pre_activation_raises(self):
+        """An overflow before the tanh would saturate to a finite output;
+        the op reports it instead, as a `linear` output would be."""
+        rng = np.random.default_rng(4)
+        arrays = channel_mix_arrays(rng, (2,), 3, 4)
+        arrays[0] = np.abs(arrays[0]) + 0.1
+        arrays[1] = np.concatenate([np.full((4, 4), 1e308), np.zeros((4, 4))])
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match="channel_mix"):
+            T.channel_mix(*map(Tensor, arrays))
 
 
 class TestLayerNorm:
@@ -434,48 +461,17 @@ class TestDropout:
 
 
 # ---------------------------------------------------------------------------
-# reductions and shape ops
+# reductions
 # ---------------------------------------------------------------------------
 
 class TestShapeOps:
-    def test_sum_axis_values(self):
-        x = Tensor(np.arange(6, dtype=np.float64).reshape(2, 3))
-        np.testing.assert_array_equal(T.sum_axis(x, 0).data, [3.0, 5.0, 7.0])
-        np.testing.assert_array_equal(T.sum_axis(x, 1, keepdims=True).data, [[3.0], [12.0]])
-
     def test_mean_all(self):
         x = Tensor([[1.0, 2.0], [3.0, 6.0]])
         assert T.mean_all(x).item() == 3.0
 
-    def test_concat_values(self):
-        rng = np.random.default_rng(1)
-        a, b = rng.normal(size=(2, 3)), rng.normal(size=(2, 5))
-        cat = T.concat([Tensor(a), Tensor(b)], axis=1).data
-        np.testing.assert_array_equal(cat[:, :3], a)
-        np.testing.assert_array_equal(cat[:, 3:], b)
-
-    def test_repeat_axis(self):
-        x = Tensor([[1.0], [2.0]])
-        np.testing.assert_array_equal(
-            T.repeat_axis(x, 1, 3).data, [[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
-        with pytest.raises(DimensionError):
-            T.repeat_axis(x, 0, 2)
-
-    @pytest.mark.parametrize("op,shape", [
-        ("sum0", (3, 4)), ("sumk", (3, 4)), ("repeat", (3, 1)),
-        ("sum_all", (3, 4)), ("concat", (2, 3)),
-    ])
-    def test_gradients(self, op, shape):
-        rng = np.random.default_rng(zlib.crc32(op.encode()))
-        x = rng.normal(size=shape)
-        builders = {
-            "sum0": lambda t: T.sum_axis(t, 0),
-            "sumk": lambda t: T.sum_axis(t, 1, keepdims=True),
-            "sum_all": T.sum_all,
-            "concat": lambda t: T.concat([t, T.scale(t, 2.0)], axis=0),
-            "repeat": lambda t: T.repeat_axis(t, 1, 4),
-        }
-        check_gradients(builders[op], [x])
+    def test_sum_all_gradients(self):
+        rng = np.random.default_rng(zlib.crc32(b"sum_all"))
+        check_gradients(T.sum_all, [rng.normal(size=(3, 4))])
 
 
 # ---------------------------------------------------------------------------
