@@ -268,20 +268,60 @@ def _write_text(path: str, text: str) -> None:
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _machine_line() -> str:
-    """The numpy and BLAS build and the BLAS thread settings, one line."""
+def _simd_targets() -> str:
+    """The SIMD targets numpy dispatches to on this CPU, space-separated.
+    Kernels such as `np.exp` give different bits on different targets."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:
+        try:  # numpy 1.x
+            from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+        except ImportError:
+            return "unknown"
+    return " ".join(t for t in __cpu_dispatch__ if __cpu_features__.get(t)) or "none"
+
+
+def _blas_core() -> str:
+    """The core type OpenBLAS picked at run time, or `unknown` when no
+    loaded library answers under one of its known symbol names."""
+    import ctypes
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(None, 5)[5].strip() for line in fh
+                     if "openblas" in line.rsplit("/", 1)[-1].lower()}
+    except OSError:
+        return "unknown"
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in ("openblas_get_corename", "openblas_get_corename64_",
+                       "scipy_openblas_get_corename", "scipy_openblas_get_corename64_"):
+            get = getattr(lib, symbol, None)
+            if get is not None:
+                get.restype = ctypes.c_char_p
+                return get().decode()
+    return "unknown"
+
+
+def _machine() -> str:
+    """The numpy and BLAS build, the CPU's numpy SIMD targets and OpenBLAS
+    core, and the BLAS thread settings: everything besides the config,
+    seeds and batch layout that a run's bits depend on."""
     deps = np.show_config(mode="dicts").get("Build Dependencies", {})
     blas = deps.get("blas", {})
     threads = " ".join(f"{var}={os.environ.get(var, 'unset')}" for var in _THREAD_VARS)
-    return (f"machine: numpy {np.__version__}, blas {blas.get('name', 'unknown')} "
-            f"{blas.get('version', 'unknown')}, {threads}\n")
+    return (f"numpy {np.__version__}, blas {blas.get('name', 'unknown')} "
+            f"{blas.get('version', 'unknown')}, simd {_simd_targets()}, "
+            f"blas core {_blas_core()}, {threads}")
 
 
 def _finish(outd: str, summary: str) -> None:
     """Write the run's summary.txt, ending in the machine line, and echo it.
     The machine line stays out of the metric CSVs, which rerun
     byte-identical."""
-    summary += _machine_line()
+    summary += f"machine: {_machine()}\n"
     _write_text(os.path.join(outd, "summary.txt"), summary)
     print(summary, end="")
     print(f"wrote {outd}")
@@ -355,6 +395,7 @@ def cmd_train(rc: RunConfig) -> int:
     history_rows = []
     combos = [(rc.variant, rc.ablation, h, s, rc.alpha)
               for h in rc.horizons for s in rc.seeds]
+    machine = _machine()
     for fit in _fits(rc, combos):
         report.add(fit.report_row(rc.dataset_stem()))
         history_rows.extend([str(fit.horizon), str(fit.seed), str(e), repr(tr), repr(va)]
@@ -363,7 +404,7 @@ def cmd_train(rc: RunConfig) -> int:
                 else f"checkpoint_h{fit.horizon}_s{fit.seed}")
         save_checkpoint(os.path.join(outd, name), fit.config, fit.result.params,
                         extra={"seed": fit.seed, "best_epoch": fit.result.best_epoch,
-                               "best_val": fit.result.best_val})
+                               "best_val": fit.result.best_val, "machine": machine})
     _write_table(os.path.join(outd, "history.csv"),
                  ("horizon", "seed", "epoch", "train_mse", "val_mse"),
                  history_rows)

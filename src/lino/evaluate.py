@@ -63,10 +63,15 @@ def evaluate(predictor, x: np.ndarray, y: np.ndarray,
     standardized scale. A window whose squared error is not finite is a
     `NonFiniteError`, not an infinite metric.
 
-    The batches fan out over forked workers (`fan_out`), each scoring its
-    batch with the code and data an in-process loop would use, so the
-    per-window metrics do not depend on the worker count. A worker that
-    dies raises `WorkerDiedError`.
+    The batches fan out over forked workers (`fan_out`), one per CPU and
+    at most one per full batch, each scoring its batch with the code and
+    data an in-process loop would use, so the per-window metrics do not
+    depend on the worker count. A worker whose only batch would be the
+    short last one costs more to start than it saves: at paper shape on
+    two CPUs, a 256 + 44 window split took 420 ms per validation pass in
+    two workers against 340 ms in-process, while 256 + 256 took 320
+    against 570 ms (BENCH_convchan.json). So a split of one full batch
+    runs in-process. A worker that dies raises `WorkerDiedError`.
     """
     predict = getattr(predictor, "predict", predictor)
     x = np.asarray(x)
@@ -77,7 +82,8 @@ def evaluate(predictor, x: np.ndarray, y: np.ndarray,
     if y.shape[0] != n:
         raise DimensionError(f"{n} inputs but {y.shape[0]} targets")
     batches = list(fan_out(_score_batch, range(0, n, batch_size), predict, x, y,
-                           batch_size, died="an evaluate worker process died"))
+                           batch_size, died="an evaluate worker process died",
+                           most_workers=n // batch_size))
     per_mse = np.concatenate([mse for mse, _ in batches])
     per_mae = np.concatenate([mae for _, mae in batches])
     bad = ~np.isfinite(per_mse)

@@ -48,18 +48,20 @@ def _run(item):
     return task(*shared, item)
 
 
-def fan_out(task, items, *shared, died: str):
+def fan_out(task, items, *shared, died: str, most_workers=None):
     """Yield `task(*shared, item)` for each of the sized `items`, in order.
 
-    One item, one CPU, no `fork`, or a call inside a worker runs every
-    item in this process, without a pool. Otherwise a pool of forked
-    workers (`_worker_count`) runs them. An exception a task raises reaches
-    the caller with its class and message; the first one, or a consumer
-    that stops early, cancels the items still queued, and every worker is
-    reaped before the exception or the close goes on. A worker that dies
-    raises `WorkerDiedError` with the message `died`.
+    One item, one CPU, `most_workers` below 2, no `fork`, or a call inside
+    a worker runs every item in this process, without a pool. Otherwise a
+    pool of forked workers (`_worker_count`, at most `most_workers`) runs
+    them. An exception a task raises reaches the caller with its class and
+    message; the first one, or a consumer that stops early, cancels the
+    items still queued, and every worker is reaped before the exception or
+    the close goes on. A worker that dies raises `WorkerDiedError` with the
+    message `died`.
     """
-    workers = _worker_count(len(items))
+    workers = _worker_count(len(items) if most_workers is None
+                            else min(len(items), most_workers))
     if workers <= 1:
         for item in items:
             yield task(*shared, item)

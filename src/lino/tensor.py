@@ -35,6 +35,7 @@ keeps every vjp a plain shape-preserving expression.
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Callable, Optional, Sequence
 
@@ -61,8 +62,10 @@ def _active_tape() -> Optional["Tape"]:
 
 def _check_finite(data: np.ndarray, op: str) -> None:
     # a NaN or an infinity makes the sum non-finite; finite values whose sum
-    # overflows take the elementwise check
-    if not np.isfinite(data.sum()) and not np.isfinite(data).all():
+    # overflows take the elementwise check. The ufunc reduce and
+    # `math.isfinite` skip the Python layers of `ndarray.sum` and a numpy
+    # scalar test
+    if not math.isfinite(np.add.reduce(data, axis=None)) and not np.isfinite(data).all():
         raise NonFiniteError(f"{op}: non-finite values in output")
 
 
@@ -258,9 +261,11 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     return _record(y, parents, vjp, "linear")
 
 
-# Bytes per column-block buffer of the conv forward. A block's input,
-# accumulator and product buffers (1.5 MiB) fit a 2 MiB L2 cache; 512 KiB
-# was the fastest size in a sweep from 32 KiB to 1 MiB at D=256 and D=512.
+# Bytes per column-block buffer of the blocked conv forward, in either
+# block layout: 256 columns of one channel, or 36 windows of 7 channels
+# (252 columns), at D = 256. A block's input, accumulator and product
+# buffers (1.5 MiB) fit a 2 MiB L2 cache; 512 KiB was the fastest size in a
+# sweep from 32 KiB to 1 MiB at D=256 and D=512 (whole-channel blocks).
 _CONV_BLOCK_BYTES = 1 << 19
 
 # Most columns (rows of D values, one per window and channel) that the conv
@@ -274,6 +279,14 @@ _CONV_TOEPLITZ_COLS = 8
 # terms (512 KiB) stays in L2; 128 beat 32, 64 and untiled at D=256 and
 # D=512.
 _CONV_TOEPLITZ_TILE = 128
+
+# Least values per channel (windows times D) for which the blocked loop
+# takes one channel per block; below it, blocks hold whole rows of channels.
+# In a sweep over C = 3, 7, 21, D = 16 to 512 and 5 to 512 windows, one
+# channel per block won at 55 of the 57 shapes from 16384 values and was
+# within 5% at the other two; at 8192 and below it lost by up to 1.5x at
+# D >= 64 and up to 10x at D = 16, C = 21 (BENCH_convchan.json).
+_CONV_CHANNEL_MIN = 16384
 
 
 def _conv_block_width(c: int, d: int) -> int:
@@ -319,30 +332,50 @@ def _conv_blocked(rows, pd, bd, out_rows) -> None:
     """The conv forward in position-major blocks of columns.
 
     Blocks of columns are copied into [D, width] buffers sized by
-    `_CONV_BLOCK_BYTES`. Each k step is then one contiguous multiply into a
-    reused product buffer and one contiguous add into rows k.. of the
-    accumulator. A block's width is a multiple of C, so one [D, width] tile
-    of the kernel serves every block.
+    `_CONV_BLOCK_BYTES`. Each k step is then one contiguous multiply of
+    rows ..D-k of the block by a factor into a reused product buffer, and
+    one contiguous add into rows k.. of the accumulator.
+
+    When each channel has at least `_CONV_CHANNEL_MIN` values (windows
+    times D), a block holds the columns of one channel and the factor is
+    the Python float phi[c, k], so the multiply is one 1-d loop. Below
+    that, C times as many blocks would cost more calls than they save, and
+    a block holds whole rows of channels (its width a multiple of C, so
+    every block starts at channel 0): the factor is then the row
+    phi[j % C, k] over the block's columns j, broadcast over its rows.
     """
     cols, d = rows.shape
     c = len(pd)
-    width = min(_conv_block_width(c, d), cols)
-    kern = np.tile(pd.T, width // c)  # kern[k, j] = phi[j % C, k]
-    bias = np.tile(bd, width // c)
+    n = cols // c
+    if n * d >= _CONV_CHANNEL_MIN:
+        width = min(max(1, _CONV_BLOCK_BYTES // (d * 8)), n)  # 8 bytes a value
+        # channel-major [C, N, D] views of the input and output columns
+        src = rows.reshape(n, c, d).transpose(1, 0, 2)
+        dst = out_rows.reshape(n, c, d).transpose(1, 0, 2)
+        blocks = [(src[ci, j : j + width], dst[ci, j : j + width],
+                   pd[ci].tolist(), float(bd[ci]))
+                  for ci in range(c) for j in range(0, n, width)]
+    else:
+        width = min(_conv_block_width(c, d), cols)
+        kern = np.tile(pd.T, width // c)  # kern[k, j] = phi[j % C, k]
+        bias = np.tile(bd, width // c)
+        blocks = [(rows[j : j + width], out_rows[j : j + width],
+                   kern[:, : min(width, cols - j)], bias[: min(width, cols - j)])
+                  for j in range(0, cols, width)]
     # one allocation: three separate buffers raised the peak RSS of a
     # paper-shape training run by about 5%
     x_buf, acc_buf, prod_buf = np.empty((3, d * width))
-    for j in range(0, cols, width):
-        w = min(width, cols - j)
+    for src_cols, dst_cols, factor, beta in blocks:
+        w = len(src_cols)
         x = x_buf[: d * w].reshape(d, w)
         acc = acc_buf[: d * w].reshape(d, w)
         prod = prod_buf[: d * w].reshape(d, w)
-        np.copyto(x, rows[j : j + w].T)
+        np.copyto(x, src_cols.T)
         acc.fill(0)
         for k in range(d):
-            np.multiply(kern[k, :w], x[: d - k], out=prod[: d - k])
+            np.multiply(x[: d - k], factor[k], out=prod[: d - k])
             np.add(acc[k:], prod[: d - k], out=acc[k:])
-        np.add(acc, bias[:w], out=out_rows[j : j + w].T)
+        np.add(acc, beta, out=dst_cols.T)
 
 
 def _conv_operator(pd: np.ndarray) -> np.ndarray:
@@ -375,7 +408,11 @@ def causal_depthwise_conv(h: Tensor, phi: Tensor, beta: Tensor) -> Tensor:
       over every term of the tile's outputs, zero terms above the diagonal
       included;
     * a wider unrecorded call, the blocked loop (`_conv_blocked`): 2·D
-      numpy calls per block of columns, each over the terms of one k.
+      numpy calls per block of columns, each over the terms of one k. A
+      block holds one channel's columns once a channel has
+      `_CONV_CHANNEL_MIN` values, so each k step multiplies by one float;
+      narrower inputs keep blocks of whole channels, multiplied by a row
+      of kernel values.
 
     The two unrecorded forms compute every output element as a
     brute-force (c, d, k) loop does, bitwise: an accumulator starts at
@@ -393,10 +430,14 @@ def causal_depthwise_conv(h: Tensor, phi: Tensor, beta: Tensor) -> Tensor:
     Between the loop forms, the Toeplitz form does up to twice the
     arithmetic of the loop but makes far fewer calls, so it wins while
     per-call cost dominates; a crossover sweep over the column count at
-    D = 16 to 512 set the bound (BENCH_serve.json). The GEMM form beats
-    the blocked loop at training widths, where the loop is bound by
-    memory traffic: at (32, 7, 256), one BLAS thread, 1.6 against 8.6 ms
-    per call (BENCH_convgemm.json).
+    D = 16 to 512 set the bound (BENCH_serve.json). In the blocked loop,
+    a row multiply runs one short broadcast row at a time, about 3x the
+    cost of the same multiply by a scalar, so one-channel blocks halve an
+    eval call at (256, 7, 256): 62-68 against 34-41 ms, one thread
+    (BENCH_convchan.json). The GEMM form beats the blocked loop at
+    training widths, where the loop is bound by memory traffic: at
+    (32, 7, 256), one BLAS thread, 1.6 against 8.6 ms per call
+    (BENCH_convgemm.json).
 
     The backward agrees with the k-loop adjoint to rounding: the input
     gradient multiplies by each channel's Toeplitz operator, and the
@@ -507,8 +548,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         raise DimensionError(
             f"layer_norm: affine shapes {gamma.shape}/{beta.shape} != ({d},)")
     xd = x.data
-    mu = xd.mean(axis=-1, keepdims=True)
-    var = ((xd - mu) ** 2).mean(axis=-1, keepdims=True)
+    # np.add.reduce(...) / d is what `.mean` computes, bit for bit, without
+    # its Python wrapper
+    mu = np.add.reduce(xd, axis=-1, keepdims=True) / d
+    var = np.add.reduce((xd - mu) ** 2, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (xd - mu) * inv
     y = xhat * gamma.data + beta.data
@@ -517,8 +560,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         gxhat = g * gamma.data
         gx = inv * (
             gxhat
-            - gxhat.mean(axis=-1, keepdims=True)
-            - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True)
+            - np.add.reduce(gxhat, axis=-1, keepdims=True) / d
+            - xhat * (np.add.reduce(gxhat * xhat, axis=-1, keepdims=True) / d)
         )
         lead = tuple(range(g.ndim - 1))
         ggamma = (g * xhat).sum(axis=lead)

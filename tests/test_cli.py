@@ -420,8 +420,41 @@ def test_summary_ends_with_machine_line(ablate_dir, noise_dirs):
         assert last.startswith(f"machine: numpy {np.__version__}, blas ")
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             assert f"{var}=" in last
+        assert f", simd {cli._simd_targets()}, blas core {cli._blas_core()}, " in last
         for table in outd.glob("*.csv"):
             assert "machine" not in table.read_text()
+
+
+def test_simd_field_names_dispatched_targets_the_cpu_has():
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    simd = cli._simd_targets().split()
+    assert simd == [t for t in __cpu_dispatch__ if __cpu_features__.get(t)] or simd == ["none"]
+
+
+def test_blas_core_field(monkeypatch):
+    """OpenBLAS names its runtime core; with no loaded library to ask, the
+    field reads `unknown`."""
+    core = cli._blas_core()
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    if "openblas" in blas and sys.platform.startswith("linux"):
+        assert re.fullmatch(r"[A-Za-z0-9_]+", core) and core != "unknown"
+
+    def no_maps(*args, **kwargs):
+        raise OSError("no process maps")
+
+    monkeypatch.setattr(cli, "open", no_maps, raising=False)
+    assert cli._blas_core() == "unknown"
+
+
+def test_checkpoint_extra_carries_machine_line(trained_run):
+    tmp, _ = trained_run
+    _, _, extra = load_checkpoint(str(tmp / "r" / "checkpoint"))
+    assert extra["machine"] == cli._machine()
+    summary = (tmp / "r" / "summary.txt").read_text().splitlines()
+    assert summary[-1] == f"machine: {extra['machine']}"
 
 
 @pytest.fixture(scope="module")
@@ -725,12 +758,14 @@ class TestFanOut:
             assert run(["train", "--config", cfg, "--out", str(outd), "--unsafe-grid"]) == 0
             outputs[workers] = {p.name: p.read_bytes() for p in sorted(outd.iterdir())
                                 if p.name != "summary.txt"}
-            # two validation batches, then three test batches
+            # two validation batches, then three test batches; the
+            # validation split holds one full batch, so it stays in-process
             pids = fit_pids(log)
             if workers == 1:
                 assert pids == [os.getpid()] * 5
             else:
-                assert len(pids) == 5 and os.getpid() not in pids
+                assert pids[:2] == [os.getpid()] * 2
+                assert len(pids) == 5 and os.getpid() not in pids[2:]
         assert outputs[1] == outputs[2]
 
     def test_predicts_run_in_their_fit_worker(self, tmp_path, capsys, monkeypatch):

@@ -179,6 +179,22 @@ class TestEvaluateFanOut:
         evaluate(pid_logging(last_value_predictor, log), x, y, batch_size=40)
         assert logged_pids(log) == [os.getpid()]
 
+    @pytest.mark.parametrize("n, fanned", [(15, False), (16, True), (23, True)])
+    def test_one_worker_per_full_batch(self, tmp_path, monkeypatch, n, fanned):
+        """A split of one full batch and a short one starts no child, even
+        with workers forced; two full batches fan out."""
+        force_workers(monkeypatch, 4)
+        x, y = self._windows(n)
+        log = tmp_path / "pids.log"
+        evaluate(pid_logging(last_value_predictor, log), x, y, batch_size=8)
+        pids = logged_pids(log)
+        assert len(pids) == -(-n // 8)
+        if fanned:
+            assert os.getpid() not in pids
+        else:
+            assert set(pids) == {os.getpid()}
+        assert not multiprocessing.active_children()
+
 
 class TestReport:
     def _report(self):

@@ -171,14 +171,26 @@ class TestCausalConv:
         assert np.array_equal(out.data, ref)
 
     @staticmethod
-    def _case(name):
+    def _case(name, monkeypatch):
         """(h, phi, beta) for one forward case."""
         rng = np.random.default_rng(zlib.crc32(name.encode()))
         if name == "blocks":
-            # two full column blocks plus a remainder of one channel row
+            # whole-channel blocks: two full column blocks plus a remainder
+            # of one channel row
             c, d = 3, 4
+            monkeypatch.setattr(T, "_CONV_BLOCK_BYTES", c * d * 8 * 10)
             n = 2 * T._conv_block_width(c, d) // c + 1
             h = rng.normal(size=(n, c, d))
+        elif name == "channel_blocks":
+            # one-channel blocks of 100 columns: ten full blocks and a
+            # remainder of 25 per channel
+            c, d = 3, 16
+            monkeypatch.setattr(T, "_CONV_BLOCK_BYTES", d * 8 * 100)
+            h = rng.normal(size=(T._CONV_CHANNEL_MIN // d + 1, c, d))
+        elif name == "below_channel_rule":
+            # one window short of one-channel blocks: whole-channel blocks
+            c, d = 2, 16
+            h = rng.normal(size=(T._CONV_CHANNEL_MIN // d - 1, c, d))
         elif name == "d256":
             c, d = 2, 256
             h = rng.normal(size=(1, c, d))
@@ -205,25 +217,30 @@ class TestCausalConv:
             h = rng.normal(size=(T._CONV_TOEPLITZ_COLS + 1, c, d))
         phi = rng.normal(size=(c, d))
         beta = rng.normal(size=(c,))
-        if name == "window_2d":
+        if name in ("window_2d", "channel_blocks"):
             # channel 0: input -0.0, kernel positive, bias -0.0. Every term
             # is -0.0, so the loop's sum, started at +0.0, is +0.0; a sum
             # started from its first term would end at -0.0
-            h[0] = -0.0
+            h[..., 0, :] = -0.0
             phi[0] = np.abs(phi[0])
             beta[0] = -0.0
         return h, phi, beta
 
-    @pytest.mark.parametrize("name", ["blocks", "d256", "batch1", "transposed",
+    @pytest.mark.parametrize("name", ["blocks", "channel_blocks", "below_channel_rule",
+                                      "d256", "batch1", "transposed",
                                       "window_transposed", "window_2d",
                                       "widest_toeplitz", "narrowest_blocked"])
     def test_blocked_forward_matches_reference_bitwise(self, name, monkeypatch):
         """Both forward forms, the Toeplitz form (at most
-        `_CONV_TOEPLITZ_COLS` columns) and the blocked loop, agree with the
-        triple loop exactly, sign of zero included."""
-        h, phi, beta = self._case(name)
-        wide = ("blocks", "transposed", "narrowest_blocked")
+        `_CONV_TOEPLITZ_COLS` columns) and the blocked loop in either block
+        layout, agree with the triple loop exactly, sign of zero included."""
+        h, phi, beta = self._case(name, monkeypatch)
+        wide = ("blocks", "channel_blocks", "below_channel_rule", "transposed",
+                "narrowest_blocked")
         form = "_conv_blocked" if name in wide else "_conv_toeplitz"
+        windows = h.size // h.shape[-1] // h.shape[-2]
+        one_channel = windows * h.shape[-1] >= T._CONV_CHANNEL_MIN
+        assert one_channel == (name == "channel_blocks")
         called = []
         helper = getattr(T, form)
 
@@ -240,6 +257,42 @@ class TestCausalConv:
         assert np.array_equal(np.signbit(out), np.signbit(ref))
         for arr, copy in zip((h, phi, beta), before):
             assert np.array_equal(arr, copy)
+
+    @pytest.mark.parametrize("n", [256, 300])
+    def test_block_layouts_agree_bitwise_at_paper_shape(self, n, monkeypatch):
+        """At paper shape (7 channels, D = 256) the triple loop is too slow,
+        so the one-channel layout is checked against the whole-channel one,
+        forced through the rule's constant: both are bitwise the loop, so
+        they agree exactly. 300 windows leave a remainder block."""
+        rng = np.random.default_rng(n)
+        h = rng.normal(size=(n, 7, 256))
+        h[:, 3] = -0.0
+        phi, beta = rng.normal(size=(7, 256)), rng.normal(size=(7,))
+        beta[3] = -0.0
+        outs = []
+        for rule in (0, h.size + 1):
+            monkeypatch.setattr(T, "_CONV_CHANNEL_MIN", rule)
+            outs.append(T.causal_depthwise_conv(Tensor(h), Tensor(phi), Tensor(beta)).data)
+        assert outs[0].tobytes() == outs[1].tobytes()
+
+    def test_moving_average_in_one_channel_blocks(self):
+        """A uniform k = 4 kernel through one-channel blocks is bitwise the
+        scalar moving-average loop, ascending taps from +0.0."""
+        k, c, d = 4, 2, 64
+        n = T._CONV_CHANNEL_MIN // d + 1
+        h = np.random.default_rng(4).normal(size=(n, c, d))
+        phi = np.zeros((c, d))
+        phi[:, :k] = 1.0 / k
+        out = T.causal_depthwise_conv(Tensor(h), Tensor(phi), Tensor(np.zeros(c))).data
+        want = np.zeros_like(h)
+        for w in range(n):
+            for ci in range(c):
+                for dpos in range(d):
+                    acc = 0.0
+                    for kk in range(min(dpos + 1, k)):
+                        acc += (1.0 / k) * h[w, ci, dpos - kk]
+                    want[w, ci, dpos] = acc
+        assert np.array_equal(out, want)
 
     def test_channels_independent(self):
         rng = np.random.default_rng(5)
