@@ -9,7 +9,6 @@ seeds, and input files: metric files rerun bitwise identical.
 import argparse
 import contextlib
 import csv
-import itertools
 import math
 import os
 import sys
@@ -268,19 +267,6 @@ def _write_text(path: str, text: str) -> None:
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _simd_targets() -> str:
-    """The SIMD targets numpy dispatches to on this CPU, space-separated.
-    Kernels such as `np.exp` give different bits on different targets."""
-    try:
-        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-    except ImportError:
-        try:  # numpy 1.x
-            from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-        except ImportError:
-            return "unknown"
-    return " ".join(t for t in __cpu_dispatch__ if __cpu_features__.get(t)) or "none"
-
-
 def _blas_core() -> str:
     """The core type OpenBLAS picked at run time, or `unknown` when no
     loaded library answers under one of its known symbol names."""
@@ -309,11 +295,15 @@ def _machine() -> str:
     """The numpy and BLAS build, the CPU's numpy SIMD targets and OpenBLAS
     core, and the BLAS thread settings: everything besides the config,
     seeds and batch layout that a run's bits depend on."""
-    deps = np.show_config(mode="dicts").get("Build Dependencies", {})
-    blas = deps.get("blas", {})
+    config = np.show_config(mode="dicts")
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    # the targets numpy dispatches to on this CPU: kernels such as `np.exp`
+    # give different bits on different targets
+    simd = config.get("SIMD Extensions", {}).get("found")
+    simd = "unknown" if simd is None else " ".join(simd) or "none"
     threads = " ".join(f"{var}={os.environ.get(var, 'unset')}" for var in _THREAD_VARS)
     return (f"numpy {np.__version__}, blas {blas.get('name', 'unknown')} "
-            f"{blas.get('version', 'unknown')}, simd {_simd_targets()}, "
+            f"{blas.get('version', 'unknown')}, simd {simd}, "
             f"blas core {_blas_core()}, {threads}")
 
 
@@ -350,11 +340,12 @@ class Fit(NamedTuple):
                          self.metrics.mae, self.runtime)
 
 
-def _fit(rc: RunConfig, prep, channels: int, combo) -> Fit:
+def _fit(rc: RunConfig, preps: dict, channels: int, combo) -> Fit:
     """Train and test the model of one (variant, ablation, horizon, seed,
-    alpha) combo on the prepared split set of its horizon."""
+    alpha) combo on the prepared split set of its horizon in `preps`."""
     variant, ablation, horizon, seed, alpha = combo
     config, tcfg = rc.fit_configs(channels, combo)
+    prep = preps[horizon]
     started = time.time()
     result = train(*prep.train, *prep.val, config, tcfg)
     try:
@@ -369,20 +360,19 @@ def _fits(rc: RunConfig, combos):
     """Train and test one model per (variant, ablation, horizon, seed,
     alpha) combo and yield each `Fit` in combo order.
 
-    The values load once and the run directory is created before the
-    first fit. The combos are walked in maximal runs that share a horizon;
-    `prepare` runs once per run, and a run's split set is dropped before
-    the next is built, so at most one prepared set is alive at a time. The
-    fits of a run fan out over forked workers (`fan_out`); the first
-    failure, or a consumer that stops early, cancels the fits still
-    queued.
+    The values load once and `prepare` runs once per horizon, all before
+    the run directory is created: a horizon too long for the series ends
+    the run before any fit. The split sets are views of one standardised
+    series each, so all of them stay alive while every fit of the run fans
+    out over one pool of forked workers (`fan_out`); the first failure, or
+    a consumer that stops early, cancels the fits still queued.
     """
     values = rc.load_values()
     spec = rc.split_spec()
+    preps = {h: prepare(values, spec, rc.lookback, h) for h in rc.horizons}
     os.makedirs(rc.run_dir(), exist_ok=True)
-    for horizon, run in itertools.groupby(combos, key=lambda combo: combo[2]):
-        yield from fan_out(_fit, list(run), rc, prepare(values, spec, rc.lookback, horizon),
-                           values.shape[1], died="a fit worker process died")
+    yield from fan_out(_fit, combos, rc, preps, values.shape[1],
+                       died="a fit worker process died")
 
 
 # ---------------------------------------------------------------------------

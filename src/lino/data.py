@@ -11,7 +11,11 @@ Conventions that matter and are easy to get wrong elsewhere:
   span; the same (mu, sigma) transform the whole series;
 * a window pair is x = values[s : s+T] and y = values[s+T : s+T+F], both
   transposed to channel-major, and every point of both lies inside the
-  (context-extended) span, so no window leaks across a split boundary.
+  (context-extended) span, so no window leaks across a split boundary;
+* windows are read-only views of the series they are cut from, not
+  copies: a prepared split set holds the standardised series once, and a
+  consumer that needs contiguous data (`model.forward`) copies the one
+  batch it is given.
 """
 
 from __future__ import annotations
@@ -216,24 +220,24 @@ def make_windows(values: np.ndarray, span: Span, lookback: int, horizon: int):
     """All (x, y) window pairs fully inside `span`, channel-major.
 
     Returns x [n, channels, lookback] and y [n, channels, horizon] with
-    n = len(span) - lookback - horizon + 1.
+    n = len(span) - lookback - horizon + 1: read-only views of `values`
+    that copy nothing. x[i] is values[s : s+T].T, so its points lie
+    `channels` elements apart in memory.
     """
     n = len(span) - lookback - horizon + 1
     if n < 1:
         raise DataError(
             f"span of {len(span)} points is shorter than lookback+horizon="
             f"{lookback + horizon}")
-    # sliding_window_view(..., axis=0)[i] is values[i : i + w].T, a
-    # read-only view; np.array makes each side one contiguous float64 copy
-    xs = sliding_window_view(values[span.start:span.stop - horizon], lookback, axis=0)
-    ys = sliding_window_view(values[span.start + lookback:span.stop], horizon, axis=0)
-    return (np.array(xs, dtype=np.float64, order="C"),
-            np.array(ys, dtype=np.float64, order="C"))
+    # sliding_window_view(..., axis=0)[i] is values[i : i + w].T
+    return (sliding_window_view(values[span.start:span.stop - horizon], lookback, axis=0),
+            sliding_window_view(values[span.start + lookback:span.stop], horizon, axis=0))
 
 
 @dataclass
 class PreparedData:
-    """(x, y) window pairs of the standardised series for each split."""
+    """(x, y) window pairs of the standardised series for each split,
+    all views of one array (`make_windows`)."""
 
     train: tuple
     val: tuple
@@ -243,7 +247,8 @@ class PreparedData:
 def prepare(values: np.ndarray, spec: SplitSpec, lookback: int,
             horizon: int) -> PreparedData:
     """Window each split of `values` standardised with train-span
-    statistics (`standardize`)."""
+    statistics (`standardize`). The standardised series is the only array
+    this keeps; the windows of all three splits are views of it."""
     splits = chrono_split(len(values), spec, lookback)
     std, _, _ = standardize(values, splits.train)
     return PreparedData(

@@ -5,7 +5,7 @@ item, in item order. The fits of a run and the batches of `evaluate` both
 go through it.
 
 Workers are forked, once per call, from the process as it is at the call:
-fork hands each worker `shared` (the prepared split set, the model's
+fork hands each worker `shared` (the prepared split sets, the model's
 parameters), the numpy/BLAS state and the thread settings of this process
 without pickling them, so a worker computes the bits an in-process call
 would, and starts without the numpy import a `spawn` worker pays. Only the

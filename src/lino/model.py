@@ -391,9 +391,11 @@ def forward(x, params: dict, config: LiNoConfig, mode: str = "eval",
             rng: Optional[np.random.Generator] = None,
             projections: Optional[tuple] = None) -> ForwardResult:
     """Full pass on raw windows [..., channels, lookback]; `projections`
-    as in `forward_normalized`. Windows of any real dtype are normalised in
-    float64."""
-    x = np.asarray(x, dtype=np.float64)
+    as in `forward_normalized`. Windows of any real dtype and layout are
+    made one contiguous float64 batch first (a copy unless they are one
+    already), so strided views of a series (`data.make_windows`) give the
+    bits their contiguous copy would."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
     xn, stats = revin_normalize(x)
     y_norm, trace = forward_normalized(Tensor(xn), params, config, mode, rng,
                                        projections)

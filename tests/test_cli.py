@@ -420,18 +420,31 @@ def test_summary_ends_with_machine_line(ablate_dir, noise_dirs):
         assert last.startswith(f"machine: numpy {np.__version__}, blas ")
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             assert f"{var}=" in last
-        assert f", simd {cli._simd_targets()}, blas core {cli._blas_core()}, " in last
+        simd = " ".join(np.show_config(mode="dicts")["SIMD Extensions"]["found"])
+        assert f", simd {simd or 'none'}, blas core {cli._blas_core()}, " in last
         for table in outd.glob("*.csv"):
             assert "machine" not in table.read_text()
 
 
-def test_simd_field_names_dispatched_targets_the_cpu_has():
+def simd_field(line):
+    return line.split(", simd ", 1)[1].split(", blas core ", 1)[0]
+
+
+def test_simd_field_names_dispatched_targets_the_cpu_has(monkeypatch):
+    """The field is numpy's own list of the dispatch targets this CPU has:
+    `none` when it is empty, `unknown` when numpy does not report it."""
     try:
         from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
     except ImportError:  # numpy 1.x
         from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-    simd = cli._simd_targets().split()
+    simd = simd_field(cli._machine()).split()
     assert simd == [t for t in __cpu_dispatch__ if __cpu_features__.get(t)] or simd == ["none"]
+
+    config = np.show_config(mode="dicts")
+    for extensions, want in (({"found": []}, "none"), ({}, "unknown")):
+        monkeypatch.setattr(np, "show_config", lambda mode, e=extensions: {
+            **config, "SIMD Extensions": e})
+        assert simd_field(cli._machine()) == want
 
 
 def test_blas_core_field(monkeypatch):
@@ -691,6 +704,41 @@ class TestFanOut:
         pids = fit_pids(log)
         assert len(pids) == 6 and os.getpid() not in pids
         assert len(set(pids)) >= 2
+
+    def test_horizons_share_one_pool(self, tmp_path, capsys, monkeypatch):
+        """The fits of two horizons run side by side, in two workers of one
+        pool, and write the bytes of an in-process run."""
+        log = tmp_path / "fits.log"
+        logging_train(monkeypatch, log)
+        cfg = write_cfg(tmp_path / "t.cfg", **{**TINY, "horizons": "8, 12"})
+        outputs = {}
+        for workers in (1, 2):
+            force_workers(monkeypatch, workers)
+            outd = tmp_path / f"w{workers}"
+            assert run(["train", "--config", cfg, "--out", str(outd),
+                        "--unsafe-grid"]) == 0
+            outputs[workers] = {p.name: p.read_bytes() for p in sorted(outd.iterdir())
+                                if p.name != "summary.txt"}
+        pids = fit_pids(log)
+        assert pids[:2] == [os.getpid()] * 2
+        assert len(set(pids[2:])) == 2 and os.getpid() not in pids[2:]
+        assert sorted(outputs[1]) == ["checkpoint_h12_s1", "checkpoint_h8_s1",
+                                      "history.csv", "report.csv"]
+        assert outputs[1] == outputs[2]
+
+    def test_too_long_horizon_exits_3_before_any_fit(self, tmp_path, capsys,
+                                                     monkeypatch):
+        """Every horizon is prepared before the first fit starts: a second
+        horizon longer than the validation split leaves no fit, no
+        checkpoint and no run directory behind."""
+        log = tmp_path / "fits.log"
+        logging_train(monkeypatch, log)
+        force_workers(monkeypatch, 2)
+        cfg = write_cfg(tmp_path / "t.cfg", **{**TINY, "horizons": "8, 40"})
+        out = tmp_path / "r"
+        assert run(["train", "--config", cfg, "--out", str(out), "--unsafe-grid"]) == 3
+        assert "shorter than lookback+horizon=56" in capsys.readouterr().err
+        assert not log.exists() and not out.exists()
 
     def test_single_combo_fits_in_process(self, tmp_path, capsys, monkeypatch):
         log = tmp_path / "fits.log"

@@ -9,7 +9,9 @@ import pytest
 from helpers import check_gradients, randomized_params
 
 import lino.tensor as T
+from lino.data import SplitSpec, prepare
 from lino.errors import ConfigError
+from lino.evaluate import evaluate
 from lino.model import (ABLATIONS, REVIN_EPS, VARIANTS, Forecaster, LiNoConfig,
                         build_projections, forward, forward_normalized,
                         init_params, li_block, no_block, no_projection,
@@ -507,6 +509,26 @@ class TestForecaster:
         y = model.predict(x)
         assert y.dtype == np.float64
         assert np.array_equal(y, model.predict(x.astype(np.float64)))
+
+    def test_strided_windows_forecast_as_their_contiguous_copy(self):
+        """Prepared windows are strided views of the series; `forward`
+        copies the batch it is given into one contiguous array, so a view
+        and its contiguous copy forecast the same bits, and score the same
+        per-window errors through `evaluate`, short last batch included."""
+        cfg = LiNoConfig(channels=3, lookback=24, horizon=8, dim=16, blocks=2)
+        model = Forecaster(randomized_params(cfg, seed=3), cfg)
+        values = np.random.default_rng(3).normal(size=(900, 3))
+        x, y = prepare(values, SplitSpec(ratios=(0.5, 0.1, 0.4)), 24, 8).test
+        batch = x[5:65:3]
+        assert not batch.flags.c_contiguous
+        assert np.array_equal(model.predict(batch),
+                              model.predict(np.ascontiguousarray(batch)))
+        assert not y.flags.c_contiguous and len(y) % 64
+        views = evaluate(model, x, y, batch_size=64)
+        copies = evaluate(model, np.ascontiguousarray(x), np.ascontiguousarray(y),
+                          batch_size=64)
+        assert views.per_window_mse.tobytes() == copies.per_window_mse.tobytes()
+        assert views.per_window_mae.tobytes() == copies.per_window_mae.tobytes()
 
     def test_input_shape_validated(self):
         cfg = tiny_config()
