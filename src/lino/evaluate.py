@@ -226,7 +226,7 @@ def no_block_map(params: dict, config: LiNoConfig, level: int) -> Callable:
 
     def f(vec):
         r = Tensor(np.reshape(vec, (c, d)))
-        return no_block(r, sc, projection, config, "eval").data.reshape(-1)
+        return no_block(r, sc, projection, config).data.reshape(-1)
 
     return f
 

@@ -220,8 +220,7 @@ def build_projections(params: dict, config: LiNoConfig) -> tuple:
                  for i in range(config.blocks))
 
 
-def no_block(r: Tensor, p: dict, projection: tuple, config: LiNoConfig,
-             mode: str, rng: Optional[np.random.Generator] = None) -> Tensor:
+def no_block(r: Tensor, p: dict, projection: tuple, config: LiNoConfig) -> Tensor:
     """Nonlinear pattern extractor.
 
     `p` holds this block's parameters under local names (see
@@ -318,7 +317,7 @@ def _forward_lino(h, params, projections, config, mode, rng):
             no_pat, no_pred = _zeros_like(r), None
             h = r
         else:
-            no_pat = no_block(r, scoped(sc, "no"), projections[i], config, mode, rng)
+            no_pat = no_block(r, scoped(sc, "no"), projections[i], config)
             no_pred = linear(no_pat, sc["no_head.w"], sc["no_head.b"])
             h = sub(r, no_pat)
             terms.append(no_pred)
@@ -336,7 +335,7 @@ def _forward_mu(h, params, projections, config, mode, rng):
     for i in range(config.blocks):
         sc = scoped(params, f"level{i}")
         li_pat = li_block(h, sc["li.phi"], sc["li.beta"], config.dropout, mode, rng)
-        no_pat = no_block(li_pat, scoped(sc, "no"), projections[i], config, mode, rng)
+        no_pat = no_block(li_pat, scoped(sc, "no"), projections[i], config)
         pred = linear(no_pat, sc["no_head.w"], sc["no_head.b"])
         h = sub(h, no_pat)
         terms.append(pred)
@@ -353,7 +352,7 @@ def _forward_raw(h, params, projections, config, mode, rng):
     for i in range(config.blocks):
         sc = scoped(params, f"level{i}")
         li_pat = li_block(h, sc["li.phi"], sc["li.beta"], config.dropout, mode, rng)
-        no_pat = no_block(li_pat, scoped(sc, "no"), projections[i], config, mode, rng)
+        no_pat = no_block(li_pat, scoped(sc, "no"), projections[i], config)
         h = no_pat
         levels.append(LevelTrace(li_pat, no_pat, None, None))
     last = scoped(params, f"level{config.blocks - 1}")
@@ -370,7 +369,7 @@ def _forward_ln(h, params, projections, config, mode, rng):
         sc = scoped(params, f"level{i}")
         li_pat = li_block(h, sc["li.phi"], sc["li.beta"], config.dropout, mode, rng)
         li_pred = linear(li_pat, sc["li_head.w"], sc["li_head.b"])
-        no_pat = no_block(li_pat, scoped(sc, "no"), projections[i], config, mode, rng)
+        no_pat = no_block(li_pat, scoped(sc, "no"), projections[i], config)
         no_pred = linear(no_pat, sc["no_head.w"], sc["no_head.b"])
         h = no_pat
         terms.extend([li_pred, no_pred])

@@ -5,7 +5,8 @@ and is treated as an immutable value; a ``Tape`` records every primitive
 applied while it is active, in creation order, which is already a valid
 topological order of the computation graph. ``backward`` walks that record
 once in reverse, accumulating vector-Jacobian products into one gradient
-per leaf, and returns them.
+per leaf, and returns them. Tapes nest: exiting one restores the tape it
+was opened inside.
 
 Two properties the rest of the package leans on:
 
@@ -36,7 +37,6 @@ keeps every vjp a plain shape-preserving expression.
 from __future__ import annotations
 
 import math
-import threading
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -44,20 +44,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, NonFiniteError
 
-_local = threading.local()
-
-
-def _tape_stack() -> list:
-    stack = getattr(_local, "stack", None)
-    if stack is None:
-        stack = []
-        _local.stack = stack
-    return stack
-
-
-def _active_tape() -> Optional["Tape"]:
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+# The innermost open tape, or None: there is one slot per process, since no
+# thread ever opens a tape (fits and eval batches run in forked workers).
+_active: Optional["Tape"] = None
 
 
 def _check_finite(data: np.ndarray, op: str) -> None:
@@ -117,21 +106,23 @@ class _Node:
 class Tape:
     """Recording context. Node order is creation order, hence topological.
 
-    A tape is confined to the thread that opens it; tensors themselves are
-    plain values and can cross threads freely.
+    Tapes nest: entering one saves the tape it opens inside, and exiting
+    it restores that outer one. A tape is open at most once at a time.
     """
 
     def __init__(self):
         self.nodes: list[_Node] = []
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        global _active
+        self._outer, _active = _active, self
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        popped = _tape_stack().pop()
-        if popped is not self:
-            raise RuntimeError("tape stack corrupted: exited a tape that is not innermost")
+        global _active
+        if _active is not self:
+            raise RuntimeError("tapes out of order: exited a tape that is not innermost")
+        _active = self._outer
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -140,10 +131,7 @@ class Tape:
 def _recording_tape(parents: Sequence[Tensor]) -> Optional[Tape]:
     """The tape an op on `parents` is recorded on: the active tape, if one
     is active and some parent requires grad; else None."""
-    tape = _active_tape()
-    if tape is not None and any(p.requires_grad for p in parents):
-        return tape
-    return None
+    return _active if _active is not None and any(p.requires_grad for p in parents) else None
 
 
 def _record(data: np.ndarray, parents: Sequence[Tensor], vjp: Callable, op: str) -> Tensor:

@@ -64,6 +64,10 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
 # unblocked is in BENCH_adam.json
 _ADAM_BLOCK = 1 << 15
 
+# Adam's moment decay rates and denominator offset, the usual defaults
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class AdamState:
@@ -100,11 +104,10 @@ class AdamState:
         return cls(0, values, np.zeros(size), np.zeros(size), grad, grad_views)
 
 
-def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
-              betas=(0.9, 0.999), eps: float = 1e-8) -> None:
-    """One bias-corrected Adam update, in place: `params` must be the dict
-    `state` was made from, and their values, `state.m` and `state.v`
-    change where they are.
+def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
+    """One bias-corrected Adam update with `ADAM_BETAS` and `ADAM_EPS`, in
+    place: `params` must be the dict `state` was made from, and their
+    values, `state.m` and `state.v` change where they are.
 
     The gradients gather into the flat buffer, a missing one as zero (that
     parameter holds still), and one finiteness check runs on their sum;
@@ -113,7 +116,7 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
     `_ADAM_BLOCK` elements, so each block stays in cache across the
     update's passes. Each op is elementwise and in the textbook
     order, so the result is bitwise the per-parameter update
-    `p - lr * (m / c1) / (sqrt(v / c2) + eps)`.
+    `p - lr * (m / c1) / (sqrt(v / c2) + ADAM_EPS)`.
     """
     for name in params:
         g = grads.get(name)
@@ -127,7 +130,7 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
         for name in params:
             if not np.isfinite(state.grad_views[name]).all():
                 raise NonFiniteError(f"adam_step: non-finite gradient for {name}")
-    b1, b2 = betas
+    b1, b2 = ADAM_BETAS
     state.step += 1
     c1, c2 = 1.0 - b1 ** state.step, 1.0 - b2 ** state.step
     size = state.values.size
@@ -147,7 +150,7 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
         delta *= lr
         np.divide(v, c2, out=den)
         np.sqrt(den, out=den)
-        den += eps
+        den += ADAM_EPS
         delta /= den
         p -= delta
 
@@ -165,7 +168,7 @@ class EarlyStopper:
 
     MIN_DELTA = 1e-7
 
-    def __init__(self, patience: int = 6):
+    def __init__(self, patience: int):
         self.patience = patience
         self.best: Optional[float] = None
         self.best_epoch = 0
@@ -347,8 +350,10 @@ def _current_fields(model: dict) -> dict:
 def load_checkpoint(path: str):
     """Read a checkpoint back as (config, params, extra).
 
-    Verifies the magic, the trailing checksum, and that the stored tensors
-    exactly match the stored configuration's declared shapes.
+    Verifies the magic, the trailing checksum, that the body parses to
+    its end (it can match its checksum and still be malformed), and that
+    the stored tensors exactly match the stored configuration's declared
+    shapes; each failure is a `CheckpointError` naming `path`.
     """
     if not os.path.exists(path):
         raise CheckpointError(f"checkpoint not found: {path}")
@@ -368,34 +373,42 @@ def load_checkpoint(path: str):
         off += size
         return vals if len(vals) > 1 else vals[0]
 
-    header_len = take("<Q")
-    header = json.loads(body[off:off + header_len].decode())
-    off += header_len
     try:
-        config = LiNoConfig(**_current_fields(header["model"]))
-    except (KeyError, TypeError, AttributeError, ConfigError) as exc:
-        raise CheckpointError(f"{path}: bad model header: {exc}") from None
-    count = take("<I")
-    shapes = param_shapes(config)
-    params = {}
-    for _ in range(count):
-        name_len = take("<H")
-        name = body[off:off + name_len].decode()
-        off += name_len
-        code, ndim = take("<BB")
-        dims = tuple(take("<Q") for _ in range(ndim))
-        if code != _FLOAT64_CODE:
-            raise CheckpointError(f"{path}: unknown dtype code {code} for {name}")
-        nbytes = 8 * int(np.prod(dims, dtype=np.int64))
-        arr = np.frombuffer(body[off:off + nbytes], dtype=_FLOAT64).reshape(dims)
-        off += nbytes
-        if name not in shapes:
-            raise CheckpointError(f"{path}: unexpected tensor {name!r}")
-        if dims != shapes[name]:
-            raise CheckpointError(
-                f"{path}: tensor {name} has shape {dims}, config requires {shapes[name]}")
-        params[name] = Tensor(arr.copy(), requires_grad=True)
+        header_len = take("<Q")
+        header = json.loads(body[off:off + header_len].decode())
+        off += header_len
+        extra = header["extra"]
+        try:
+            config = LiNoConfig(**_current_fields(header["model"]))
+        except (KeyError, TypeError, AttributeError, ConfigError) as exc:
+            raise CheckpointError(f"{path}: bad model header: {exc}") from None
+        count = take("<I")
+        shapes = param_shapes(config)
+        params = {}
+        for _ in range(count):
+            name_len = take("<H")
+            name = body[off:off + name_len].decode()
+            off += name_len
+            code, ndim = take("<BB")
+            dims = tuple(take("<Q") for _ in range(ndim))
+            if code != _FLOAT64_CODE:
+                raise CheckpointError(f"{path}: unknown dtype code {code} for {name}")
+            nbytes = 8 * int(np.prod(dims, dtype=np.int64))
+            arr = np.frombuffer(body[off:off + nbytes], dtype=_FLOAT64).reshape(dims)
+            off += nbytes
+            if name not in shapes:
+                raise CheckpointError(f"{path}: unexpected tensor {name!r}")
+            if dims != shapes[name]:
+                raise CheckpointError(
+                    f"{path}: tensor {name} has shape {dims}, config requires {shapes[name]}")
+            params[name] = Tensor(arr.copy(), requires_grad=True)
+    except CheckpointError:
+        raise
+    except (struct.error, ValueError, KeyError, TypeError) as exc:
+        raise CheckpointError(f"{path}: malformed checkpoint body: {exc}") from None
+    if off != len(body):
+        raise CheckpointError(f"{path}: {len(body) - off} bytes after the last tensor")
     missing = set(shapes) - set(params)
     if missing:
         raise CheckpointError(f"{path}: missing tensors {sorted(missing)[:3]}...")
-    return config, params, header["extra"]
+    return config, params, extra

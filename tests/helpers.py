@@ -1,6 +1,6 @@
 """Shared test utilities: finite-difference gradient checking, generic
-parameter points, a per-parameter reference Adam, checkpoint header and
-entry surgery, and a forced fan-out worker count.
+parameter points, a per-parameter reference Adam, checkpoint surgery that
+keeps the checksum matching, and a forced fan-out worker count.
 
 The checker is the independent oracle for every vjp in the engine: it
 perturbs raw numpy inputs of a pure forward function and compares central
@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,38 +130,70 @@ def check_gradients(op, arrays, tol=1e-4, h=1e-5, seed=0):
     return True
 
 
-def rewrite_model_header(path, change):
-    """Update the model header of the checkpoint at `path` with `change`
-    and rewrite the file with a matching checksum (layout in lino.train)."""
+class Entry(NamedTuple):
+    """Byte offsets of one tensor entry in a checkpoint: where it starts,
+    where its dtype code byte lies (ndim and dims follow it), and where
+    its payload stops."""
+
+    name: str
+    start: int
+    code: int
+    stop: int
+
+
+def checkpoint_layout(blob):
+    """Offsets in checkpoint bytes `blob` (layout in lino.train): the end
+    of the header, which is where the entry count lies, and one `Entry`
+    per tensor in file order."""
+    (size,) = struct.unpack_from("<Q", blob, 8)
+    off = 16 + size
+    (count,) = struct.unpack_from("<I", blob, off)
+    entries, at = [], off + 4
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<H", blob, at)
+        name = bytes(blob[at + 2:at + 2 + name_len]).decode()
+        code = at + 2 + name_len
+        ndim = blob[code + 1]
+        dims = struct.unpack_from(f"<{ndim}Q", blob, code + 2)
+        stop = code + 2 + 8 * ndim + 8 * int(np.prod(dims))
+        entries.append(Entry(name, at, code, stop))
+        at = stop
+    return off, entries
+
+
+def reseal(path, body):
+    """Write checkpoint `body` (everything but the checksum) to `path`
+    followed by its sha256, so it passes the integrity check."""
+    path.write_bytes(body + hashlib.sha256(body).digest())
+
+
+def rewrite_header(path, edit):
+    """Replace the header bytes of the checkpoint at `path` with
+    `edit(header bytes)` and reseal it."""
     blob = path.read_bytes()
     (size,) = struct.unpack_from("<Q", blob, 8)
-    header = json.loads(blob[16:16 + size])
-    header["model"].update(change)
-    raw = json.dumps(header, sort_keys=True).encode()
-    body = blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + size:-32]
-    path.write_bytes(body + hashlib.sha256(body).digest())
+    raw = edit(blob[16:16 + size])
+    reseal(path, blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + size:-32])
+
+
+def rewrite_model_header(path, change):
+    """Update the model header of the checkpoint at `path` with `change`
+    and reseal it."""
+    def edit(raw):
+        header = json.loads(raw)
+        header["model"].update(change)
+        return json.dumps(header, sort_keys=True).encode()
+
+    rewrite_header(path, edit)
 
 
 def rewrite_dtype_code(path, name, code):
     """Set the dtype code byte of tensor `name` in the checkpoint at `path`
-    to `code` and rewrite the file with a matching checksum (layout in
-    lino.train)."""
+    to `code` and reseal it."""
     blob = bytearray(path.read_bytes())
-    (size,) = struct.unpack_from("<Q", blob, 8)
-    off = 16 + size
-    (count,) = struct.unpack_from("<I", blob, off)
-    off += 4
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", blob, off)
-        entry = blob[off + 2:off + 2 + name_len].decode()
-        off += 2 + name_len
-        ndim = blob[off + 1]
-        dims = struct.unpack_from(f"<{ndim}Q", blob, off + 2)
-        if entry == name:
-            blob[off] = code
-            break
-        off += 2 + 8 * ndim + 8 * int(np.prod(dims))
-    else:
+    _, entries = checkpoint_layout(blob)
+    entry = next((e for e in entries if e.name == name), None)
+    if entry is None:
         raise KeyError(name)
-    body = bytes(blob[:-32])
-    path.write_bytes(body + hashlib.sha256(body).digest())
+    blob[entry.code] = code
+    reseal(path, bytes(blob[:-32]))

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import TextbookAdam, force_workers, rewrite_model_header
+from helpers import TextbookAdam, force_workers, rewrite_header, rewrite_model_header
 
 import lino.cli as cli
 from lino.data import ETT_SPLIT_COUNTS
@@ -577,6 +577,21 @@ class TestExportCommands:
         save_tiny_checkpoint(tmp_path / "r", change)
         assert cli.main(["probe", "--out", str(tmp_path / "r")]) == 3
         assert "bad model header" in capsys.readouterr().err
+
+    def test_malformed_body_exits_3(self, tmp_path, capsys):
+        """A checkpoint whose checksum matches but whose header is not
+        JSON ends in one `error:` line and exit 3, and leaves no run
+        directory behind."""
+        save_tiny_checkpoint(tmp_path / "src", {})
+        ckpt = tmp_path / "src" / "checkpoint"
+        rewrite_header(ckpt, lambda raw: raw[:-1])
+        cfg = write_cfg(tmp_path / "p.cfg", checkpoint=ckpt)
+        out = tmp_path / "r"
+        assert cli.main(["probe", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}: malformed checkpoint body")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("change", [{"mlp_hidden": 5}, {"revin_eps": 1e-3},
                                         {"fusion": "identity"}, {"integration": False},

@@ -6,9 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lino.data import (ETT_SPLIT_COUNTS, Span, SplitSpec, SynthSpec, add_noise,
-                       chrono_split, load_csv, make_windows, prepare, save_csv,
-                       standardize, synth_generate)
+from lino.data import (AR2_PHI1, AR2_PHI2, ETT_SPLIT_COUNTS, Span, SplitSpec, SynthSpec,
+                       add_noise, chrono_split, load_csv, make_windows, prepare,
+                       save_csv, standardize, synth_generate)
 from lino.errors import ConfigError, DataError
 from lino.seeding import stream
 
@@ -166,7 +166,7 @@ class TestStandardize:
     def test_train_statistics_only(self):
         values = np.concatenate([np.zeros((50, 1)), np.full((50, 1), 100.0)])
         with pytest.warns(RuntimeWarning, match="constant"):
-            std, mu, sigma = standardize(values, Span(0, 50), eps=1e-8)
+            std, mu, sigma = standardize(values, Span(0, 50))
         assert mu[0] == 0.0 and sigma[0] == 1.0  # constant guard on train span
         np.testing.assert_array_equal(std[:50], 0.0)
 
@@ -244,6 +244,16 @@ class TestSynth:
                                         nonlinear_amplitude=0.0, noise_sigma=0.0))
         assert long.values.std() < 50 * max(short.values.std(), 1e-6)
         assert np.abs(long.values).max() < 1e3
+
+    def test_ar2_box_is_stable(self):
+        """Every AR(2) draw is stable with no redraw: on a grid over the
+        sampling box, edges and corners included, the companion matrix's
+        spectral radius stays below 0.98."""
+        phi1, phi2 = np.meshgrid(np.linspace(*AR2_PHI1, 121), np.linspace(*AR2_PHI2, 81))
+        companion = np.zeros(phi1.shape + (2, 2))
+        companion[..., 0, 0], companion[..., 0, 1], companion[..., 1, 0] = phi1, phi2, 1.0
+        radius = np.abs(np.linalg.eigvals(companion)).max(axis=-1)
+        assert radius.max() < 0.98
 
     def test_both_families_present(self):
         out = synth_generate(SynthSpec(length=800, channels=2, seed=4))

@@ -1,11 +1,13 @@
 """Import hygiene and dead code: every name a package module imports is
 used in it, every name it defines at module level is used somewhere in
-the package, and importing the commands loads no process-pool machinery.
+the package, every parameter of a function is read in its body, and
+importing the commands loads no process-pool machinery.
 
-Deleting code tends to leave its imports behind, and code that only tests
-call stays behind after its last caller goes; nothing else fails on
-either. The scans are syntactic: a name counts as used when it appears as
-a loaded name, annotations included, or as an attribute.
+Deleting code tends to leave its imports and parameters behind, and code
+that only tests call stays behind after its last caller goes; nothing
+else fails on any of these. The scans are syntactic: a name counts as
+used when it appears as a loaded name, annotations included, or as an
+attribute.
 """
 
 import ast
@@ -110,6 +112,47 @@ def test_scan_finds_an_unused_definition():
               "Runner().go()\n"),
     }
     assert unused_definitions(sources) == ["a._SPARE", "a.helper"]
+
+
+def unused_parameters(source: str) -> list:
+    """`function.parameter` of each parameter in `source` that its
+    function (or lambda) never loads in its body, in walk order. Dunder
+    methods are exempt: a protocol fixes their parameters."""
+    unused = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        name = getattr(node, "name", "<lambda>")
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [
+            a for a in (args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        loaded = {n.id for stmt in body for n in ast.walk(stmt)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unused += [f"{name}.{p.arg}" for p in params if p.arg not in loaded]
+    return unused
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert unused_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def test_scan_finds_an_unused_parameter():
+    source = ("def block(r, p, mode, rng=None, *args, **kw):\n"
+              "    def inner():\n"
+              "        return p\n"
+              "    return r + inner() + len(args)\n"
+              "class Ctx:\n"
+              "    def __exit__(self, exc_type, exc, tb):\n"
+              "        return None\n"
+              "    def close(self, force):\n"
+              "        return self\n"
+              "KEY = lambda row, spare: row[0]\n")
+    assert unused_parameters(source) == ["block.mode", "block.rng", "block.kw",
+                                         "close.force", "<lambda>.spare"]
 
 
 # loaded only when a fan-out starts a pool: at module level they add about

@@ -176,8 +176,8 @@ class TestLiBlock:
 # ---------------------------------------------------------------------------
 
 def run_no_block(r, p, cfg):
-    """One nonlinear block in eval mode with its own fused projection."""
-    return no_block(r, p, no_projection(p, cfg), cfg, "eval")
+    """One nonlinear block with its own fused projection."""
+    return no_block(r, p, no_projection(p, cfg), cfg)
 
 
 class TestNoBlock:

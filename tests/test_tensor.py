@@ -572,6 +572,17 @@ class TestTape:
             T.scale(x, 3.0)
         assert len(inner) == 1 and len(outer) == 1
 
+    def test_exit_out_of_order_is_refused(self):
+        """Exiting a tape while an inner one is open raises and changes
+        nothing: the inner tape still exits cleanly, and then the outer."""
+        outer, inner = Tape(), Tape()
+        with outer:
+            inner.__enter__()
+            with pytest.raises(RuntimeError, match="not innermost"):
+                outer.__exit__(None, None, None)
+            inner.__exit__(None, None, None)
+        assert not T.scale(Tensor([1.0], requires_grad=True), 2.0).requires_grad
+
     def test_backward_needs_scalar(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with Tape() as tape:

@@ -1,13 +1,17 @@
 """Training-stack tests: loss values, optimiser against a hand-rolled
 reference, stopping semantics, loop determinism, checkpoint format."""
 
+import json
+import re
+import struct
+
 import numpy as np
 import pytest
 
 import lino.train
 
-from helpers import (TextbookAdam, check_gradients, rewrite_dtype_code,
-                     rewrite_model_header)
+from helpers import (TextbookAdam, check_gradients, checkpoint_layout, reseal,
+                     rewrite_dtype_code, rewrite_header, rewrite_model_header)
 
 from lino.errors import CheckpointError, ConfigError, NonFiniteError
 from lino.model import LiNoConfig, forward, init_params
@@ -409,4 +413,79 @@ class TestCheckpoint:
         save_checkpoint(str(path), cfg, self._params(cfg))
         rewrite_dtype_code(path, "level0.li.phi", 1)
         with pytest.raises(CheckpointError, match="unknown dtype code 1 for level0.li.phi"):
+            load_checkpoint(str(path))
+
+    def _saved(self, tmp_path):
+        """A tiny checkpoint's path, its bytes, and the offsets of its
+        entry count and entries."""
+        cfg = tiny_config()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), cfg, self._params(cfg))
+        blob = path.read_bytes()
+        return path, blob, *checkpoint_layout(blob)
+
+    def test_bad_magic_on_a_long_file(self, tmp_path):
+        """The magic is checked whatever the length: a checkpoint with one
+        magic byte changed is not one."""
+        path, blob, _, _ = self._saved(tmp_path)
+        path.write_bytes(b"X" + blob[1:])
+        with pytest.raises(CheckpointError, match="bad magic"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("edit", [
+        lambda raw: raw[:-1],                                   # not JSON
+        lambda raw: b"\xff" + raw,                              # not UTF-8
+        lambda raw: json.dumps({"model": json.loads(raw)["model"]}).encode(),  # no "extra"
+    ], ids=["not-json", "not-utf8", "no-extra"])
+    def test_malformed_header(self, tmp_path, edit):
+        path, _, _, _ = self._saved(tmp_path)
+        rewrite_header(path, edit)
+        with pytest.raises(CheckpointError, match=f"{re.escape(str(path))}: malformed checkpoint body"):
+            load_checkpoint(str(path))
+
+    def test_entry_table_cut_short(self, tmp_path):
+        """The last entry's name length is cut to one byte."""
+        path, blob, _, entries = self._saved(tmp_path)
+        reseal(path, blob[:entries[-1].start + 1])
+        with pytest.raises(CheckpointError, match=f"{re.escape(str(path))}: malformed checkpoint body"):
+            load_checkpoint(str(path))
+
+    def test_payload_shorter_than_its_dims(self, tmp_path):
+        path, blob, _, entries = self._saved(tmp_path)
+        reseal(path, blob[:entries[-1].stop - 8])
+        with pytest.raises(CheckpointError, match=f"{re.escape(str(path))}: malformed checkpoint body"):
+            load_checkpoint(str(path))
+
+    def test_bytes_after_the_last_tensor(self, tmp_path):
+        path, blob, _, _ = self._saved(tmp_path)
+        reseal(path, blob[:-32] + bytes(8))
+        with pytest.raises(CheckpointError, match=f"{re.escape(str(path))}: 8 bytes after the last tensor"):
+            load_checkpoint(str(path))
+
+    def test_unexpected_tensor_name(self, tmp_path):
+        """The first entry, `embed.w`, renamed to a name of the same length."""
+        path, blob, _, entries = self._saved(tmp_path)
+        assert entries[0].name == "embed.w"
+        at = entries[0].start + 2
+        reseal(path, blob[:at] + b"embed.x" + blob[at + 7:-32])
+        with pytest.raises(CheckpointError, match="unexpected tensor 'embed.x'"):
+            load_checkpoint(str(path))
+
+    def test_wrong_tensor_shape(self, tmp_path):
+        """A (8, 4) head stored as (4, 8): the same bytes, the wrong shape."""
+        path, blob, _, entries = self._saved(tmp_path)
+        entry = next(e for e in entries if e.name == "level0.li_head.w")
+        dims = entry.code + 2
+        assert struct.unpack_from("<2Q", blob, dims) == (8, 4)
+        reseal(path, blob[:dims] + struct.pack("<2Q", 4, 8) + blob[dims + 16:-32])
+        with pytest.raises(CheckpointError,
+                           match=r"level0.li_head.w has shape \(4, 8\), config requires \(8, 4\)"):
+            load_checkpoint(str(path))
+
+    def test_missing_tensors(self, tmp_path):
+        """The last entry is dropped and the count lowered to match."""
+        path, blob, count_at, entries = self._saved(tmp_path)
+        reseal(path, blob[:count_at] + struct.pack("<I", len(entries) - 1)
+               + blob[count_at + 4:entries[-1].start])
+        with pytest.raises(CheckpointError, match=r"missing tensors \['level0.no_head.b'\]"):
             load_checkpoint(str(path))
