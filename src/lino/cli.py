@@ -9,6 +9,7 @@ seeds, and input files: metric files rerun bitwise identical.
 import argparse
 import contextlib
 import csv
+import functools
 import math
 import os
 import sys
@@ -262,49 +263,49 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-# BLAS thread counts change the bits of a trained model, so a bitwise rerun
-# needs the same values
-_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def _blas_core() -> str:
-    """The core type OpenBLAS picked at run time, or `unknown` when no
-    loaded library answers under one of its known symbol names."""
+@functools.lru_cache(maxsize=None)
+def _openblas():
+    """The loaded OpenBLAS's `get_corename`, `get_num_threads` and
+    `set_num_threads`, by stem, or None when no loaded library answers
+    under one of its known symbol names; looked up once per process."""
     import ctypes
     try:
         with open("/proc/self/maps") as fh:
             paths = {line.split(None, 5)[5].strip() for line in fh
                      if "openblas" in line.rsplit("/", 1)[-1].lower()}
     except OSError:
-        return "unknown"
+        return None
     for path in sorted(paths):
         try:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for symbol in ("openblas_get_corename", "openblas_get_corename64_",
-                       "scipy_openblas_get_corename", "scipy_openblas_get_corename64_"):
-            get = getattr(lib, symbol, None)
-            if get is not None:
-                get.restype = ctypes.c_char_p
-                return get().decode()
-    return "unknown"
+        for prefix, suffix in (("openblas_", ""), ("openblas_", "64_"),
+                               ("scipy_openblas_", ""), ("scipy_openblas_", "64_")):
+            if hasattr(lib, f"{prefix}get_corename{suffix}"):
+                blas = {stem: getattr(lib, f"{prefix}{stem}{suffix}") for stem in
+                        ("get_corename", "get_num_threads", "set_num_threads")}
+                blas["get_corename"].restype = ctypes.c_char_p
+                return blas
+    return None
 
 
 def _machine() -> str:
-    """The numpy and BLAS build, the CPU's numpy SIMD targets and OpenBLAS
-    core, and the BLAS thread settings: everything besides the config,
-    seeds and batch layout that a run's bits depend on."""
+    """The numpy and BLAS build, the CPU's numpy SIMD targets, and the
+    OpenBLAS core and thread count: everything besides the config, seeds
+    and batch layout that a run's bits depend on."""
     config = np.show_config(mode="dicts")
     blas = config.get("Build Dependencies", {}).get("blas", {})
     # the targets numpy dispatches to on this CPU: kernels such as `np.exp`
     # give different bits on different targets
     simd = config.get("SIMD Extensions", {}).get("found")
     simd = "unknown" if simd is None else " ".join(simd) or "none"
-    threads = " ".join(f"{var}={os.environ.get(var, 'unset')}" for var in _THREAD_VARS)
+    lib = _openblas()
+    core, threads = ("unknown", "unknown") if lib is None else (
+        lib["get_corename"]().decode(), lib["get_num_threads"]())
     return (f"numpy {np.__version__}, blas {blas.get('name', 'unknown')} "
             f"{blas.get('version', 'unknown')}, simd {simd}, "
-            f"blas core {_blas_core()}, {threads}")
+            f"blas core {core}, blas threads {threads}")
 
 
 def _finish(outd: str, summary: str) -> None:
@@ -601,7 +602,12 @@ def main(argv=None) -> int:
     exit code, and removes the run directory if the command created it
     and it is still empty. Numpy's floating-point warnings are off while
     it runs, in forked workers too: every op and data load checks
-    finiteness itself, so an overflow reaches stderr as that one line."""
+    finiteness itself, so an overflow reaches stderr as that one line.
+    OpenBLAS runs one thread, whatever the thread variables say: the
+    bits depend on the count, and the fan-out alone decides the CPUs."""
+    blas = _openblas()
+    if blas is not None:
+        blas["set_num_threads"](1)
     created = None
     try:
         rc = resolve(argv)

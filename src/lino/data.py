@@ -38,9 +38,11 @@ ETT_SPLIT_COUNTS = {
     "ettm": (34465, 11521, 11521),
 }
 
-# `standardize`'s constant-channel threshold and `_stable_ar2`'s (phi1, phi2) box
+# `standardize`'s constant-channel threshold, and `_stable_ar2`'s (phi1, phi2)
+# box and innovation scale
 STANDARDIZE_EPS = 1e-8
 AR2_PHI1, AR2_PHI2 = (-0.6, 0.6), (-0.5, 0.3)
+AR2_INNOVATION = 0.25
 
 
 def _is_number(cell: str) -> bool:
@@ -290,7 +292,7 @@ class SynthSpec:
             raise ConfigError("noise_sigma must be >= 0")
 
 
-def _stable_ar2(rng: np.random.Generator, length: int, innovation: float) -> np.ndarray:
+def _stable_ar2(rng: np.random.Generator, length: int) -> np.ndarray:
     """Draw AR(2) coefficients from the box `AR2_PHI1` x `AR2_PHI2` and
     simulate with burn-in. Every draw is stable: the box's largest
     companion spectral radius is (0.6 + sqrt(1.56)) / 2 ~ 0.92, at
@@ -298,7 +300,7 @@ def _stable_ar2(rng: np.random.Generator, length: int, innovation: float) -> np.
     phi1 = rng.uniform(*AR2_PHI1)
     phi2 = rng.uniform(*AR2_PHI2)
     burn = 100
-    e = rng.normal(0.0, innovation, size=length + burn)
+    e = rng.normal(0.0, AR2_INNOVATION, size=length + burn)
     z = np.zeros(length + burn)
     for t in range(2, length + burn):
         z[t] = phi1 * z[t - 1] + phi2 * z[t - 2] + e[t]
@@ -315,7 +317,7 @@ def _piecewise_trend(rng: np.random.Generator, length: int) -> np.ndarray:
         slope = rng.uniform(-2.0, 2.0) / length
         seg = np.arange(hi - lo, dtype=np.float64)
         out[lo:hi] = level + slope * seg
-        level = out[hi - 1] if hi > lo else level
+        level = out[hi - 1]
     return out
 
 
@@ -353,7 +355,7 @@ def synth_generate(spec: SynthSpec) -> SynthResult:
     for c in range(spec.channels):
         for _ in range(spec.s_components):
             linear[:, c] += _piecewise_trend(rng, spec.length)
-            linear[:, c] += _stable_ar2(rng, spec.length, innovation=0.25)
+            linear[:, c] += _stable_ar2(rng, spec.length)
             nonlinear[:, c] += _modulated_wave(rng, spec.length)
     linear *= spec.linear_amplitude
     nonlinear *= spec.nonlinear_amplitude

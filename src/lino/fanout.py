@@ -6,10 +6,10 @@ go through it.
 
 Workers are forked, once per call, from the process as it is at the call:
 fork hands each worker `shared` (the prepared split sets, the model's
-parameters), the numpy/BLAS state and the thread settings of this process
-without pickling them, so a worker computes the bits an in-process call
-would, and starts without the numpy import a `spawn` worker pays. Only the
-items and the results cross the pipe.
+parameters) and the numpy/BLAS state of this process, its one BLAS thread
+included, without pickling them, so a worker computes the bits an
+in-process call would, uses one CPU, and starts without the numpy import
+a `spawn` worker pays. Only the items and the results cross the pipe.
 """
 
 import os

@@ -5,8 +5,8 @@ and is treated as an immutable value; a ``Tape`` records every primitive
 applied while it is active, in creation order, which is already a valid
 topological order of the computation graph. ``backward`` walks that record
 once in reverse, accumulating vector-Jacobian products into one gradient
-per leaf, and returns them. Tapes nest: exiting one restores the tape it
-was opened inside.
+per leaf, and returns them. One tape is open at a time: opening a tape
+while one is open, the same one included, raises ``RuntimeError``.
 
 Two properties the rest of the package leans on:
 
@@ -44,7 +44,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, NonFiniteError
 
-# The innermost open tape, or None: there is one slot per process, since no
+# The open tape, or None: there is one slot per process, since no
 # thread ever opens a tape (fits and eval batches run in forked workers).
 _active: Optional["Tape"] = None
 
@@ -106,8 +106,8 @@ class _Node:
 class Tape:
     """Recording context. Node order is creation order, hence topological.
 
-    Tapes nest: entering one saves the tape it opens inside, and exiting
-    it restores that outer one. A tape is open at most once at a time.
+    Entering a tape while any tape is open, this one included, raises
+    `RuntimeError`; exiting it leaves no tape open.
     """
 
     def __init__(self):
@@ -115,14 +115,14 @@ class Tape:
 
     def __enter__(self) -> "Tape":
         global _active
-        self._outer, _active = _active, self
+        if _active is not None:
+            raise RuntimeError("a tape is already open")
+        _active = self
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         global _active
-        if _active is not self:
-            raise RuntimeError("tapes out of order: exited a tape that is not innermost")
-        _active = self._outer
+        _active = None
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -413,7 +413,8 @@ def causal_depthwise_conv(h: Tensor, phi: Tensor, beta: Tensor) -> Tensor:
     are bitwise the loop. The GEMM form is not: BLAS may reorder the sum
     and fuse multiply-adds, so a recorded forward agrees with the loop to
     rounding (about 1e-15 relative), as the backward does. It is
-    deterministic at a fixed BLAS thread count, so reruns stay bitwise.
+    deterministic at one BLAS thread, which every command sets, so reruns
+    stay bitwise.
 
     Between the loop forms, the Toeplitz form does up to twice the
     arithmetic of the loop but makes far fewer calls, so it wins while

@@ -24,6 +24,7 @@ from helpers import TextbookAdam, force_workers, rewrite_header, rewrite_model_h
 import lino.cli as cli
 from lino.data import ETT_SPLIT_COUNTS
 from lino.errors import ConfigError, DataError, NonFiniteError
+from lino.fanout import _cpus
 from lino.model import Forecaster, LiNoConfig, init_params
 from lino.seeding import stream
 from lino.train import load_checkpoint, save_checkpoint
@@ -414,14 +415,22 @@ def noise_dirs(tmp_path_factory):
     return tmp
 
 
+def blas_fields():
+    """The `blas core` and `blas threads` fields of the machine line once a
+    command has run: one thread wherever an OpenBLAS answers."""
+    lib = cli._openblas()
+    if lib is None:
+        return "blas core unknown, blas threads unknown"
+    return f"blas core {lib['get_corename']().decode()}, blas threads 1"
+
+
 def test_summary_ends_with_machine_line(ablate_dir, noise_dirs):
     for outd in (noise_dirs / "tr", ablate_dir, noise_dirs / "nz"):
         last = (outd / "summary.txt").read_text().splitlines()[-1]
         assert last.startswith(f"machine: numpy {np.__version__}, blas ")
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            assert f"{var}=" in last
+        assert "NUM_THREADS" not in last
         simd = " ".join(np.show_config(mode="dicts")["SIMD Extensions"]["found"])
-        assert f", simd {simd or 'none'}, blas core {cli._blas_core()}, " in last
+        assert last.endswith(f", simd {simd or 'none'}, {blas_fields()}")
         for table in outd.glob("*.csv"):
             assert "machine" not in table.read_text()
 
@@ -447,19 +456,30 @@ def test_simd_field_names_dispatched_targets_the_cpu_has(monkeypatch):
         assert simd_field(cli._machine()) == want
 
 
-def test_blas_core_field(monkeypatch):
-    """OpenBLAS names its runtime core; with no loaded library to ask, the
-    field reads `unknown`."""
-    core = cli._blas_core()
+def test_blas_core_field(monkeypatch, tmp_path):
+    """OpenBLAS names its runtime core. With no loaded library to ask, the
+    core and thread fields read `unknown`, nothing sets a thread count,
+    and a command still runs."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
     if "openblas" in blas and sys.platform.startswith("linux"):
-        assert re.fullmatch(r"[A-Za-z0-9_]+", core) and core != "unknown"
+        fields = blas_fields()
+        assert re.fullmatch(r"blas core \w+, blas threads 1", fields) and "unknown" not in fields
 
     def no_maps(*args, **kwargs):
         raise OSError("no process maps")
 
-    monkeypatch.setattr(cli, "open", no_maps, raising=False)
-    assert cli._blas_core() == "unknown"
+    try:
+        monkeypatch.setattr(cli, "open", no_maps, raising=False)
+        cli._openblas.cache_clear()
+        assert cli._machine().endswith(", blas core unknown, blas threads unknown")
+        monkeypatch.undo()  # the lookup stays cached: no library answers
+        cfg = write_cfg(tmp_path / "t.cfg", **TINY)
+        assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "r"),
+                         "--unsafe-grid"]) == 0
+        last = (tmp_path / "r" / "summary.txt").read_text().splitlines()[-1]
+        assert last.endswith(", blas core unknown, blas threads unknown")
+    finally:
+        cli._openblas.cache_clear()
 
 
 def test_checkpoint_extra_carries_machine_line(trained_run):
@@ -468,6 +488,38 @@ def test_checkpoint_extra_carries_machine_line(trained_run):
     assert extra["machine"] == cli._machine()
     summary = (tmp / "r" / "summary.txt").read_text().splitlines()
     assert summary[-1] == f"machine: {extra['machine']}"
+
+
+@pytest.mark.skipif(_cpus() < 2, reason="on one CPU OpenBLAS starts one thread with the "
+                    "variables unset too, so no setting could change the bits")
+@pytest.mark.skipif(cli._openblas() is None, reason="no OpenBLAS answers, so commands "
+                    "set no thread count")
+def test_thread_variables_do_not_change_the_bits(tmp_path):
+    """Two fits run as a program write the same report, history and
+    checkpoints, to the byte, with the thread variables unset, with
+    `OPENBLAS_NUM_THREADS=1` and with `OPENBLAS_NUM_THREADS=2`. Before
+    commands set one BLAS thread, a run with the variables unset used one
+    thread per CPU, and on two CPUs all three files differed; dim 128 is
+    the smallest such shape found (at dim 64 OpenBLAS runs these GEMMs on
+    one thread whatever the setting)."""
+    cfg = write_cfg(tmp_path / "t.cfg", dataset="synth", synth_length=300, synth_channels=2,
+                    lookback=16, horizons="8,16", dim=128, blocks=1, epochs=1, batch=32,
+                    lr="1e-3", patience=2)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = {}
+    for threads in (None, "1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        subprocess.run([sys.executable, "-m", "lino.cli", "train", "--config", cfg,
+                        "--out", str(out), "--unsafe-grid"], check=True, capture_output=True,
+                       env=env if threads is None else {**env, "OPENBLAS_NUM_THREADS": threads},
+                       timeout=120)
+        outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())
+                            if p.name != "summary.txt"}
+    assert sorted(outputs["1"]) == ["checkpoint_h16_s1", "checkpoint_h8_s1", "history.csv",
+                                    "report.csv"]
+    assert outputs[None] == outputs["1"] == outputs["2"]
 
 
 @pytest.fixture(scope="module")

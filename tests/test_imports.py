@@ -1,11 +1,13 @@
 """Import hygiene and dead code: every name a package module imports is
 used in it, every name it defines at module level is used somewhere in
-the package, every parameter of a function is read in its body, and
-importing the commands loads no process-pool machinery.
+the package, every parameter of a function is read in its body and takes
+more than one value across its call sites, and importing the commands
+loads no process-pool machinery.
 
-Deleting code tends to leave its imports and parameters behind, and code
-that only tests call stays behind after its last caller goes; nothing
-else fails on any of these. The scans are syntactic: a name counts as
+Deleting code tends to leave its imports and parameters behind, code
+that only tests call stays behind after its last caller goes, and a
+parameter every caller passes the same literal is a constant in
+disguise; nothing else fails on any of these. The scans are syntactic: a name counts as
 used when it appears as a loaded name, annotations included, or as an
 attribute.
 """
@@ -153,6 +155,120 @@ def test_scan_finds_an_unused_parameter():
               "KEY = lambda row, spare: row[0]\n")
     assert unused_parameters(source) == ["block.mode", "block.rng", "block.kw",
                                          "close.force", "<lambda>.spare"]
+
+
+def _literal(node):
+    """(type name, repr) of the literal `node` spells, or None."""
+    try:
+        value = ast.literal_eval(node)
+    except (ValueError, TypeError):
+        return None
+    return type(value).__name__, repr(value)
+
+
+def constant_parameters(definitions: dict, callers: dict) -> list:
+    """`function.parameter` of each parameter of a function defined in
+    `definitions` (module name -> source text) that every call in
+    `callers` (name -> source text) gives one and the same literal, passed
+    or as its default, in definition order.
+
+    Calls are matched by name, so a function is skipped when its name is
+    defined twice, when it is never called, when a caller loads it other
+    than by calling it (it may be called out of sight), and when a call
+    unpacks `*args` or `**kwargs`. Dunder methods are exempt, and a
+    method's first parameter is `self` or `cls` unless it is static."""
+    functions, defined = {}, {}
+    for text in definitions.values():
+        tree = ast.parse(text)
+        methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for node in cls.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    or node.name.startswith("__"):
+                continue
+            defined[node.name] = defined.get(node.name, 0) + 1
+            args = node.args
+            positional = args.posonlyargs + args.args
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in node.decorator_list)
+            if id(node) in methods and not static:
+                positional = positional[1:]
+            defaults = dict(zip([p.arg for p in positional[::-1]], args.defaults[::-1]))
+            defaults.update({p.arg: d for p, d in zip(args.kwonlyargs, args.kw_defaults)
+                             if d is not None})
+            functions[node.name] = ([p.arg for p in positional],
+                                    [p.arg for p in positional + args.kwonlyargs], defaults)
+    calls, escaped = {}, set()
+    for text in callers.values():
+        tree = ast.parse(text)
+        called = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                called.add(id(node.func))
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+        escaped |= {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(tree)
+                    if isinstance(node, (ast.Name, ast.Attribute))
+                    and isinstance(node.ctx, ast.Load) and id(node) not in called}
+    constant = []
+    for name, (positional, params, defaults) in functions.items():
+        sites = calls.get(name, [])
+        if defined[name] > 1 or name in escaped or not sites or any(
+                isinstance(a, ast.Starred) for call in sites for a in call.args) or any(
+                k.arg is None for call in sites for k in call.keywords):
+            continue
+        for param in params:
+            values = []
+            for call in sites:
+                given = dict(zip(positional, call.args))
+                given.update({k.arg: k.value for k in call.keywords})
+                node = given.get(param, defaults.get(param))
+                values.append(None if node is None else _literal(node))
+            if values[0] is not None and values.count(values[0]) == len(values):
+                constant.append(f"{name}.{param}")
+    return constant
+
+
+# every caller of the package: itself, its tests and its benchmark
+CALLERS = SOURCES + [path for directory in ("tests", "perfbench")
+                     for path in sorted((Path(__file__).parents[1] / directory).glob("*.py"))]
+
+
+def test_no_parameter_is_a_constant_in_disguise():
+    definitions = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    callers = {str(p): p.read_text(encoding="utf-8") for p in CALLERS}
+    assert constant_parameters(definitions, callers) == []
+
+
+def test_scan_finds_a_constant_parameter():
+    """`wrapped` may be called through `wrap`, `twice` is two functions,
+    and `**opts` may pass `spread`'s `b`: none of them is judged."""
+    definitions = {"a": ("def ar(rng, n, scale, lag=1, *, burn=100):\n"
+                         "    return rng, n, scale, lag, burn\n"
+                         "def wrapped(x):\n"
+                         "    return x\n"
+                         "def twice(x):\n"
+                         "    return x\n"
+                         "class Model:\n"
+                         "    def fit(self, epochs):\n"
+                         "        return epochs\n"
+                         "    def twice(self, x):\n"
+                         "        return x\n"
+                         "def spread(a, b=2):\n"
+                         "    return a + b\n")}
+    callers = {"b": ("ar(g, 10, 0.25)\n"
+                     "ar(g, 20, scale=0.25, burn=100)\n"
+                     "m.fit(-3)\n"
+                     "Model().fit(epochs=-3)\n"
+                     "wrapped(1)\n"
+                     "timed = wrap(wrapped)\n"
+                     "twice(1)\n"
+                     "twice(1)\n"
+                     "spread(1)\n"
+                     "spread(1, **opts)\n"),
+               "c": "ar(h, 30, 0.25, lag=1)\n"}
+    assert constant_parameters(definitions, callers) == [
+        "ar.scale", "ar.lag", "ar.burn", "fit.epochs"]
 
 
 # loaded only when a fan-out starts a pool: at module level they add about

@@ -564,24 +564,17 @@ class TestTape:
         y = T.mul(x, x)
         assert y.requires_grad is False
 
-    def test_nested_tapes_restore(self):
-        with Tape() as outer:
-            x = Tensor([1.0], requires_grad=True)
-            with Tape() as inner:
-                T.scale(x, 2.0)
-            T.scale(x, 3.0)
-        assert len(inner) == 1 and len(outer) == 1
-
-    def test_exit_out_of_order_is_refused(self):
-        """Exiting a tape while an inner one is open raises and changes
-        nothing: the inner tape still exits cleanly, and then the outer."""
-        outer, inner = Tape(), Tape()
-        with outer:
-            inner.__enter__()
-            with pytest.raises(RuntimeError, match="not innermost"):
-                outer.__exit__(None, None, None)
-            inner.__exit__(None, None, None)
-        assert not T.scale(Tensor([1.0], requires_grad=True), 2.0).requires_grad
+    def test_one_tape_open_at_a_time(self):
+        """Re-entering an open tape, or opening another inside it, raises;
+        the outer tape still exits, and afterwards no tape records."""
+        for inner in ("same", "other"):
+            outer = Tape()
+            with pytest.raises(RuntimeError, match="already open"):
+                with outer:
+                    with outer if inner == "same" else Tape():
+                        pass
+            y = T.scale(Tensor([1.0], requires_grad=True), 2.0)
+            assert not y.requires_grad and len(outer) == 0, inner
 
     def test_backward_needs_scalar(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
