@@ -107,7 +107,8 @@ class Tape:
     """Recording context. Node order is creation order, hence topological.
 
     Entering a tape while any tape is open, this one included, raises
-    `RuntimeError`; exiting it leaves no tape open.
+    `RuntimeError`, and so does exiting a tape that is not the open one;
+    exiting the open tape leaves no tape open.
     """
 
     def __init__(self):
@@ -122,6 +123,8 @@ class Tape:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         global _active
+        if _active is not self:
+            raise RuntimeError("exited a tape that is not the open one")
         _active = None
 
     def __len__(self) -> int:

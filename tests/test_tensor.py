@@ -576,6 +576,33 @@ class TestTape:
             y = T.scale(Tensor([1.0], requires_grad=True), 2.0)
             assert not y.requires_grad and len(outer) == 0, inner
 
+    def test_nested_tapes_restore(self):
+        """A tape refused inside an open one records nothing and leaves the
+        outer tape open: ops after the refusal still record onto it."""
+        x = Tensor([1.0], requires_grad=True)
+        inner = Tape()
+        with Tape() as outer:
+            with pytest.raises(RuntimeError, match="already open"):
+                with inner:
+                    T.scale(x, 2.0)
+            T.scale(x, 3.0)
+        assert len(inner) == 0 and len(outer) == 1
+        assert not T.scale(x, 4.0).requires_grad
+
+    def test_exit_out_of_order_is_refused(self):
+        """Exiting a tape that is not the open one raises and changes
+        nothing: the open tape still records, then exits cleanly."""
+        outer, stray = Tape(), Tape()
+        x = Tensor([1.0], requires_grad=True)
+        with outer:
+            with pytest.raises(RuntimeError, match="not the open one"):
+                stray.__exit__(None, None, None)
+            T.scale(x, 2.0)
+        assert len(outer) == 1 and len(stray) == 0
+        with pytest.raises(RuntimeError, match="not the open one"):
+            outer.__exit__(None, None, None)
+        assert not T.scale(x, 2.0).requires_grad
+
     def test_backward_needs_scalar(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with Tape() as tape:
