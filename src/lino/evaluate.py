@@ -6,10 +6,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DataError, DimensionError, NonFiniteError
+from .errors import ConfigError, DataError, DimensionError, NonFiniteError
 from .fanout import fan_out
 from .model import (LiNoConfig, forward, forward_normalized, li_block,
-                    no_block, no_projection, scoped)
+                    no_block, no_projection)
 from .seeding import stream
 from .tensor import Tensor
 
@@ -73,6 +73,8 @@ def evaluate(predictor, x: np.ndarray, y: np.ndarray,
     against 570 ms (BENCH_convchan.json). So a split of one full batch
     runs in-process. A worker that dies raises `WorkerDiedError`.
     """
+    if batch_size < 1:
+        raise ConfigError(f"evaluate: batch_size must be >= 1, got {batch_size}")
     predict = getattr(predictor, "predict", predictor)
     x = np.asarray(x)
     y = np.asarray(y)
@@ -207,12 +209,11 @@ def probe_affine(f: Callable, in_dim: int, probes: int = 8,
 def li_block_map(params: dict, config: LiNoConfig, level: int) -> Callable:
     """The given level's linear pattern extractor as a map on flattened
     [channels * dim] feature vectors, dropout off."""
-    sc = scoped(params, f"level{level}")
     c, d = config.channels, config.dim
 
     def f(vec):
         h = Tensor(np.reshape(vec, (c, d)))
-        return li_block(h, sc["li.phi"], sc["li.beta"], 0.0, "eval").data.reshape(-1)
+        return li_block(h, params, level, config, "eval").data.reshape(-1)
 
     return f
 
@@ -220,13 +221,12 @@ def li_block_map(params: dict, config: LiNoConfig, level: int) -> Callable:
 def no_block_map(params: dict, config: LiNoConfig, level: int) -> Callable:
     """The given level's nonlinear pattern extractor, flattened the same
     way. Probing it is a linearisation, so expect a nonzero residual."""
-    sc = scoped(params, f"level{level}.no")
-    projection = no_projection(sc, config)
+    projection = no_projection(params, config, level)
     c, d = config.channels, config.dim
 
     def f(vec):
         r = Tensor(np.reshape(vec, (c, d)))
-        return no_block(r, sc, projection, config).data.reshape(-1)
+        return no_block(r, params, level, projection, config).data.reshape(-1)
 
     return f
 

@@ -146,12 +146,6 @@ def init_params(config: LiNoConfig, rng: np.random.Generator) -> dict:
             for name, shape, init in _param_table(config)}
 
 
-def scoped(params: dict, prefix: str) -> dict:
-    """View of a parameter dict with one `prefix.` stripped."""
-    cut = len(prefix) + 1
-    return {k[cut:]: v for k, v in params.items() if k.startswith(prefix + ".")}
-
-
 # ---------------------------------------------------------------------------
 # instance normalisation
 # ---------------------------------------------------------------------------
@@ -162,36 +156,38 @@ def revin_normalize(x: np.ndarray):
 
     The scale is sqrt(population variance + REVIN_EPS); denormalisation
     uses the same quantity, which makes the roundtrip exact regardless of
-    eps.
+    eps. The statistics are `x.mean` and `x.var` bit for bit, sharing one
+    centred array, which is then scaled in place.
     """
-    mu = x.mean(axis=-1, keepdims=True)
-    sigma = np.sqrt(x.var(axis=-1, keepdims=True) + REVIN_EPS)
-    return (x - mu) / sigma, (mu, sigma)
+    mu = np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
+    xn = x - mu
+    sigma = np.sqrt(np.add.reduce(xn * xn, axis=-1, keepdims=True) / x.shape[-1] + REVIN_EPS)
+    xn /= sigma
+    return xn, (mu, sigma)
 
 
 def revin_denormalize(y_norm: Tensor, stats) -> Tensor:
     """Differentiable inverse map back onto each window's own scale."""
-    mu, sigma = stats
-    shape = y_norm.shape
-    s = Tensor(np.broadcast_to(sigma, shape).copy())
-    m = Tensor(np.broadcast_to(mu, shape).copy())
-    return add(mul(y_norm, s), m)
+    mu, sigma = (Tensor(np.broadcast_to(s, y_norm.shape)) for s in stats)
+    return add(mul(y_norm, sigma), mu)
 
 
 # ---------------------------------------------------------------------------
 # blocks
 # ---------------------------------------------------------------------------
 
-def li_block(h: Tensor, phi: Tensor, beta: Tensor, p: float, mode: str,
+def li_block(h: Tensor, params: dict, level: int, config: LiNoConfig, mode: str,
              rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Linear pattern extractor: full-receptive-field causal depthwise
-    convolution, then dropout."""
-    return dropout(causal_depthwise_conv(h, phi, beta), p, mode, rng)
+    """Linear pattern extractor of the given level: full-receptive-field
+    causal depthwise convolution, then dropout."""
+    p = f"level{level}.li."
+    return dropout(causal_depthwise_conv(h, params[p + "phi"], params[p + "beta"]),
+                   config.dropout, mode, rng)
 
 
-def no_projection(p: dict, config: LiNoConfig) -> tuple:
-    """The nonlinear block's input projection as one (W, b) pair, so that
-    `linear(r, W, b)` is its pre-activation.
+def no_projection(params: dict, config: LiNoConfig, level: int) -> tuple:
+    """The input projection of the given level's nonlinear block as one
+    (W, b) pair, so that `linear(r, W, b)` is its pre-activation.
 
     The time projection `r @ time.w + time.b` and the frequency projection
     (transform, mix the bins with `w_re + i w_im`, transform back) are both
@@ -203,12 +199,13 @@ def no_projection(p: dict, config: LiNoConfig) -> tuple:
     the spectral work of a batch-1 call, so a `Forecaster` builds it once,
     not per predict.
     """
+    p = f"level{level}.no."
     if config.ablation == "no_fe":
-        return p["time.w"], p["time.b"]
-    spectral = freq_projection(p["freq.w_re"], p["freq.w_im"])
+        return params[p + "time.w"], params[p + "time.b"]
+    spectral = freq_projection(params[p + "freq.w_re"], params[p + "freq.w_im"])
     if config.ablation == "no_te":
         return spectral, None
-    return add(p["time.w"], spectral), p["time.b"]
+    return add(params[p + "time.w"], spectral), params[p + "time.b"]
 
 
 def build_projections(params: dict, config: LiNoConfig) -> tuple:
@@ -216,16 +213,15 @@ def build_projections(params: dict, config: LiNoConfig) -> tuple:
     which runs no nonlinear block."""
     if config.ablation == "no_no":
         return ()
-    return tuple(no_projection(scoped(params, f"level{i}.no"), config)
-                 for i in range(config.blocks))
+    return tuple(no_projection(params, config, i) for i in range(config.blocks))
 
 
-def no_block(r: Tensor, p: dict, projection: tuple, config: LiNoConfig) -> Tensor:
-    """Nonlinear pattern extractor.
+def no_block(r: Tensor, params: dict, level: int, projection: tuple, config: LiNoConfig) -> Tensor:
+    """Nonlinear pattern extractor of the given level.
 
-    `p` holds this block's parameters under local names (see
-    `_param_table`; strip the level prefix with `scoped`), and
-    `projection` is its fused (W, b) from `no_projection`. Steps: project
+    Its parameters are read from `params` by their full `level{i}.no.*`
+    keys (see `_param_table`), and `projection` is its fused (W, b) from
+    `no_projection`. Steps: project
     the remainder with that one D x D operator (the time- and
     frequency-domain projections summed) and saturate; mix channels with
     one `channel_mix` op (softmax-weighted pooling over channels, then an
@@ -233,12 +229,15 @@ def no_block(r: Tensor, p: dict, projection: tuple, config: LiNoConfig) -> Tenso
     skips; integrate with two residual layer-norm stages around a
     feedforward MLP.
     """
+    p = f"level{level}.no."
     ntf = tanh(linear(r, *projection))
     fused = ntf if config.ablation == "no_cd" else channel_mix(
-        ntf, p["mix.w1"], p["mix.b1"], p["mix.w2"], p["mix.b2"])
-    stage1 = layer_norm(fused, p["norm1.gamma"], p["norm1.beta"])
-    ff = linear(tanh(linear(stage1, p["ff.w1"], p["ff.b1"])), p["ff.w2"], p["ff.b2"])
-    return layer_norm(add(stage1, ff), p["norm2.gamma"], p["norm2.beta"])
+        ntf, params[p + "mix.w1"], params[p + "mix.b1"],
+        params[p + "mix.w2"], params[p + "mix.b2"])
+    stage1 = layer_norm(fused, params[p + "norm1.gamma"], params[p + "norm1.beta"])
+    ff = linear(tanh(linear(stage1, params[p + "ff.w1"], params[p + "ff.b1"])),
+                params[p + "ff.w2"], params[p + "ff.b2"])
+    return layer_norm(add(stage1, ff), params[p + "norm2.gamma"], params[p + "norm2.beta"])
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +262,6 @@ class ForwardTrace:
     levels: list
     final_remainder: Tensor
     terms: list = field(default_factory=list)  # head outputs, accumulation order
-
-
-def _zeros_like(t: Tensor) -> Tensor:
-    return Tensor(np.zeros(t.shape))
 
 
 def forward_normalized(xn: Tensor, params: dict, config: LiNoConfig,
@@ -304,21 +299,21 @@ def _forward_lino(h, params, projections, config, mode, rng):
     embedded = h
     levels, terms = [], []
     for i in range(config.blocks):
-        sc = scoped(params, f"level{i}")
+        p = f"level{i}."
         if config.ablation == "no_li":
-            li_pat, li_pred = _zeros_like(h), None
+            li_pat, li_pred = Tensor(np.zeros(h.shape)), None
             r = h
         else:
-            li_pat = li_block(h, sc["li.phi"], sc["li.beta"], config.dropout, mode, rng)
-            li_pred = linear(li_pat, sc["li_head.w"], sc["li_head.b"])
+            li_pat = li_block(h, params, i, config, mode, rng)
+            li_pred = linear(li_pat, params[p + "li_head.w"], params[p + "li_head.b"])
             r = sub(h, li_pat)
             terms.append(li_pred)
         if config.ablation == "no_no":
-            no_pat, no_pred = _zeros_like(r), None
+            no_pat, no_pred = Tensor(np.zeros(r.shape)), None
             h = r
         else:
-            no_pat = no_block(r, scoped(sc, "no"), projections[i], config)
-            no_pred = linear(no_pat, sc["no_head.w"], sc["no_head.b"])
+            no_pat = no_block(r, params, i, projections[i], config)
+            no_pred = linear(no_pat, params[p + "no_head.w"], params[p + "no_head.b"])
             h = sub(r, no_pat)
             terms.append(no_pred)
         levels.append(LevelTrace(li_pat, no_pat, li_pred, no_pred))
@@ -333,10 +328,10 @@ def _forward_mu(h, params, projections, config, mode, rng):
     embedded = h
     levels, terms = [], []
     for i in range(config.blocks):
-        sc = scoped(params, f"level{i}")
-        li_pat = li_block(h, sc["li.phi"], sc["li.beta"], config.dropout, mode, rng)
-        no_pat = no_block(li_pat, scoped(sc, "no"), projections[i], config)
-        pred = linear(no_pat, sc["no_head.w"], sc["no_head.b"])
+        p = f"level{i}."
+        li_pat = li_block(h, params, i, config, mode, rng)
+        no_pat = no_block(li_pat, params, i, projections[i], config)
+        pred = linear(no_pat, params[p + "no_head.w"], params[p + "no_head.b"])
         h = sub(h, no_pat)
         terms.append(pred)
         levels.append(LevelTrace(li_pat, no_pat, None, pred))
@@ -350,13 +345,12 @@ def _forward_raw(h, params, projections, config, mode, rng):
     embedded = h
     levels = []
     for i in range(config.blocks):
-        sc = scoped(params, f"level{i}")
-        li_pat = li_block(h, sc["li.phi"], sc["li.beta"], config.dropout, mode, rng)
-        no_pat = no_block(li_pat, scoped(sc, "no"), projections[i], config)
+        li_pat = li_block(h, params, i, config, mode, rng)
+        no_pat = no_block(li_pat, params, i, projections[i], config)
         h = no_pat
         levels.append(LevelTrace(li_pat, no_pat, None, None))
-    last = scoped(params, f"level{config.blocks - 1}")
-    y = linear(h, last["no_head.w"], last["no_head.b"])
+    last = f"level{config.blocks - 1}."
+    y = linear(h, params[last + "no_head.w"], params[last + "no_head.b"])
     return y, ForwardTrace(embedded, levels, h, [y])
 
 
@@ -366,11 +360,11 @@ def _forward_ln(h, params, projections, config, mode, rng):
     embedded = h
     levels, terms = [], []
     for i in range(config.blocks):
-        sc = scoped(params, f"level{i}")
-        li_pat = li_block(h, sc["li.phi"], sc["li.beta"], config.dropout, mode, rng)
-        li_pred = linear(li_pat, sc["li_head.w"], sc["li_head.b"])
-        no_pat = no_block(li_pat, scoped(sc, "no"), projections[i], config)
-        no_pred = linear(no_pat, sc["no_head.w"], sc["no_head.b"])
+        p = f"level{i}."
+        li_pat = li_block(h, params, i, config, mode, rng)
+        li_pred = linear(li_pat, params[p + "li_head.w"], params[p + "li_head.b"])
+        no_pat = no_block(li_pat, params, i, projections[i], config)
+        no_pred = linear(no_pat, params[p + "no_head.w"], params[p + "no_head.b"])
         h = no_pat
         terms.extend([li_pred, no_pred])
         levels.append(LevelTrace(li_pat, no_pat, li_pred, no_pred))

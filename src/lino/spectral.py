@@ -68,7 +68,11 @@ def freq_projection(w_re: Tensor, w_im: Tensor) -> Tensor:
                              "must both be (b, b) with b >= 2")
     fwd, inv = _bases(2 * (b - 1))
     wr_t, wi_t = w_re.data.T, w_im.data.T
-    mix = np.block([[wr_t, wi_t], [-wi_t, wr_t]])
+    # [[wr_t, wi_t], [-wi_t, wr_t]] in F order; a C-ordered mix moves S in the last bits
+    mix = np.empty((2 * b, 2 * b), order="F")
+    mix[:b, :b] = mix[b:, b:] = wr_t
+    mix[:b, b:] = wi_t
+    np.negative(wi_t, out=mix[b:, :b])
     s = (fwd @ mix) @ inv
 
     def vjp(g):

@@ -30,8 +30,10 @@ rounding, an unrecorded one a loop form that is bitwise that loop.
 
 Binary ops require operands of identical shape. There is no generalized
 broadcasting; the pooled channel summary is broadcast inside
-`channel_mix`, and RevIN's statistics are pre-broadcast constants, which
-keeps every vjp a plain shape-preserving expression.
+`channel_mix`, and RevIN's statistics are constants holding broadcast
+views, which keeps every vjp a plain shape-preserving expression. An op
+writes in place only into arrays it has just created, never into its
+inputs, parameters or upstream gradient, so any of them may be read-only.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import DimensionError, NonFiniteError
 
@@ -238,7 +240,7 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     xd, wd = x.data.reshape(-1, n_in), w.data
     y = (xd @ wd).reshape(x.shape[:-1] + (n_out,))
     if b is not None:
-        y = y + b.data
+        y += b.data
 
     def vjp(g):
         g = g.reshape(-1, n_out)
@@ -308,7 +310,7 @@ def _conv_toeplitz(rows, pd, bd, out_rows) -> None:
     acc = buf[d * tile : d * tile + cols * d].reshape(cols, d)
     pad = buf[d * tile + cols * d :]
     pad[: d - 1] = 0
-    toe = sliding_window_view(pad, d)[::-1]
+    toe = _toeplitz(pad).T
     for j in range(cols):
         np.copyto(pad[d - 1 :], rows[j])
         for t0 in range(0, d, tile):
@@ -369,13 +371,23 @@ def _conv_blocked(rows, pd, bd, out_rows) -> None:
         np.add(acc, beta, out=dst_cols.T)
 
 
+def _toeplitz(padded: np.ndarray) -> np.ndarray:
+    """Read-only Toeplitz view [..., D, D] of a [..., 2D - 1] array:
+    view[..., i, j] = padded[..., D - 1 + i - j]."""
+    d = (padded.shape[-1] + 1) // 2
+    step = padded.strides[-1]
+    return as_strided(padded[..., d - 1 :], padded.shape[:-1] + (d, d),
+                      padded.strides[:-1] + (step, -step), writeable=False)
+
+
 def _conv_operator(pd: np.ndarray) -> np.ndarray:
     """Each channel's Toeplitz operator as one contiguous [C, D, D] array:
     toeplitz[c, i, j] = phi[c, i - j], zero above the diagonal. It is a
     copy of a strided view of the kernel, zero-padded on the left."""
     c, d = pd.shape
-    padded = np.concatenate([np.zeros((c, d - 1)), pd], axis=-1)
-    return np.ascontiguousarray(sliding_window_view(padded, d, axis=-1)[..., ::-1])
+    padded = np.zeros((c, 2 * d - 1))
+    padded[:, d - 1 :] = pd
+    return np.ascontiguousarray(_toeplitz(padded))
 
 
 def causal_depthwise_conv(h: Tensor, phi: Tensor, beta: Tensor) -> Tensor:
@@ -509,7 +521,9 @@ def channel_mix(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Te
     pre += (pooled @ w1_pool + b1.data)[:, None]
     _check_finite(pre, "channel_mix")
     hidden = np.tanh(pre, out=pre).reshape(-1, d)
-    y = hidden @ w2.data + b2.data + rows
+    y = hidden @ w2.data
+    y += b2.data
+    y += rows
 
     def vjp(g):
         g = g.reshape(-1, d)
@@ -539,26 +553,23 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     if gamma.shape != (d,) or beta.shape != (d,):
         raise DimensionError(
             f"layer_norm: affine shapes {gamma.shape}/{beta.shape} != ({d},)")
-    xd = x.data
-    # np.add.reduce(...) / d is what `.mean` computes, bit for bit, without
-    # its Python wrapper
-    mu = np.add.reduce(xd, axis=-1, keepdims=True) / d
-    var = np.add.reduce((xd - mu) ** 2, axis=-1, keepdims=True) / d
+    # np.add.reduce(...) / d is `.mean`, bit for bit, without its wrapper
+    xhat = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / d
+    var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (xd - mu) * inv
-    y = xhat * gamma.data + beta.data
+    xhat *= inv
+    lead = tuple(range(xhat.ndim - 1))
+    y = xhat * gamma.data
+    y += beta.data
 
     def vjp(g):
         gxhat = g * gamma.data
-        gx = inv * (
-            gxhat
-            - np.add.reduce(gxhat, axis=-1, keepdims=True) / d
-            - xhat * (np.add.reduce(gxhat * xhat, axis=-1, keepdims=True) / d)
-        )
-        lead = tuple(range(g.ndim - 1))
-        ggamma = (g * xhat).sum(axis=lead)
-        gbeta = g.sum(axis=lead)
-        return gx, ggamma, gbeta
+        gx = gxhat - np.add.reduce(gxhat, axis=-1, keepdims=True) / d
+        gx -= xhat * (np.add.reduce(gxhat * xhat, axis=-1, keepdims=True) / d)
+        gx *= inv
+        # reduced in g's memory order: an axis-0 reduce of g.reshape(-1, d)
+        # moves bits for a non-contiguous g, and measured no faster
+        return gx, np.add.reduce(g * xhat, axis=lead), np.add.reduce(g, axis=lead)
 
     return _record(y, (x, gamma, beta), vjp, "layer_norm")
 

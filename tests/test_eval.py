@@ -17,7 +17,8 @@ import pytest
 from helpers import force_workers, randomized_params
 
 from lino.data import SplitSpec, SynthSpec, prepare, synth_generate
-from lino.errors import DataError, DimensionError, NonFiniteError, WorkerDiedError
+from lino.errors import (ConfigError, DataError, DimensionError, NonFiniteError,
+                         WorkerDiedError)
 from lino.evaluate import (EvalReport, ReportRow, decomposition_table,
                            evaluate, export_decomposition, li_block_map,
                            model_map, no_block_map, probe_affine)
@@ -90,6 +91,12 @@ class TestEvaluate:
     def test_target_count_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             evaluate(last_value_predictor, np.zeros((3, 2, 8)), np.zeros((2, 2, 4)))
+
+    @pytest.mark.parametrize("batch_size", [0, -1, -256])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        x, y = self._windows()
+        with pytest.raises(ConfigError, match=f"batch_size must be >= 1, got {batch_size}"):
+            evaluate(last_value_predictor, x, y, batch_size=batch_size)
 
 
 def pid_logging(predict, log):

@@ -15,7 +15,7 @@ from lino.evaluate import evaluate
 from lino.model import (ABLATIONS, REVIN_EPS, VARIANTS, Forecaster, LiNoConfig,
                         build_projections, forward, forward_normalized,
                         init_params, li_block, no_block, no_projection,
-                        revin_denormalize, revin_normalize, scoped)
+                        revin_denormalize, revin_normalize)
 from lino.seeding import stream
 from lino.tensor import Tape, Tensor, backward
 
@@ -47,6 +47,18 @@ class TestRevin:
         xn, stats = revin_normalize(x)
         back = revin_denormalize(Tensor(xn), stats).data
         assert np.abs(back - x).max() < 1e-12
+
+    @pytest.mark.parametrize("layout", ["c", "f", "reversed"])
+    def test_matches_mean_and_var_bitwise(self, layout):
+        """One centred array scaled in place gives the bits of the plain
+        `x.mean` / `x.var` expression, for any memory layout."""
+        x = np.random.default_rng(3).normal(size=(64, 7, 96)) * 5 + 2
+        x = {"c": x, "f": np.asfortranarray(x), "reversed": x[..., ::-1]}[layout]
+        xn, (mu, sigma) = revin_normalize(x)
+        want_sigma = np.sqrt(x.var(axis=-1, keepdims=True) + REVIN_EPS)
+        assert np.array_equal(mu, x.mean(axis=-1, keepdims=True))
+        assert np.array_equal(sigma, want_sigma)
+        assert np.array_equal(xn, (x - x.mean(axis=-1, keepdims=True)) / want_sigma)
 
     def test_constant_channel_guarded(self):
         x = np.full((1, 2, 8), 3.0)
@@ -132,8 +144,7 @@ class TestLiBlock:
         cfg = tiny_config()
         params = init_params(cfg, stream(0, "init"))
         h = Tensor(np.random.default_rng(0).normal(size=(3, 2, 8)))
-        out = li_block(h, params["level0.li.phi"], params["level0.li.beta"],
-                       0.0, "eval")
+        out = li_block(h, params, 0, cfg, "eval")
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_moving_average_kernel_matches_oracle(self):
@@ -143,7 +154,8 @@ class TestLiBlock:
         h = rng.normal(size=(c, d))
         phi = np.zeros((c, d))
         phi[:, :k] = 1.0 / k
-        out = li_block(Tensor(h), Tensor(phi), Tensor(np.zeros(c)), 0.0, "eval").data
+        params = {"level0.li.phi": Tensor(phi), "level0.li.beta": Tensor(np.zeros(c))}
+        out = li_block(Tensor(h), params, 0, tiny_config(channels=c), "eval").data
 
         expected = np.zeros_like(h)
         for ci in range(c):
@@ -157,17 +169,17 @@ class TestLiBlock:
     def test_eval_mode_ignores_dropout_probability(self):
         rng = np.random.default_rng(1)
         h = Tensor(rng.normal(size=(2, 2, 8)))
-        phi = Tensor(rng.normal(size=(2, 8)))
-        beta = Tensor(rng.normal(size=(2,)))
-        a = li_block(h, phi, beta, 0.0, "eval").data
-        b = li_block(h, phi, beta, 0.9, "eval").data
+        params = {"level0.li.phi": Tensor(rng.normal(size=(2, 8))),
+                  "level0.li.beta": Tensor(rng.normal(size=(2,)))}
+        a = li_block(h, params, 0, tiny_config(), "eval").data
+        b = li_block(h, params, 0, tiny_config(dropout=0.9), "eval").data
         np.testing.assert_array_equal(a, b)
 
     def test_train_mode_dropout_masks(self):
         h = Tensor(np.ones((4, 2, 8)))
-        phi = Tensor(np.ones((2, 8)))
-        beta = Tensor(np.zeros(2))
-        out = li_block(h, phi, beta, 0.5, "train", np.random.default_rng(0)).data
+        params = {"level0.li.phi": Tensor(np.ones((2, 8))), "level0.li.beta": Tensor(np.zeros(2))}
+        out = li_block(h, params, 0, tiny_config(dropout=0.5), "train",
+                       np.random.default_rng(0)).data
         assert (out == 0.0).any()
 
 
@@ -176,18 +188,15 @@ class TestLiBlock:
 # ---------------------------------------------------------------------------
 
 def run_no_block(r, p, cfg):
-    """One nonlinear block with its own fused projection."""
-    return no_block(r, p, no_projection(p, cfg), cfg)
+    """Level 0's nonlinear block with its own fused projection."""
+    return no_block(r, p, 0, no_projection(p, cfg, 0), cfg)
 
 
 class TestNoBlock:
-    def _block_params(self, cfg, seed=0):
-        return scoped(randomized_params(cfg, seed), "level0.no")
-
     def test_zero_remainder_zero_output(self):
         """At init all biases are zero, so zero in means zero out."""
         cfg = tiny_config()
-        p = scoped(init_params(cfg, stream(0, "init")), "level0.no")
+        p = init_params(cfg, stream(0, "init"))
         r = Tensor(np.zeros((3, 2, 8)))
         out = run_no_block(r, p, cfg)
         np.testing.assert_array_equal(out.data, 0.0)
@@ -198,11 +207,11 @@ class TestNoBlock:
         the two concatenated halves therefore sees exactly zero."""
         cfg = tiny_config(channels=1)
         d = cfg.dim
-        p = self._block_params(cfg, seed=4)
-        p["mix.w1"] = Tensor(np.concatenate([np.eye(d), -np.eye(d)], axis=0))
-        p["mix.b1"] = Tensor(np.zeros(d))
-        p["mix.w2"] = Tensor(np.random.default_rng(0).normal(size=(d, d)))
-        p["mix.b2"] = Tensor(np.zeros(d))
+        p = randomized_params(cfg, seed=4)
+        p["level0.no.mix.w1"] = Tensor(np.concatenate([np.eye(d), -np.eye(d)], axis=0))
+        p["level0.no.mix.b1"] = Tensor(np.zeros(d))
+        p["level0.no.mix.w2"] = Tensor(np.random.default_rng(0).normal(size=(d, d)))
+        p["level0.no.mix.b2"] = Tensor(np.zeros(d))
         r = Tensor(np.random.default_rng(1).normal(size=(2, 1, 8)))
         with_mix = run_no_block(r, p, cfg).data
         without = run_no_block(r, p, replace(cfg, ablation="no_cd")).data
@@ -210,28 +219,27 @@ class TestNoBlock:
 
     def test_te_fe_flags_cut_dependencies(self):
         cfg = tiny_config()
-        p = self._block_params(cfg, seed=2)
+        p = randomized_params(cfg, seed=2)
         r = Tensor(np.random.default_rng(3).normal(size=(2, 2, 8)))
         no_te, no_fe = replace(cfg, ablation="no_te"), replace(cfg, ablation="no_fe")
         base_no_te = run_no_block(r, p, no_te).data
         p2 = dict(p)
-        p2["time.w"] = Tensor(np.random.default_rng(9).normal(size=(8, 8)))
-        p2["time.b"] = Tensor(np.random.default_rng(11).normal(size=8))
+        p2["level0.no.time.w"] = Tensor(np.random.default_rng(9).normal(size=(8, 8)))
+        p2["level0.no.time.b"] = Tensor(np.random.default_rng(11).normal(size=8))
         np.testing.assert_array_equal(base_no_te, run_no_block(r, p2, no_te).data)
         base_no_fe = run_no_block(r, p, no_fe).data
         p3 = dict(p)
-        p3["freq.w_re"] = Tensor(np.random.default_rng(10).normal(size=(5, 5)))
+        p3["level0.no.freq.w_re"] = Tensor(np.random.default_rng(10).normal(size=(5, 5)))
         np.testing.assert_array_equal(base_no_fe, run_no_block(r, p3, no_fe).data)
 
     def test_gradients_through_block(self):
         cfg = tiny_config()
-        p = self._block_params(cfg, seed=5)
-        names = sorted(p)
+        p = randomized_params(cfg, seed=5)
+        names = sorted(n for n in p if n.startswith("level0.no."))
         arrays = [p[n].data for n in names]
 
         def op(r, *weights):
-            block = {n: w for n, w in zip(names, weights)}
-            return run_no_block(r, block, cfg)
+            return run_no_block(r, dict(zip(names, weights)), cfg)
 
         check_gradients(op, [np.random.default_rng(6).normal(size=(2, 8))] + arrays,
                         tol=1e-3)
@@ -259,17 +267,17 @@ class TestFusedProjection:
     def test_matches_time_plus_frequency_projection(self, ablation):
         cfg = LiNoConfig(channels=7, lookback=32, horizon=16, dim=64, blocks=1,
                          ablation=ablation)
-        p = scoped(randomized_params(cfg, seed=12), "level0.no")
+        p = randomized_params(cfg, seed=12)
         r = Tensor(np.random.default_rng(13).normal(size=(5, 7, 64)))
         parts = []
         if ablation != "no_te":
-            parts.append(T.linear(r, p["time.w"], p["time.b"]).data)
+            parts.append(T.linear(r, p["level0.no.time.w"], p["level0.no.time.b"]).data)
         if ablation != "no_fe":
             # numpy.fft: transform, mix bins, transform back
-            w = p["freq.w_re"].data + 1j * p["freq.w_im"].data
+            w = p["level0.no.freq.w_re"].data + 1j * p["level0.no.freq.w_im"].data
             parts.append(np.fft.irfft(np.fft.rfft(r.data, axis=-1) @ w.T, n=64, axis=-1))
         want = sum(parts)
-        got = T.linear(r, *no_projection(p, cfg)).data
+        got = T.linear(r, *no_projection(p, cfg, 0)).data
         gap = np.max(np.abs(got - want)) / np.max(np.abs(want))
         assert gap <= 1e-12, f"relative gap {gap:.1e}"
 

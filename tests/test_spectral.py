@@ -142,6 +142,16 @@ class TestSpectrumOps:
         # irfft reads only the real parts of the DC and Nyquist bins
         np.testing.assert_allclose(y, np.fft.irfft(mixed, n=n, axis=-1), atol=1e-9)
 
+    @pytest.mark.parametrize("b", [2, 5, 9, 129, 257])
+    def test_matches_block_matrix_build_bitwise(self, b):
+        """The slice-filled bin mix gives the operator of the `np.block`
+        build bit for bit: same values in the same (F) order."""
+        rng = np.random.default_rng(b)
+        w_re, w_im = rng.normal(size=(b, b)), rng.normal(size=(b, b))
+        fwd, inv = sp._bases(2 * (b - 1))
+        want = (fwd @ np.block([[w_re.T, w_im.T], [-w_im.T, w_re.T]])) @ inv
+        assert np.array_equal(sp.freq_projection(Tensor(w_re), Tensor(w_im)).data, want)
+
     def test_weight_shape_checked(self):
         for re_shape, im_shape in [
             ((1, 1), (1, 1)),  # b < 2: no even length >= 2

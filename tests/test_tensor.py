@@ -4,15 +4,20 @@ The brute-force convolution reference and the finite-difference checker
 are the oracles here; engine code is never trusted to test itself.
 """
 
+import ast
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from helpers import check_gradients, fd_gradients, relative_error
 
+import lino
 import lino.tensor as T
 from lino.errors import DimensionError, NonFiniteError
+from lino.spectral import freq_projection
 from lino.tensor import Tape, Tensor, backward
 
 
@@ -294,6 +299,23 @@ class TestCausalConv:
                     want[w, ci, dpos] = acc
         assert np.array_equal(out, want)
 
+    @pytest.mark.parametrize("c, d", [(1, 1), (1, 8), (3, 16), (7, 256)])
+    def test_toeplitz_views_match_sliding_window_builds(self, c, d):
+        """The strided views of both Toeplitz forms against the
+        `sliding_window_view` builds they replace: same values and strides,
+        and the same contiguous conv operator, bit for bit."""
+        rng = np.random.default_rng(c * d)
+        pd = rng.normal(size=(c, d))
+        padded = np.concatenate([np.zeros((c, d - 1)), pd], axis=-1)
+        for got, want in [(T._toeplitz(padded), sliding_window_view(padded, d, axis=-1)[..., ::-1]),
+                          (T._toeplitz(padded[0]).T, sliding_window_view(padded[0], d)[::-1])]:
+            assert got.strides == want.strides and not got.flags.writeable
+            assert np.array_equal(got, want)
+        op = T._conv_operator(pd)
+        assert op.flags.c_contiguous
+        assert np.array_equal(op, np.ascontiguousarray(
+            sliding_window_view(padded, d, axis=-1)[..., ::-1]))
+
     def test_channels_independent(self):
         rng = np.random.default_rng(5)
         h = rng.normal(size=(3, 6))
@@ -451,7 +473,44 @@ class TestChannelMix:
             T.channel_mix(*map(Tensor, arrays))
 
 
+def layer_norm_reference(x, gamma, beta, g, eps=1e-5):
+    """layer_norm's forward and vjp as plain expressions, each step a new
+    array: (y, gx, ggamma, gbeta)."""
+    d = x.shape[-1]
+    mu = np.add.reduce(x, axis=-1, keepdims=True) / d
+    var = np.add.reduce((x - mu) ** 2, axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    gxhat = g * gamma
+    gx = inv * (gxhat - np.add.reduce(gxhat, axis=-1, keepdims=True) / d
+                - xhat * (np.add.reduce(gxhat * xhat, axis=-1, keepdims=True) / d))
+    lead = tuple(range(g.ndim - 1))
+    return xhat * gamma + beta, gx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
+
+
 class TestLayerNorm:
+    @pytest.mark.parametrize("shape", [(64, 3, 16), (32, 7, 256), (1, 7, 16), (4, 16), (16,)])
+    @pytest.mark.parametrize("layout", ["c", "f", "reversed"])
+    def test_matches_reference_expressions_bitwise(self, shape, layout):
+        """Forward and vjp against the plain expressions, bit for bit, for
+        an upstream gradient (and an input) in C order, F order or a
+        reversed view: a reduce over the leading axes follows the memory
+        order, so this pins the summation order for non-contiguous g."""
+        rng = np.random.default_rng(len(shape) + shape[-1])
+        arrays = [rng.normal(size=shape) * 3 + 1, rng.normal(size=shape)]
+        if layout == "f":
+            arrays = [np.asfortranarray(a) for a in arrays]
+        elif layout == "reversed":
+            arrays = [a[..., ::-1] for a in arrays]
+        x, g = arrays
+        gamma, beta = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
+        leaves = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
+        with Tape() as tape:
+            y = T.layer_norm(*leaves)
+        got = (y.data,) + tuple(tape.nodes[-1].vjp(g))
+        for a, b in zip(got, layer_norm_reference(x, gamma, beta, g)):
+            assert a.shape == b.shape and np.array_equal(a, b)
+
     def test_two_point_example(self):
         y = T.layer_norm(Tensor([1.0, 3.0]), Tensor([1.0, 1.0]), Tensor([0.0, 0.0]),
                          eps=1e-12).data
@@ -525,6 +584,81 @@ class TestShapeOps:
     def test_sum_all_gradients(self):
         rng = np.random.default_rng(zlib.crc32(b"sum_all"))
         check_gradients(T.sum_all, [rng.normal(size=(3, 4))])
+
+
+# ---------------------------------------------------------------------------
+# no op writes into its inputs
+# ---------------------------------------------------------------------------
+
+# One case per op `_record` can tag, named by the op (a suffix after "/"
+# tells apart the conv's forms): the call on Tensors, and its arguments'
+# shapes. The conv's unrecorded forward is the Toeplitz form at 3 columns
+# and the blocked loop at 12; recorded, both run the GEMM form.
+WRITE_CASES = {
+    "add": (T.add, [(3, 4), (3, 4)]),
+    "sub": (T.sub, [(3, 4), (3, 4)]),
+    "mul": (T.mul, [(3, 4), (3, 4)]),
+    "scale": (lambda a: T.scale(a, 0.5), [(3, 4)]),
+    "tanh": (T.tanh, [(3, 4)]),
+    "linear": (T.linear, [(2, 3, 5), (5, 4), (4,)]),
+    "causal_depthwise_conv/toeplitz": (T.causal_depthwise_conv, [(1, 3, 8), (3, 8), (3,)]),
+    "causal_depthwise_conv/blocked": (T.causal_depthwise_conv, [(4, 3, 8), (3, 8), (3,)]),
+    "channel_mix": (T.channel_mix, [(2, 3, 6), (12, 6), (6,), (6, 6), (6,)]),
+    "layer_norm": (T.layer_norm, [(2, 3, 6), (6,), (6,)]),
+    "dropout": (lambda a: T.dropout(a, 0.5, "train", np.random.default_rng(0)), [(3, 4)]),
+    "sum_all": (T.sum_all, [(3, 4)]),
+    "freq_projection": (freq_projection, [(5, 5), (5, 5)]),
+}
+
+
+def recorded_op_names():
+    """Every op name a `_record` call in `src/lino` tags its node with."""
+    names = set()
+    for path in Path(lino.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_record":
+                tag = node.args[-1]
+                assert isinstance(tag, ast.Constant), f"{path.name}: computed op name"
+                names.add(tag.value)
+    return names
+
+
+def frozen(a):
+    a = np.array(a, dtype=np.float64)
+    a.setflags(write=False)
+    return a
+
+
+class TestNoWritesIntoInputs:
+    """Inputs, parameters and the upstream gradient go in read-only, so an
+    op that wrote into one would raise; outputs must not alias them either,
+    so a later in-place write into an op's fresh output cannot reach them.
+    Eval-mode dropout, which returns its input tensor, is the one forward
+    exception; `add` and `sub` pass the upstream gradient through as an
+    input gradient, which `backward` never writes into."""
+
+    @pytest.mark.parametrize("name", sorted(WRITE_CASES))
+    def test_op_leaves_its_arrays_alone(self, name):
+        op, shapes = WRITE_CASES[name]
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
+        arrays = [frozen(rng.normal(size=s)) for s in shapes]
+
+        def aliases(out, *more):
+            return [i for i, a in enumerate(arrays + list(more)) if np.shares_memory(out, a)]
+
+        assert aliases(op(*[Tensor(a) for a in arrays]).data) == []
+        with Tape() as tape:
+            out = op(*[Tensor(a, requires_grad=True) for a in arrays])
+        assert aliases(out.data) == []
+        g = frozen(rng.normal(size=out.shape))
+        for pg in tape.nodes[-1].vjp(g):
+            assert aliases(pg, g) == [] or (name in ("add", "sub") and pg is g)
+
+    def test_every_recorded_op_has_a_case(self):
+        names = recorded_op_names()
+        assert {"freq_projection", "channel_mix", "layer_norm"} <= names
+        uncovered = sorted(op for op in names if op not in {c.split("/")[0] for c in WRITE_CASES})
+        assert not uncovered, f"ops with no read-only case: {uncovered}"
 
 
 # ---------------------------------------------------------------------------
