@@ -417,7 +417,9 @@ def cmd_ablate(rc: RunConfig) -> int:
     agg = report.seed_summary()
     full = {g["horizon"]: g["mse_mean"] for g in agg if g["ablation"] == "none"}
     for g in agg:
-        rel = (g["mse_mean"] - full[g["horizon"]]) / full[g["horizon"]]
+        base = full[g["horizon"]]
+        # a full model with zero error leaves the ratio undefined
+        rel = (g["mse_mean"] - base) / base if base else float("nan")
         vals = val_mse[(g["ablation"], g["horizon"])]
         rows.append([g["ablation"], str(g["horizon"]), str(g["seeds"]),
                      repr(float(np.mean(vals))), repr(g["mse_mean"]),

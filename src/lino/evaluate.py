@@ -213,7 +213,7 @@ def li_block_map(params: dict, config: LiNoConfig, level: int) -> Callable:
 
     def f(vec):
         h = Tensor(np.reshape(vec, (c, d)))
-        return li_block(h, params, level, config, "eval").data.reshape(-1)
+        return li_block(h, params, level, config).data.reshape(-1)
 
     return f
 
@@ -238,7 +238,7 @@ def model_map(params: dict, config: LiNoConfig) -> Callable:
 
     def f(vec):
         xn = Tensor(np.reshape(vec, (c, t)))
-        y, _ = forward_normalized(xn, params, config, mode="eval")
+        y, _ = forward_normalized(xn, params, config)
         return y.data.reshape(-1)
 
     return f
@@ -266,20 +266,9 @@ def export_decomposition(params: dict, config: LiNoConfig,
         raise DimensionError(f"expected one [channels, lookback] window, got shape {x.shape}")
     res = forward(x, params, config, mode="eval")
     mu, sigma = res.stats
-    labelled = []
-    for i, lv in enumerate(res.trace.levels):
-        if lv.li_pred is not None:
-            labelled.append((f"level{i}.li", lv.li_pred.data))
-        if lv.no_pred is not None:
-            labelled.append((f"level{i}.no", lv.no_pred.data))
-    if not labelled:
-        labelled.append(("head", res.y_norm.data))
-    components = []
-    for j, (label, vals) in enumerate(labelled):
-        scaled = vals * sigma
-        if j == 0:
-            scaled = scaled + mu
-        components.append((label, scaled))
+    components = [(label, head.data * sigma) for label, head in res.trace.heads]
+    label, first = components[0]
+    components[0] = (label, first + mu)
     return Decomposition(components, res.y.data)
 
 

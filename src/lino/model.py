@@ -38,7 +38,7 @@ instance normalisation's variance guard is the constant `REVIN_EPS`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -176,13 +176,14 @@ def revin_denormalize(y_norm: Tensor, stats) -> Tensor:
 # blocks
 # ---------------------------------------------------------------------------
 
-def li_block(h: Tensor, params: dict, level: int, config: LiNoConfig, mode: str,
+def li_block(h: Tensor, params: dict, level: int, config: LiNoConfig,
              rng: Optional[np.random.Generator] = None) -> Tensor:
     """Linear pattern extractor of the given level: full-receptive-field
-    causal depthwise convolution, then dropout."""
+    causal depthwise convolution, then dropout drawn from `rng`, which is
+    off when there is no rng."""
     p = f"level{level}.li."
     return dropout(causal_depthwise_conv(h, params[p + "phi"], params[p + "beta"]),
-                   config.dropout, mode, rng)
+                   config.dropout, rng)
 
 
 def no_projection(params: dict, config: LiNoConfig, level: int) -> tuple:
@@ -245,34 +246,27 @@ def no_block(r: Tensor, params: dict, level: int, projection: tuple, config: LiN
 # ---------------------------------------------------------------------------
 
 @dataclass
-class LevelTrace:
-    """Patterns and head outputs of one level, normalised scale."""
-
-    li_pattern: Tensor
-    no_pattern: Tensor
-    li_pred: Optional[Tensor]
-    no_pred: Optional[Tensor]
-
-
-@dataclass
 class ForwardTrace:
-    """Everything the decomposition and completeness checks need."""
+    """One pass at normalised scale. `patterns`: each level's (li, no)
+    pattern pair, zeros for an ablated block. `heads`: each head's (label,
+    output) pair in summation order, labelled `level{i}.li`, `level{i}.no`,
+    or `head` for `raw`'s one head; their sum is the forecast, bitwise.
+    `remainder`: what the last level hands on."""
 
     embedded: Tensor
-    levels: list
-    final_remainder: Tensor
-    terms: list = field(default_factory=list)  # head outputs, accumulation order
+    patterns: list
+    heads: list
+    remainder: Tensor
 
 
 def forward_normalized(xn: Tensor, params: dict, config: LiNoConfig,
-                       mode: str = "eval",
                        rng: Optional[np.random.Generator] = None,
                        projections: Optional[tuple] = None):
     """Run the configured recursion on an already-normalised input.
 
     xn: [..., channels, lookback]. Returns (y_norm, ForwardTrace) with
-    y_norm: [..., channels, horizon]. The trace's `terms` list is the
-    exact sequence summed into y_norm, so `sum(terms) == y_norm` bitwise.
+    y_norm: [..., channels, horizon], the sum of the trace's heads. `rng`
+    drives the linear blocks' dropout; with none, dropout is off.
     `projections` is `build_projections(params, config)`; when omitted it
     is built here, so under a tape it is recorded once per step.
     """
@@ -282,94 +276,79 @@ def forward_normalized(xn: Tensor, params: dict, config: LiNoConfig,
             f"({config.channels}, {config.lookback})")
     if projections is None:
         projections = build_projections(params, config)
-    h = linear(xn, params["embed.w"], params["embed.b"])
+    embedded = linear(xn, params["embed.w"], params["embed.b"])
     fn = {"lino": _forward_lino, "mu": _forward_mu,
           "raw": _forward_raw, "ln": _forward_ln}[config.variant]
-    return fn(h, params, projections, config, mode, rng)
+    patterns, heads, remainder = fn(embedded, params, projections, config, rng)
+    y = heads[0][1]
+    for _, out in heads[1:]:
+        y = add(y, out)
+    return y, ForwardTrace(embedded, patterns, heads, remainder)
 
 
-def _accumulate(terms):
-    total = terms[0]
-    for t in terms[1:]:
-        total = add(total, t)
-    return total
+def _head(params, label, pattern):
+    return label, linear(pattern, params[label + "_head.w"], params[label + "_head.b"])
 
 
-def _forward_lino(h, params, projections, config, mode, rng):
-    embedded = h
-    levels, terms = [], []
+def _forward_lino(h, params, projections, config, rng):
+    patterns, heads = [], []
     for i in range(config.blocks):
         p = f"level{i}."
         if config.ablation == "no_li":
-            li_pat, li_pred = Tensor(np.zeros(h.shape)), None
-            r = h
+            li_pat, r = Tensor(np.zeros(h.shape)), h
         else:
-            li_pat = li_block(h, params, i, config, mode, rng)
-            li_pred = linear(li_pat, params[p + "li_head.w"], params[p + "li_head.b"])
+            li_pat = li_block(h, params, i, config, rng)
+            heads.append(_head(params, p + "li", li_pat))
             r = sub(h, li_pat)
-            terms.append(li_pred)
         if config.ablation == "no_no":
-            no_pat, no_pred = Tensor(np.zeros(r.shape)), None
-            h = r
+            no_pat, h = Tensor(np.zeros(r.shape)), r
         else:
             no_pat = no_block(r, params, i, projections[i], config)
-            no_pred = linear(no_pat, params[p + "no_head.w"], params[p + "no_head.b"])
+            heads.append(_head(params, p + "no", no_pat))
             h = sub(r, no_pat)
-            terms.append(no_pred)
-        levels.append(LevelTrace(li_pat, no_pat, li_pred, no_pred))
-    y = _accumulate(terms)
-    return y, ForwardTrace(embedded, levels, h, terms)
+        patterns.append((li_pat, no_pat))
+    return patterns, heads, h
 
 
-def _forward_mu(h, params, projections, config, mode, rng):
+def _forward_mu(h, params, projections, config, rng):
     """Comparison recursion: one pattern per level; the nonlinear block
     reads the linear block's output and only the combined pattern is
     subtracted from the running features."""
-    embedded = h
-    levels, terms = [], []
+    patterns, heads = [], []
     for i in range(config.blocks):
         p = f"level{i}."
-        li_pat = li_block(h, params, i, config, mode, rng)
+        li_pat = li_block(h, params, i, config, rng)
         no_pat = no_block(li_pat, params, i, projections[i], config)
-        pred = linear(no_pat, params[p + "no_head.w"], params[p + "no_head.b"])
+        heads.append(_head(params, p + "no", no_pat))
         h = sub(h, no_pat)
-        terms.append(pred)
-        levels.append(LevelTrace(li_pat, no_pat, None, pred))
-    y = _accumulate(terms)
-    return y, ForwardTrace(embedded, levels, h, terms)
+        patterns.append((li_pat, no_pat))
+    return patterns, heads, h
 
 
-def _forward_raw(h, params, projections, config, mode, rng):
+def _forward_raw(h, params, projections, config, rng):
     """Comparison recursion: blocks chained feature-to-feature with no
     subtraction anywhere; a single head reads the last level's features."""
-    embedded = h
-    levels = []
+    patterns = []
     for i in range(config.blocks):
-        li_pat = li_block(h, params, i, config, mode, rng)
-        no_pat = no_block(li_pat, params, i, projections[i], config)
-        h = no_pat
-        levels.append(LevelTrace(li_pat, no_pat, None, None))
-    last = f"level{config.blocks - 1}."
-    y = linear(h, params[last + "no_head.w"], params[last + "no_head.b"])
-    return y, ForwardTrace(embedded, levels, h, [y])
+        li_pat = li_block(h, params, i, config, rng)
+        h = no_block(li_pat, params, i, projections[i], config)
+        patterns.append((li_pat, h))
+    last = f"level{config.blocks - 1}.no"
+    return patterns, [("head", _head(params, last, h)[1])], h
 
 
-def _forward_ln(h, params, projections, config, mode, rng):
+def _forward_ln(h, params, projections, config, rng):
     """Comparison recursion: chained like `raw` but every block keeps its
     own head; still no residual subtraction."""
-    embedded = h
-    levels, terms = [], []
+    patterns, heads = [], []
     for i in range(config.blocks):
         p = f"level{i}."
-        li_pat = li_block(h, params, i, config, mode, rng)
-        li_pred = linear(li_pat, params[p + "li_head.w"], params[p + "li_head.b"])
-        no_pat = no_block(li_pat, params, i, projections[i], config)
-        no_pred = linear(no_pat, params[p + "no_head.w"], params[p + "no_head.b"])
-        h = no_pat
-        terms.extend([li_pred, no_pred])
-        levels.append(LevelTrace(li_pat, no_pat, li_pred, no_pred))
-    y = _accumulate(terms)
-    return y, ForwardTrace(embedded, levels, h, terms)
+        li_pat = li_block(h, params, i, config, rng)
+        heads.append(_head(params, p + "li", li_pat))
+        h = no_block(li_pat, params, i, projections[i], config)
+        heads.append(_head(params, p + "no", h))
+        patterns.append((li_pat, h))
+    return patterns, heads, h
 
 
 @dataclass
@@ -384,14 +363,20 @@ def forward(x, params: dict, config: LiNoConfig, mode: str = "eval",
             rng: Optional[np.random.Generator] = None,
             projections: Optional[tuple] = None) -> ForwardResult:
     """Full pass on raw windows [..., channels, lookback]; `projections`
-    as in `forward_normalized`. Windows of any real dtype and layout are
-    made one contiguous float64 batch first (a copy unless they are one
-    already), so strided views of a series (`data.make_windows`) give the
-    bits their contiguous copy would."""
+    as in `forward_normalized`. Only `mode` "train" hands `rng` to dropout,
+    and needs one when dropout > 0; "eval" turns dropout off. Windows of
+    any real dtype and layout are made one contiguous float64 batch first
+    (a copy unless they are one already), so strided views of a series
+    (`data.make_windows`) give the bits their contiguous copy would."""
+    if mode not in ("train", "eval"):
+        raise ValueError(f"forward: mode must be 'train' or 'eval', got {mode!r}")
+    if mode == "eval":
+        rng = None
+    elif config.dropout > 0.0 and rng is None:
+        raise ValueError("forward: train mode with dropout > 0 needs an rng")
     x = np.ascontiguousarray(x, dtype=np.float64)
     xn, stats = revin_normalize(x)
-    y_norm, trace = forward_normalized(Tensor(xn), params, config, mode, rng,
-                                       projections)
+    y_norm, trace = forward_normalized(Tensor(xn), params, config, rng, projections)
     y = revin_denormalize(y_norm, stats)
     return ForwardResult(y, y_norm, stats, trace)
 
@@ -413,5 +398,4 @@ class Forecaster:
         self.projections = build_projections(params, config)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return forward(x, self.params, self.config, mode="eval",
-                       projections=self.projections).y.data
+        return forward(x, self.params, self.config, projections=self.projections).y.data

@@ -153,7 +153,8 @@ def backward(tape: Tape, loss: Tensor) -> dict:
 
     `loss` must be a scalar produced under `tape`. Returns a dict mapping
     each leaf Tensor that received gradient to its ndarray; that dict is
-    the only output, and no tensor is changed. Fan-out sums, as it must.
+    the only output, and no tensor is changed. Fan-out sums, as it must,
+    and no two leaves share a gradient array.
     """
     if loss.size != 1:
         raise DimensionError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -178,7 +179,13 @@ def backward(tape: Tape, loss: Tensor) -> dict:
                 grads[key] = pg
             if key not in produced:
                 leaves[key] = parent
-    return {leaf: grads[key] for key, leaf in leaves.items()}
+    # `add` hands one array to both operands; each leaf gets its own
+    out, given = {}, set()
+    for key, leaf in leaves.items():
+        g = grads[key]
+        out[leaf] = g.copy() if id(g) in given else g
+        given.add(id(g))
+    return out
 
 
 def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -203,7 +210,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "mul")
     ad, bd = a.data, b.data
-    return _record(ad * bd, (a, b), lambda g: (g * bd, g * ad), "mul")
+    return _record(ad * bd, (a, b), lambda g: (g * bd if a.requires_grad else None,
+                                               g * ad if b.requires_grad else None), "mul")
 
 
 def scale(a: Tensor, s: float) -> Tensor:
@@ -574,17 +582,14 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return _record(y, (x, gamma, beta), vjp, "layer_norm")
 
 
-def dropout(x: Tensor, p: float, mode: str, rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Inverted dropout. Train mode scales kept values by 1/(1-p); eval mode
+def dropout(x: Tensor, p: float, rng: Optional[np.random.Generator] = None) -> Tensor:
+    """Inverted dropout: with an rng, keeps each value with probability
+    1-p and scales the kept ones by 1/(1-p). With no rng, or p = 0, it
     returns the input unchanged (bitwise: it is the same tensor)."""
-    if mode not in ("train", "eval"):
-        raise ValueError(f"dropout: mode must be 'train' or 'eval', got {mode!r}")
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout: p must lie in [0, 1), got {p}")
-    if mode == "eval" or p == 0.0:
+    if rng is None or p == 0.0:
         return x
-    if rng is None:
-        raise ValueError("dropout: train mode with p > 0 needs an rng")
     keep = rng.random(x.shape) >= p
     factor = keep / (1.0 - p)
     return _record(x.data * factor, (x,), lambda g: (g * factor,), "dropout")

@@ -70,9 +70,9 @@ GRADIENT_CASES = [
     ("layer_norm", lambda x, g, b: layer_norm(x, g, b),
      [_r(size=(4, 6)), 1.0 + 0.1 * _r(size=(6,)), _r(size=(6,))]),
     ("dropout_train",
-     lambda x: dropout(x, 0.4, "train", np.random.default_rng(7)),
+     lambda x: dropout(x, 0.4, np.random.default_rng(7)),
      [_r(size=(4, 5))]),
-    ("dropout_eval", lambda x: dropout(x, 0.4, "eval"), [_r(size=(4, 5))]),
+    ("dropout_eval", lambda x: dropout(x, 0.4), [_r(size=(4, 5))]),
     ("sum_all", sum_all, [_r(size=(3, 4))]),
     ("mean_all", mean_all, [_r(size=(3, 4))]),
     ("freq_projection", freq_projection, [_r(size=(5, 5)), _r(size=(5, 5))]),
@@ -191,9 +191,9 @@ def test_02_decomposition_completeness():
         x = rng.normal(size=(100, 3, 16))
         res = forward(x, params, config)
         total = np.zeros_like(res.trace.embedded.data)
-        for lvl in res.trace.levels:
-            total = total + lvl.li_pattern.data + lvl.no_pattern.data
-        total = total + res.trace.final_remainder.data
+        for li_pat, no_pat in res.trace.patterns:
+            total = total + li_pat.data + no_pat.data
+        total = total + res.trace.remainder.data
         gap = float(np.abs(res.trace.embedded.data - total).max())
         worst = max(worst, gap)
     _verdict(2, "decomposition completeness", worst < 1e-9,
@@ -294,7 +294,7 @@ def test_05_moving_average_special_case():
                     acc += (1.0 / k) * h[n, c, dpos - kk]
                 want[n, c, dpos] = acc
 
-    same = np.array_equal(res.trace.levels[0].li_pattern.data, want)
+    same = np.array_equal(res.trace.patterns[0][0].data, want)
     _verdict(5, "moving-average special case", same,
              "level-1 linear pattern is bitwise a k=4 moving average")
 

@@ -1148,6 +1148,8 @@ SWEEP = [
     ("csv-train-1e308", {"csv": ramp_csv({10: "10,1e308"})}, (3, 3, 3, 3, 0, 0)),
     ("csv-constant-channel",
      {"csv": "a,b\n" + "".join(f"{i},3\n" for i in range(200))}, (0, 0, 0, 0, 0, 0)),
+    # every window standardises to zeros, so the full model's test MSE is 0
+    ("csv-all-constant", {"csv": "a,b\n" + "3,5\n" * 300}, (0, 0, 0, 0, 0, 0)),
 ]
 
 

@@ -144,7 +144,7 @@ class TestLiBlock:
         cfg = tiny_config()
         params = init_params(cfg, stream(0, "init"))
         h = Tensor(np.random.default_rng(0).normal(size=(3, 2, 8)))
-        out = li_block(h, params, 0, cfg, "eval")
+        out = li_block(h, params, 0, cfg)
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_moving_average_kernel_matches_oracle(self):
@@ -155,7 +155,7 @@ class TestLiBlock:
         phi = np.zeros((c, d))
         phi[:, :k] = 1.0 / k
         params = {"level0.li.phi": Tensor(phi), "level0.li.beta": Tensor(np.zeros(c))}
-        out = li_block(Tensor(h), params, 0, tiny_config(channels=c), "eval").data
+        out = li_block(Tensor(h), params, 0, tiny_config(channels=c)).data
 
         expected = np.zeros_like(h)
         for ci in range(c):
@@ -171,14 +171,14 @@ class TestLiBlock:
         h = Tensor(rng.normal(size=(2, 2, 8)))
         params = {"level0.li.phi": Tensor(rng.normal(size=(2, 8))),
                   "level0.li.beta": Tensor(rng.normal(size=(2,)))}
-        a = li_block(h, params, 0, tiny_config(), "eval").data
-        b = li_block(h, params, 0, tiny_config(dropout=0.9), "eval").data
+        a = li_block(h, params, 0, tiny_config()).data
+        b = li_block(h, params, 0, tiny_config(dropout=0.9)).data
         np.testing.assert_array_equal(a, b)
 
     def test_train_mode_dropout_masks(self):
         h = Tensor(np.ones((4, 2, 8)))
         params = {"level0.li.phi": Tensor(np.ones((2, 8))), "level0.li.beta": Tensor(np.zeros(2))}
-        out = li_block(h, params, 0, tiny_config(dropout=0.5), "train",
+        out = li_block(h, params, 0, tiny_config(dropout=0.5),
                        np.random.default_rng(0)).data
         assert (out == 0.0).any()
 
@@ -310,7 +310,7 @@ class TestPrimaryForward:
         res = forward(x, params, cfg)
         assert res.y.shape == (5, 2, 4)
         assert res.y_norm.shape == (5, 2, 4)
-        assert len(res.trace.levels) == 2
+        assert len(res.trace.patterns) == 2
 
     @pytest.mark.parametrize("blocks", [1, 2, 3, 4])
     def test_telescoping_completeness(self, blocks):
@@ -320,9 +320,9 @@ class TestPrimaryForward:
         x = np.random.default_rng(blocks).normal(size=(4, 2, 8))
         res = forward(x, params, cfg)
         total = np.zeros_like(res.trace.embedded.data)
-        for lvl in res.trace.levels:
-            total = total + lvl.li_pattern.data + lvl.no_pattern.data
-        total = total + res.trace.final_remainder.data
+        for li_pat, no_pat in res.trace.patterns:
+            total = total + li_pat.data + no_pat.data
+        total = total + res.trace.remainder.data
         assert np.abs(res.trace.embedded.data - total).max() < 1e-9
 
     def test_prediction_identity_bitwise(self):
@@ -330,9 +330,9 @@ class TestPrimaryForward:
         params = randomized_params(cfg, seed=9)
         x = np.random.default_rng(9).normal(size=(2, 2, 8))
         res = forward(x, params, cfg)
-        total = res.trace.terms[0].data.copy()
-        for t in res.trace.terms[1:]:
-            total = total + t.data
+        total = res.trace.heads[0][1].data.copy()
+        for _, head in res.trace.heads[1:]:
+            total = total + head.data
         assert np.array_equal(res.y_norm.data, total)
 
     def test_constant_input_embeds_to_bias(self):
@@ -361,6 +361,23 @@ class TestPrimaryForward:
         assert not np.array_equal(eval_y, t1)
         assert np.array_equal(t1, t2)
 
+    def test_mode_other_than_train_or_eval_raises(self):
+        cfg = tiny_config()
+        x = np.random.default_rng(2).normal(size=(3, 2, 8))
+        with pytest.raises(ValueError, match="mode must be 'train' or 'eval'"):
+            forward(x, randomized_params(cfg, seed=2), cfg, mode="test")
+
+    def test_train_dropout_without_rng_raises(self):
+        """Dropout > 0 in train mode needs an rng; without dropout, or in
+        eval mode, none is needed."""
+        cfg = tiny_config(dropout=0.5)
+        params = randomized_params(cfg, seed=2)
+        x = np.random.default_rng(2).normal(size=(3, 2, 8))
+        with pytest.raises(ValueError, match="needs an rng"):
+            forward(x, params, cfg, mode="train")
+        forward(x, params, tiny_config(), mode="train")
+        forward(x, params, cfg, mode="eval")
+
     def test_no_li_removes_kernel_dependency(self):
         cfg = tiny_config(ablation="no_li")
         params = randomized_params(cfg, seed=4)
@@ -369,9 +386,9 @@ class TestPrimaryForward:
         params2 = dict(params)
         params2["level0.li.phi"] = Tensor(np.ones((2, 8)))
         assert np.array_equal(base, forward(x, params2, cfg).y.data)
-        lvl = forward(x, params, cfg).trace.levels[0]
-        assert lvl.li_pred is None
-        np.testing.assert_array_equal(lvl.li_pattern.data, 0.0)
+        trace = forward(x, params, cfg).trace
+        assert [label for label, _ in trace.heads] == ["level0.no"]
+        np.testing.assert_array_equal(trace.patterns[0][0].data, 0.0)
 
     def test_no_no_removes_nonlinear_path(self):
         cfg = tiny_config(ablation="no_no")
@@ -439,32 +456,33 @@ class TestVariants:
         x = np.random.default_rng(1).normal(size=(2, 2, 8))
         res = forward(x, params, cfg)
         total = np.zeros_like(res.trace.embedded.data)
-        for lvl in res.trace.levels:
-            total = total + lvl.no_pattern.data
+        for _, no_pat in res.trace.patterns:
+            total = total + no_pat.data
         remainder = res.trace.embedded.data - total
-        assert np.abs(remainder - res.trace.final_remainder.data).max() < 1e-9
+        assert np.abs(remainder - res.trace.remainder.data).max() < 1e-9
 
     def test_raw_single_head_on_final_features(self):
         cfg = tiny_config(blocks=2, variant="raw")
         params = randomized_params(cfg, seed=2)
         x = np.random.default_rng(2).normal(size=(2, 2, 8))
         res = forward(x, params, cfg)
-        final = res.trace.levels[-1].no_pattern.data
+        final = res.trace.patterns[-1][1].data
         w = params["level1.no_head.w"].data
         b = params["level1.no_head.b"].data
         np.testing.assert_allclose(res.y_norm.data, final @ w + b, atol=1e-12)
-        assert len(res.trace.terms) == 1
+        assert [label for label, _ in res.trace.heads] == ["head"]
 
     def test_ln_heads_every_block_no_subtraction(self):
         cfg = tiny_config(blocks=2, variant="ln")
         params = randomized_params(cfg, seed=3)
         x = np.random.default_rng(3).normal(size=(2, 2, 8))
         res = forward(x, params, cfg)
-        assert len(res.trace.terms) == 4
+        assert [label for label, _ in res.trace.heads] == [
+            "level0.li", "level0.no", "level1.li", "level1.no"]
         # chained flow: level 1 consumed level 0's nonlinear pattern, and
         # nothing was ever subtracted from the running features
-        assert np.array_equal(res.trace.final_remainder.data,
-                              res.trace.levels[-1].no_pattern.data)
+        assert np.array_equal(res.trace.remainder.data,
+                              res.trace.patterns[-1][1].data)
 
     def test_ln_meets_primary_at_zero_linear_pattern_and_zero_embedding(self):
         """With zero conv kernels both recursions feed the nonlinear block

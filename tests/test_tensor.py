@@ -538,35 +538,35 @@ class TestLayerNorm:
 class TestDropout:
     def test_eval_is_bitwise_identity(self):
         x = Tensor(np.random.default_rng(0).normal(size=(7, 7)))
-        y = T.dropout(x, 0.5, "eval")
+        y = T.dropout(x, 0.5)
         assert y is x
 
     def test_p_zero_train_is_identity(self):
         x = Tensor(np.ones((3, 3)))
-        assert T.dropout(x, 0.0, "train") is x
+        assert T.dropout(x, 0.0, np.random.default_rng(0)) is x
 
     def test_keep_rate(self):
         rng = np.random.default_rng(123)
         x = Tensor(np.ones(100_000))
-        y = T.dropout(x, 0.5, "train", rng).data
+        y = T.dropout(x, 0.5, rng).data
         keep = np.count_nonzero(y) / y.size
         assert 0.495 <= keep <= 0.505
 
     def test_kept_values_scaled(self):
         rng = np.random.default_rng(42)
-        y = T.dropout(Tensor(np.ones(1000)), 0.2, "train", rng).data
+        y = T.dropout(Tensor(np.ones(1000)), 0.2, rng).data
         kept = y[y != 0.0]
         np.testing.assert_allclose(kept, 1.0 / 0.8, atol=1e-15)
 
     def test_invalid_p(self):
         with pytest.raises(ValueError):
-            T.dropout(Tensor([1.0]), 1.0, "train", np.random.default_rng(0))
+            T.dropout(Tensor([1.0]), 1.0, np.random.default_rng(0))
 
     def test_mask_reused_in_backward(self):
         rng = np.random.default_rng(77)
         x = Tensor(np.ones(64), requires_grad=True)
         with Tape() as tape:
-            y = T.dropout(x, 0.5, "train", rng)
+            y = T.dropout(x, 0.5, rng)
             loss = T.sum_all(y)
         grads = backward(tape, loss)
         np.testing.assert_array_equal((grads[x] != 0), (y.data != 0))
@@ -605,7 +605,7 @@ WRITE_CASES = {
     "causal_depthwise_conv/blocked": (T.causal_depthwise_conv, [(4, 3, 8), (3, 8), (3,)]),
     "channel_mix": (T.channel_mix, [(2, 3, 6), (12, 6), (6,), (6, 6), (6,)]),
     "layer_norm": (T.layer_norm, [(2, 3, 6), (6,), (6,)]),
-    "dropout": (lambda a: T.dropout(a, 0.5, "train", np.random.default_rng(0)), [(3, 4)]),
+    "dropout": (lambda a: T.dropout(a, 0.5, np.random.default_rng(0)), [(3, 4)]),
     "sum_all": (T.sum_all, [(3, 4)]),
     "freq_projection": (freq_projection, [(5, 5), (5, 5)]),
 }
@@ -633,7 +633,7 @@ class TestNoWritesIntoInputs:
     """Inputs, parameters and the upstream gradient go in read-only, so an
     op that wrote into one would raise; outputs must not alias them either,
     so a later in-place write into an op's fresh output cannot reach them.
-    Eval-mode dropout, which returns its input tensor, is the one forward
+    Dropout with no rng, which returns its input tensor, is the one forward
     exception; `add` and `sub` pass the upstream gradient through as an
     input gradient, which `backward` never writes into."""
 
@@ -762,6 +762,32 @@ class TestTape:
             y = T.mul(x, c)
         grads = backward(tape, y)
         assert c not in grads and x in grads
+
+    def test_leaves_get_their_own_gradient_arrays(self):
+        """`add` hands one array to both operands; each leaf still gets an
+        array of its own, so writing into one leaves the other alone."""
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor([3.0, 4.0], requires_grad=True)
+        with Tape() as tape:
+            loss = T.sum_all(T.add(a, b))
+        grads = backward(tape, loss)
+        assert grads[a] is not grads[b]
+        grads[a] += 1.0
+        np.testing.assert_array_equal(grads[b], [1.0, 1.0])
+
+    def test_mul_vjp_skips_an_operand_without_grad(self):
+        """The recorded vjp returns None for the operand that needs no
+        gradient, in either position, and the product rule for the other."""
+        x = Tensor([2.0, 3.0], requires_grad=True)
+        c = Tensor([5.0, 7.0])
+        with Tape() as tape:
+            T.mul(x, c)
+            T.mul(c, x)
+        g = np.ones(2)
+        (gx, gc), (gc2, gx2) = (node.vjp(g) for node in tape.nodes)
+        assert gc is None and gc2 is None
+        np.testing.assert_array_equal(gx, [5.0, 7.0])
+        np.testing.assert_array_equal(gx2, [5.0, 7.0])
 
     def test_nonfinite_forward_raises(self):
         big = Tensor([1e308])
