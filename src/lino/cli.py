@@ -347,14 +347,14 @@ def _fit(rc: RunConfig, preps: dict, channels: int, combo) -> Fit:
     variant, ablation, horizon, seed, alpha = combo
     config, tcfg = rc.fit_configs(channels, combo)
     prep = preps[horizon]
-    started = time.time()
+    started = time.perf_counter()  # `time.time` can step backwards
     result = train(*prep.train, *prep.val, config, tcfg)
     try:
         metrics = evaluate(Forecaster(result.params, config), *prep.test)
     except NonFiniteError as exc:
         raise NonFiniteError(f"test split: {exc}") from exc
     return Fit(variant, ablation, horizon, seed, alpha, config, result,
-               metrics, time.time() - started)
+               metrics, time.perf_counter() - started)
 
 
 def _fits(rc: RunConfig, combos):
@@ -606,7 +606,8 @@ def main(argv=None) -> int:
     it runs, in forked workers too: every op and data load checks
     finiteness itself, so an overflow reaches stderr as that one line.
     OpenBLAS runs one thread, whatever the thread variables say: the
-    bits depend on the count, and the fan-out alone decides the CPUs."""
+    bits depend on the count. The fan-out's worker processes, and a lone
+    fit's lane thread (`tensor.Lane`), decide the CPUs."""
     blas = _openblas()
     if blas is not None:
         blas["set_num_threads"](1)

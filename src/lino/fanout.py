@@ -29,6 +29,12 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
+def spare_cpu() -> bool:
+    """Whether this process has a second CPU to itself: it may run on two,
+    and it is no fan-out worker, whose siblings take the others."""
+    return _worker_task is None and _cpus() >= 2
+
+
 def _worker_count(items: int) -> int:
     """Processes to run `items` items in: one per CPU this process may run
     on, at most one per item, and 1 (in-process) where the platform cannot

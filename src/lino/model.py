@@ -17,7 +17,10 @@ channels, so each level applies them as one D x D operator: the time
 weight plus the frequency projection's operator, which `freq_projection`
 builds from the complex bin weights alone (`no_projection`).
 The operators are built once per `forward` call, which records them on
-the tape once per training step, or once per `Forecaster`.
+the tape once per training step, or once per `Forecaster`. A `forward`
+that builds them hands every level's frequency operator to the lane
+(`tensor.Lane`) as it starts, and records each level's projection just
+before that level's nonlinear block.
 
 Because every level's input is exactly what the previous level failed to
 explain, the embedded input telescopes into the sum of all extracted
@@ -44,8 +47,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .spectral import freq_projection, n_bins
-from .tensor import (Tensor, add, causal_depthwise_conv, channel_mix, dropout,
+from .spectral import _operator, freq_projection, n_bins
+from .tensor import (Tensor, _defer, add, causal_depthwise_conv, channel_mix, dropout,
                      layer_norm, linear, mul, sub, tanh)
 
 VARIANTS = ("lino", "mu", "raw", "ln")
@@ -142,7 +145,7 @@ def param_shapes(config: LiNoConfig) -> dict:
 
 def init_params(config: LiNoConfig, rng: np.random.Generator) -> dict:
     """Fresh parameter dict in canonical order (see `_param_table`)."""
-    return {name: Tensor(_draw(init, rng, shape), requires_grad=True)
+    return {name: Tensor(_draw(init, rng, shape), requires_grad=True, name=name)
             for name, shape, init in _param_table(config)}
 
 
@@ -186,7 +189,7 @@ def li_block(h: Tensor, params: dict, level: int, config: LiNoConfig,
                    config.dropout, rng)
 
 
-def no_projection(params: dict, config: LiNoConfig, level: int) -> tuple:
+def no_projection(params: dict, config: LiNoConfig, level: int, operator=None) -> tuple:
     """The input projection of the given level's nonlinear block as one
     (W, b) pair, so that `linear(r, W, b)` is its pre-activation.
 
@@ -198,12 +201,12 @@ def no_projection(params: dict, config: LiNoConfig, level: int) -> tuple:
     alone with no bias under `no_te`, `time.w` and `time.b` under `no_fe`.
     Building S costs two GEMMs of at most D x (D + 2) x (D + 2), more than
     the spectral work of a batch-1 call, so a `Forecaster` builds it once,
-    not per predict.
+    not per predict. `operator`, if given, is S computed ahead (`forward_normalized`).
     """
     p = f"level{level}.no."
     if config.ablation == "no_fe":
         return params[p + "time.w"], params[p + "time.b"]
-    spectral = freq_projection(params[p + "freq.w_re"], params[p + "freq.w_im"])
+    spectral = freq_projection(params[p + "freq.w_re"], params[p + "freq.w_im"], operator)
     if config.ablation == "no_te":
         return spectral, None
     return add(params[p + "time.w"], spectral), params[p + "time.b"]
@@ -267,19 +270,29 @@ def forward_normalized(xn: Tensor, params: dict, config: LiNoConfig,
     xn: [..., channels, lookback]. Returns (y_norm, ForwardTrace) with
     y_norm: [..., channels, horizon], the sum of the trace's heads. `rng`
     drives the linear blocks' dropout; with none, dropout is off.
-    `projections` is `build_projections(params, config)`; when omitted it
-    is built here, so under a tape it is recorded once per step.
+    `projections` is `build_projections(params, config)`; when omitted,
+    each level's is built here just before its nonlinear block, so under a
+    tape it is recorded once per step and walked amid the rest.
     """
     if xn.shape[-2] != config.channels or xn.shape[-1] != config.lookback:
         raise ConfigError(
             f"input trailing shape {xn.shape[-2:]} != "
             f"({config.channels}, {config.lookback})")
     if projections is None:
-        projections = build_projections(params, config)
+        # each level's frequency operator S, computed ahead on the lane if one is open
+        operators = [_defer(_operator, params[f"level{i}.no.freq.w_re"].data,
+                            params[f"level{i}.no.freq.w_im"].data)
+                     if config.ablation not in ("no_fe", "no_no") else None
+                     for i in range(config.blocks)]
+
+        def projection(level):
+            return no_projection(params, config, level, operators[level])
+    else:
+        projection = projections.__getitem__
     embedded = linear(xn, params["embed.w"], params["embed.b"])
     fn = {"lino": _forward_lino, "mu": _forward_mu,
           "raw": _forward_raw, "ln": _forward_ln}[config.variant]
-    patterns, heads, remainder = fn(embedded, params, projections, config, rng)
+    patterns, heads, remainder = fn(embedded, params, projection, config, rng)
     y = heads[0][1]
     for _, out in heads[1:]:
         y = add(y, out)
@@ -290,7 +303,7 @@ def _head(params, label, pattern):
     return label, linear(pattern, params[label + "_head.w"], params[label + "_head.b"])
 
 
-def _forward_lino(h, params, projections, config, rng):
+def _forward_lino(h, params, projection, config, rng):
     patterns, heads = [], []
     for i in range(config.blocks):
         p = f"level{i}."
@@ -303,14 +316,14 @@ def _forward_lino(h, params, projections, config, rng):
         if config.ablation == "no_no":
             no_pat, h = Tensor(np.zeros(r.shape)), r
         else:
-            no_pat = no_block(r, params, i, projections[i], config)
+            no_pat = no_block(r, params, i, projection(i), config)
             heads.append(_head(params, p + "no", no_pat))
             h = sub(r, no_pat)
         patterns.append((li_pat, no_pat))
     return patterns, heads, h
 
 
-def _forward_mu(h, params, projections, config, rng):
+def _forward_mu(h, params, projection, config, rng):
     """Comparison recursion: one pattern per level; the nonlinear block
     reads the linear block's output and only the combined pattern is
     subtracted from the running features."""
@@ -318,26 +331,26 @@ def _forward_mu(h, params, projections, config, rng):
     for i in range(config.blocks):
         p = f"level{i}."
         li_pat = li_block(h, params, i, config, rng)
-        no_pat = no_block(li_pat, params, i, projections[i], config)
+        no_pat = no_block(li_pat, params, i, projection(i), config)
         heads.append(_head(params, p + "no", no_pat))
         h = sub(h, no_pat)
         patterns.append((li_pat, no_pat))
     return patterns, heads, h
 
 
-def _forward_raw(h, params, projections, config, rng):
+def _forward_raw(h, params, projection, config, rng):
     """Comparison recursion: blocks chained feature-to-feature with no
     subtraction anywhere; a single head reads the last level's features."""
     patterns = []
     for i in range(config.blocks):
         li_pat = li_block(h, params, i, config, rng)
-        h = no_block(li_pat, params, i, projections[i], config)
+        h = no_block(li_pat, params, i, projection(i), config)
         patterns.append((li_pat, h))
     last = f"level{config.blocks - 1}.no"
     return patterns, [("head", _head(params, last, h)[1])], h
 
 
-def _forward_ln(h, params, projections, config, rng):
+def _forward_ln(h, params, projection, config, rng):
     """Comparison recursion: chained like `raw` but every block keeps its
     own head; still no residual subtraction."""
     patterns, heads = [], []
@@ -345,7 +358,7 @@ def _forward_ln(h, params, projections, config, rng):
         p = f"level{i}."
         li_pat = li_block(h, params, i, config, rng)
         heads.append(_head(params, p + "li", li_pat))
-        h = no_block(li_pat, params, i, projections[i], config)
+        h = no_block(li_pat, params, i, projection(i), config)
         heads.append(_head(params, p + "no", h))
         patterns.append((li_pat, h))
     return patterns, heads, h

@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionError
-from .tensor import Tensor, _record
+from .tensor import Tensor, _defer, _record, _value
 
 
 def n_bins(n: int) -> int:
@@ -52,7 +52,19 @@ def _bases(n: int):
     return fwd, inv
 
 
-def freq_projection(w_re: Tensor, w_im: Tensor) -> Tensor:
+def _operator(w_re: np.ndarray, w_im: np.ndarray) -> np.ndarray:
+    """`freq_projection`'s operator S from the [b, b] weight arrays."""
+    b = len(w_re)
+    fwd, inv = _bases(2 * (b - 1))
+    # [[wr_t, wi_t], [-wi_t, wr_t]] in F order; a C-ordered mix moves S in the last bits
+    mix = np.empty((2 * b, 2 * b), order="F")
+    mix[:b, :b] = mix[b:, b:] = w_re.T
+    mix[:b, b:] = w_im.T
+    np.negative(w_im.T, out=mix[b:, :b])
+    return (fwd @ mix) @ inv
+
+
+def freq_projection(w_re: Tensor, w_im: Tensor, operator=None) -> Tensor:
     """The learnable frequency-domain filter as an [n, n] operator, for
     n = 2(b - 1) from the [b, b] complex weights w_re + i w_im that mix
     the bins (shared across channels):
@@ -61,24 +73,20 @@ def freq_projection(w_re: Tensor, w_im: Tensor) -> Tensor:
 
     so `x @ S` transforms a real signal x, mixes its bins and transforms
     back. The forward pass and the weight gradients each take two GEMMs.
+    `operator`, if given, is S as `_defer(_operator, w_re.data, w_im.data)`
+    returned it, computed ahead on the lane if one is open; the vjp's GEMMs
+    go to the lane too.
     """
     b = w_re.shape[0] if w_re.shape else 0
     if b < 2 or w_re.shape != (b, b) or w_im.shape != (b, b):
         raise DimensionError(f"freq_projection: weights {w_re.shape}/{w_im.shape} "
                              "must both be (b, b) with b >= 2")
     fwd, inv = _bases(2 * (b - 1))
-    wr_t, wi_t = w_re.data.T, w_im.data.T
-    # [[wr_t, wi_t], [-wi_t, wr_t]] in F order; a C-ordered mix moves S in the last bits
-    mix = np.empty((2 * b, 2 * b), order="F")
-    mix[:b, :b] = mix[b:, b:] = wr_t
-    mix[:b, b:] = wi_t
-    np.negative(wi_t, out=mix[b:, :b])
-    s = (fwd @ mix) @ inv
+    s = _operator(w_re.data, w_im.data) if operator is None else _value(operator)
 
     def vjp(g):
-        g_mix = fwd.T @ (g @ inv.T)
-        g_re = (g_mix[:b, :b] + g_mix[b:, b:]).T
-        g_im = (g_mix[:b, b:] - g_mix[b:, :b]).T
-        return g_re, g_im
+        g_mix = _defer(lambda: fwd.T @ (g @ inv.T))
+        return (_defer(lambda m: (m[:b, :b] + m[b:, b:]).T, g_mix),
+                _defer(lambda m: (m[:b, b:] - m[b:, :b]).T, g_mix))
 
     return _record(s, (w_re, w_im), vjp, "freq_projection")

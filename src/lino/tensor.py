@@ -16,6 +16,13 @@ Two properties the rest of the package leans on:
 * every primitive checks its output for NaN/Inf. A non-finite value is an
   error state, never something to propagate silently.
 
+Gradients that the walk back to the input never reads, the weight
+products of `linear` (`x.T @ g`), `channel_mix` and `freq_projection` and
+the conv's kernel gradient, come back from a vjp as `_Deferred`
+computations. While a `Lane` is open they run on its one worker thread
+beside the walk; with none open they run at once. Either way each is the
+same BLAS call on the same operands, so no bit depends on the lane.
+
 The op vocabulary is exactly what the model and its loss record:
 `add`, `sub`, `mul`, `scale` and `tanh` elementwise; `linear`,
 `causal_depthwise_conv` and `channel_mix`, the nonlinear block's
@@ -46,18 +53,108 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import DimensionError, NonFiniteError
 
-# The open tape, or None: there is one slot per process, since no
-# thread ever opens a tape (fits and eval batches run in forked workers).
+# The open tape, or None: there is one slot per process, since the lane
+# never records and fits and eval batches run in forked workers.
 _active: Optional["Tape"] = None
 
+# The open lane, or None: one per process, as for the tape.
+_lane: Optional["Lane"] = None
 
-def _check_finite(data: np.ndarray, op: str) -> None:
+
+def _finite(data: np.ndarray) -> bool:
     # a NaN or an infinity makes the sum non-finite; finite values whose sum
     # overflows take the elementwise check. The ufunc reduce and
     # `math.isfinite` skip the Python layers of `ndarray.sum` and a numpy
     # scalar test
-    if not math.isfinite(np.add.reduce(data, axis=None)) and not np.isfinite(data).all():
+    return math.isfinite(np.add.reduce(data, axis=None)) or bool(np.isfinite(data).all())
+
+
+def _check_finite(data: np.ndarray, op: str) -> None:
+    if not _finite(data):
         raise NonFiniteError(f"{op}: non-finite values in output")
+
+
+def _defer(fn: Callable, *args):
+    """`fn(*args)`, computed now when no lane is open; else a `_Deferred`
+    on the lane, which reads any `_Deferred` among `args` first."""
+    return fn(*args) if _lane is None else _lane.submit(_Deferred(fn, args))
+
+
+def _value(x):
+    """The array `x` holds, or the result of the `_Deferred` `x`."""
+    return x.result() if isinstance(x, _Deferred) else x
+
+
+class _Deferred:
+    """`fn(*args)` and whether it is finite, computed on the lane. `result()`
+    returns it or raises what `fn` raised; reading a result the lane has
+    not started takes it back and computes it on the reading thread."""
+
+    __slots__ = ("fn", "args", "value", "finite", "error", "err", "unclaimed", "done")
+
+    def __init__(self, fn: Callable, args: tuple):
+        self.fn, self.args, self.error = fn, args, None
+
+    def run(self) -> None:
+        try:
+            self.value = self.fn(*[_value(a) for a in self.args])
+            self.finite = _finite(self.value)
+        except BaseException as exc:  # raised again by `result`
+            self.error = exc
+        self.fn = self.args = None  # frees the operands
+
+    def result(self) -> np.ndarray:
+        if self.unclaimed.acquire(blocking=False):
+            self.run()
+            self.done.release()
+        with self.done:  # held from submission until it has run
+            pass
+        if self.error is not None:
+            raise self.error
+        return self.value
+
+
+class Lane:
+    """One worker thread that runs `_Deferred` computations in submission
+    order while the thread that opened it walks on. Opening a lane while
+    one is open raises `RuntimeError`; closing it runs what is queued and
+    joins the thread.
+
+    numpy's floating-point error state is per thread, so each computation
+    runs under its submitter's. Nothing that runs here may call a public
+    op or open a tape: only the opening thread records.
+    """
+
+    def __enter__(self) -> "Lane":
+        global _lane
+        if _lane is not None:
+            raise RuntimeError("a lane is already open")
+        import queue  # with `threading`, only a fit with a CPU to spare needs it
+        import threading
+        self._lock, self._queue = threading.Lock, queue.SimpleQueue()
+        self._thread = threading.Thread(target=self._serve, name="lino-lane", daemon=True)
+        self._thread.start()
+        _lane = self
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        global _lane
+        _lane = None
+        self._queue.put(None)
+        self._thread.join()
+
+    def submit(self, task: _Deferred) -> _Deferred:
+        task.err, task.unclaimed, task.done = np.geterr(), self._lock(), self._lock()
+        task.done.acquire()
+        self._queue.put(task)
+        return task
+
+    def _serve(self) -> None:
+        for task in iter(self._queue.get, None):
+            if task.unclaimed.acquire(blocking=False):
+                with np.errstate(**task.err):
+                    task.run()
+                task.done.release()
 
 
 class Tensor:
@@ -71,11 +168,12 @@ class Tensor:
     everything else builds new tensors.
     """
 
-    __slots__ = ("data", "requires_grad")
+    __slots__ = ("data", "requires_grad", "name")
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data, requires_grad: bool = False, name: str = ""):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
+        self.name = name
 
     @property
     def shape(self) -> tuple:
@@ -155,34 +253,66 @@ def backward(tape: Tape, loss: Tensor) -> dict:
     each leaf Tensor that received gradient to its ndarray; that dict is
     the only output, and no tensor is changed. Fan-out sums, as it must,
     and no two leaves share a gradient array.
+
+    The walk resolves a `_Deferred` gradient only where it needs it: as a
+    node's upstream gradient, in a sum, or at the end. Sums keep the walk's
+    order, so the bits match a walk that computed each gradient at once,
+    and so does the error: a gradient that is not finite raises
+    `NonFiniteError` for the first failure in walk order, naming the op
+    and, for a named leaf, its parameter (`backward[linear:embed.w]`).
     """
     if loss.size != 1:
         raise DimensionError(f"backward needs a scalar loss, got shape {loss.shape}")
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    grads: dict = {id(loss): np.ones_like(loss.data)}
     leaves: dict[int, Tensor] = {}
     produced = {id(node.out) for node in tape.nodes}
     if id(loss) not in produced and loss.requires_grad:
         leaves[id(loss)] = loss
+    pending = []  # (deferred gradient, node, parent) in walk order
+
+    def fail(node=None, parent=None):
+        # a deferred gradient received earlier in the walk fails first
+        for task, at, to in pending:
+            task.result()
+            if not task.finite:
+                node, parent = at, to
+                break
+        name = f":{parent.name}" if parent.name else ""
+        raise NonFiniteError(f"backward[{node.op}{name}]: non-finite values in output")
+
+    def resolved(g):
+        if not isinstance(g, _Deferred):
+            return g
+        value = g.result()
+        if not g.finite:
+            fail()
+        return value
+
     for node in reversed(tape.nodes):
         g = grads.pop(id(node.out), None)
         if g is None:
             continue
-        parent_grads = node.vjp(g)
+        parent_grads = node.vjp(resolved(g))
         for parent, pg in zip(node.parents, parent_grads):
             if pg is None or not parent.requires_grad:
                 continue
-            _check_finite(pg, f"backward[{node.op}]")
+            if isinstance(pg, _Deferred):
+                pending.append((pg, node, parent))
+            elif not _finite(pg):
+                fail(node, parent)
             key = id(parent)
             if key in grads:
-                grads[key] = grads[key] + pg
+                grads[key] = resolved(grads[key]) + resolved(pg)
             else:
                 grads[key] = pg
             if key not in produced:
                 leaves[key] = parent
+    for task, _, _ in pending:
+        resolved(task)
     # `add` hands one array to both operands; each leaf gets its own
     out, given = {}, set()
     for key, leaf in leaves.items():
-        g = grads[key]
+        g = resolved(grads[key])
         out[leaf] = g.copy() if id(g) in given else g
         given.add(id(g))
     return out
@@ -252,8 +382,8 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
 
     def vjp(g):
         g = g.reshape(-1, n_out)
+        gw = _defer(np.matmul, xd.T, g)
         gx = (g @ wd.T).reshape(x.shape) if x.requires_grad else None
-        gw = xd.T @ g
         if b is None:
             return gx, gw
         return gx, gw, g.sum(axis=0)
@@ -480,10 +610,7 @@ def causal_depthwise_conv(h: Tensor, phi: Tensor, beta: Tensor) -> Tensor:
         form = _conv_toeplitz if len(rows) <= _CONV_TOEPLITZ_COLS else _conv_blocked
         form(rows, pd, bd, out.reshape(-1, d))
 
-    def vjp(g):
-        hv, gv = channel_major(hd), channel_major(g)
-        gh = np.empty(hd.shape)
-        np.matmul(gv, toeplitz, out=channel_major(gh))
+    def kernel_grad(hv, gv):
         # gphi[c, k] = sum_j (h^T g)[c, j, j + k]. Rows of h^T g go into a
         # buffer of row width 2D, zero past D; reread in rows of width 2D + 1,
         # row j starts j places later, so column k holds superdiagonal k.
@@ -493,8 +620,14 @@ def causal_depthwise_conv(h: Tensor, phi: Tensor, beta: Tensor) -> Tensor:
         for ci in range(c):
             np.matmul(hv[ci].T, gv[ci], out=skew[: 2 * d * d].reshape(d, 2 * d)[:, :d])
             gphi[ci] = skew.reshape(d, 2 * d + 1)[:, :d].sum(axis=0)
-        gbeta = gv.sum(axis=(1, 2))
-        return gh, gphi, gbeta
+        return gphi
+
+    def vjp(g):
+        hv, gv = channel_major(hd), channel_major(g)
+        gphi = _defer(kernel_grad, hv, gv)
+        gh = np.empty(hd.shape)
+        np.matmul(gv, toeplitz, out=channel_major(gh))
+        return gh, gphi, gv.sum(axis=(1, 2))
 
     return _record(out, (h, phi, beta), vjp, "causal_depthwise_conv")
 
@@ -535,9 +668,10 @@ def channel_mix(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Te
 
     def vjp(g):
         g = g.reshape(-1, d)
+        gw2 = _defer(np.matmul, hidden.T, g)
         gpre = g @ w2.data.T * (1.0 - hidden * hidden)
         gpooled = gpre.reshape(xd.shape).sum(axis=1)
-        gw1 = np.concatenate([rows.T @ gpre, pooled.T @ gpooled])
+        gw1 = _defer(lambda: np.concatenate([rows.T @ gpre, pooled.T @ gpooled]))
         gx = None
         if x.requires_grad:
             # the pooling and the softmax together give channel c
@@ -545,7 +679,7 @@ def channel_mix(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Te
             gx = s * (1.0 + xd - pooled[:, None]) * (gpooled @ w1_pool.T)[:, None]
             gx += (gpre @ w1_own.T + g).reshape(xd.shape)
             gx = gx.reshape(x.shape)
-        return gx, gw1, gpre.sum(axis=0), hidden.T @ g, g.sum(axis=0)
+        return gx, gw1, gpre.sum(axis=0), gw2, g.sum(axis=0)
 
     return _record(y.reshape(x.shape), (x, w1, b1, w2, b2), vjp, "channel_mix")
 

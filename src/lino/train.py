@@ -3,6 +3,10 @@
 The loop is deliberately boring. Per epoch: shuffle the training windows,
 walk minibatches (the last partial one included), optionally add input
 noise, run the forward in train mode under a tape, backprop, Adam step.
+When the process has a CPU to spare (`fanout.spare_cpu`), a `Lane` is open
+around the step loop, and the weight-side GEMMs of forward and backward
+run on it; it closes before validation forks any worker. The bits do not
+depend on it.
 After every epoch `evaluate` scores the validation split, as it scores the
 test split, and feeds an early stopper with strict-improvement semantics (a
 fixed `EarlyStopper.MIN_DELTA`); the best parameters are kept aside and
@@ -43,9 +47,10 @@ import numpy as np
 from .data import add_noise
 from .errors import CheckpointError, ConfigError, NonFiniteError
 from .evaluate import evaluate
+from .fanout import spare_cpu
 from .model import Forecaster, LiNoConfig, Tensor, forward, init_params, param_shapes
 from .seeding import stream
-from .tensor import Tape, backward, mean_all, mul, sub
+from .tensor import Lane, Tape, backward, mean_all, mul, sub
 
 
 def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
@@ -240,19 +245,20 @@ def train(train_x: np.ndarray, train_y: np.ndarray,
     for epoch in range(1, tcfg.max_epochs + 1):
         order = shuffle_rng.permutation(n)
         sq_sum = 0.0
-        for step, lo in enumerate(range(0, n, tcfg.batch_size), start=1):
-            idx = order[lo:lo + tcfg.batch_size]
-            xb, yb = add_noise(train_x[idx], tcfg.noise_alpha, noise_rng), train_y[idx]
-            try:
-                with Tape() as tape:
-                    res = forward(xb, params, config, mode="train", rng=dropout_rng)
-                    loss = mse_loss(res.y, Tensor(yb))
-                grads = backward(tape, loss)
-                adam_step(params, {name: grads[t] for name, t in params.items() if t in grads},
-                          state, tcfg.lr)
-            except NonFiniteError as exc:
-                raise NonFiniteError(f"epoch {epoch}, step {step}: {exc}") from exc
-            sq_sum += loss.item() * yb.size
+        with Lane() if spare_cpu() else contextlib.nullcontext():
+            for step, lo in enumerate(range(0, n, tcfg.batch_size), start=1):
+                idx = order[lo:lo + tcfg.batch_size]
+                xb, yb = add_noise(train_x[idx], tcfg.noise_alpha, noise_rng), train_y[idx]
+                try:
+                    with Tape() as tape:
+                        res = forward(xb, params, config, mode="train", rng=dropout_rng)
+                        loss = mse_loss(res.y, Tensor(yb))
+                    grads = backward(tape, loss)
+                    adam_step(params, {name: grads[t] for name, t in params.items()
+                                       if t in grads}, state, tcfg.lr)
+                except NonFiniteError as exc:
+                    raise NonFiniteError(f"epoch {epoch}, step {step}: {exc}") from exc
+                sq_sum += loss.item() * yb.size
         train_mse = sq_sum / train_y.size
         try:
             val_mse = evaluate(Forecaster(params, config), val_x, val_y).mse

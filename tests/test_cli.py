@@ -13,6 +13,7 @@ import re
 import signal
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -332,6 +333,17 @@ class TestTrainCommand:
         assert rows[0] == list(cli.REPORT_COLUMNS)
         assert len(rows) == 2
         assert "standardized scale" in (tmp_path / "r" / "summary.txt").read_text()
+
+    def test_runtime_survives_a_clock_stepping_back(self, tmp_path, capsys, monkeypatch):
+        """The wall clock can step backwards mid-fit (an NTP correction);
+        a fit's runtime comes from a monotonic clock, so it stays >= 0."""
+        clock = iter(range(10 ** 9, 0, -1000))
+        monkeypatch.setattr(time, "time", lambda: float(next(clock)))
+        cfg = write_cfg(tmp_path / "t.cfg", **TINY)
+        assert run(["train", "--config", cfg, "--out", str(tmp_path / "r"),
+                    "--unsafe-grid"]) == 0
+        text = (tmp_path / "r" / "summary.txt").read_text()
+        assert [float(t) >= 0 for t in re.findall(r"runtime=(\S+)s", text)] == [True]
 
     def test_same_seed_reruns_bitwise(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "t.cfg", **TINY)
@@ -883,6 +895,43 @@ class TestFanOut:
                 assert len(pids) == 5 and os.getpid() not in pids[2:]
         assert outputs[1] == outputs[2]
 
+    def test_lone_fit_bytes_do_not_depend_on_the_lane(self, tmp_path, capsys, monkeypatch):
+        """One fit runs in-process, its weight-side gradients on the lane
+        when a second CPU is free: `train` and `decompose` write the bytes
+        of a one-CPU run."""
+        cfg = write_cfg(tmp_path / "t.cfg", **{**TINY, "dropout": 0.2})
+        outputs = {}
+        for cpus in (1, 2):
+            force_workers(monkeypatch, cpus)
+            outd = tmp_path / f"c{cpus}"
+            for command in ("train", "decompose"):
+                assert run([command, "--config", cfg, "--out", str(outd),
+                            "--unsafe-grid"]) == 0
+            outputs[cpus] = {p.name: p.read_bytes() for p in sorted(outd.iterdir())
+                             if p.name != "summary.txt"}
+        assert sorted(outputs[1]) == ["checkpoint", "decomposition.csv", "history.csv",
+                                      "report.csv"]
+        assert outputs[1] == outputs[2]
+
+    def test_validation_forks_between_lane_epochs(self, tmp_path, capsys, monkeypatch):
+        """A lone fit whose validation split spans two full batches forks
+        `evaluate` workers after each epoch's lane has closed, and writes
+        the bytes of a one-CPU run."""
+        cfg = write_cfg(tmp_path / "t.cfg", **{**TINY, "synth_length": 6000})
+        outputs = {}
+        for cpus in (1, 2):
+            logging_predict(monkeypatch, tmp_path / f"predicts{cpus}.log")
+            force_workers(monkeypatch, cpus)
+            outd = tmp_path / f"c{cpus}"
+            assert run(["train", "--config", cfg, "--out", str(outd), "--unsafe-grid"]) == 0
+            outputs[cpus] = {p.name: p.read_bytes() for p in sorted(outd.iterdir())
+                             if p.name != "summary.txt"}
+        # the first epoch's validation, three batches of which two are
+        # full, ran in two workers
+        first = fit_pids(tmp_path / "predicts2.log")[:3]
+        assert len(set(first)) == 2 and os.getpid() not in first
+        assert outputs[1] == outputs[2]
+
     def test_predicts_run_in_their_fit_worker(self, tmp_path, capsys, monkeypatch):
         """A fit worker scores its multi-batch splits in its own process:
         fan-outs do not nest."""
@@ -1008,6 +1057,19 @@ class TestNumericalFailureExit:
         # the step that went non-finite is named with its epoch and op
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: epoch 1, step \d+: \S+: non-finite .*\n", err), err
+
+    def test_error_line_does_not_depend_on_the_lane(self, tmp_path, capsys, monkeypatch):
+        """A lone fit with a CPU to spare runs its weight-side gradients on
+        the lane; the diverging run still ends with the same line."""
+        cfg = write_cfg(tmp_path / "t.cfg", **{**TINY, "lr": "1e200", "epochs": 8})
+        errs = {}
+        for cpus in (1, 2):
+            force_workers(monkeypatch, cpus)
+            assert run(["train", "--config", cfg, "--out", str(tmp_path / f"c{cpus}"),
+                        "--unsafe-grid"]) == 4
+            errs[cpus] = capsys.readouterr().err
+        assert errs[1] == errs[2]
+        assert re.fullmatch(r"error: epoch 1, step \d+: \S+: non-finite .*\n", errs[2])
 
     @pytest.mark.parametrize("seeds", ["1", "1,2"])
     def test_overflow_prints_one_stderr_line(self, tmp_path, seeds):

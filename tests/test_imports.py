@@ -1,8 +1,9 @@
 """Import hygiene and dead code: every name a package module imports is
 used in it, every name it defines at module level is used somewhere in
 the package, every parameter of a function is read in its body and takes
-more than one value across its call sites, and importing the commands
-loads no process-pool machinery.
+more than one value across its call sites, importing the commands
+loads no process-pool machinery, and only the lane's and the fan-out's
+modules import thread machinery.
 
 Deleting code tends to leave its imports and parameters behind, code
 that only tests call stays behind after its last caller goes, and a
@@ -269,6 +270,41 @@ def test_scan_finds_a_constant_parameter():
                "c": "ar(h, 30, 0.25, lag=1)\n"}
     assert constant_parameters(definitions, callers) == [
         "ar.scale", "ar.lag", "ar.burn", "fit.epochs"]
+
+
+# the program owns its threads: the lane in `tensor` and the process pool
+# in `fanout` are the only places that start one
+THREAD_MODULES = ("threading", "_thread", "concurrent.futures")
+THREAD_OWNERS = ("tensor.py", "fanout.py")
+
+
+def thread_imports(source: str) -> list:
+    """Each module in `THREAD_MODULES`, or a submodule of one, that
+    `source` imports, at any depth, in walk order."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names += [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+    return [name for name in names
+            if any(name == m or name.startswith(m + ".") for m in THREAD_MODULES)]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name not in THREAD_OWNERS],
+                         ids=lambda p: p.name)
+def test_only_the_lane_and_the_fan_out_import_threads(path):
+    assert thread_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_scan_finds_a_thread_import():
+    source = ("import os, threading as th\n"
+              "def f():\n"
+              "    from concurrent.futures import ThreadPoolExecutor\n"
+              "    import _thread, concurrent\n"
+              "    from . import threading\n")
+    assert thread_imports(source) == ["threading", "concurrent.futures",
+                                      "concurrent.futures.ThreadPoolExecutor", "_thread"]
 
 
 # loaded only when a fan-out starts a pool: at module level they add about

@@ -5,6 +5,10 @@ are the oracles here; engine code is never trusted to test itself.
 """
 
 import ast
+import contextlib
+import sys
+import threading
+import warnings
 import zlib
 from pathlib import Path
 
@@ -18,7 +22,7 @@ import lino
 import lino.tensor as T
 from lino.errors import DimensionError, NonFiniteError
 from lino.spectral import freq_projection
-from lino.tensor import Tape, Tensor, backward
+from lino.tensor import Lane, Tape, Tensor, backward
 
 
 def conv_reference(h, phi, beta):
@@ -805,6 +809,114 @@ class TestTape:
         with np.errstate(over="ignore"):
             out = T.mul(Tensor([1e308, 1e308]), Tensor([1.0, 1.0]))
         np.testing.assert_array_equal(out.data, [1e308, 1e308])
+
+
+def lane_or_not(on):
+    return Lane() if on else contextlib.nullcontext()
+
+
+class TestLane:
+    """Weight-side gradients run on the lane while it is open, and at once
+    otherwise; neither the bits nor the error depends on which."""
+
+    @pytest.mark.parametrize("on", [False, True], ids=["inline", "lane"])
+    def test_gradients_are_bitwise_the_same(self, on):
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.normal(size=(4, 3, 8)), requires_grad=True)
+        leaves = [Tensor(rng.normal(size=s), requires_grad=True)
+                  for s in [(3, 8), (3,), (16, 8), (8,), (8, 8), (8,), (8, 8), (8,)]]
+        w_re, w_im = (Tensor(rng.normal(size=(5, 5)), requires_grad=True) for _ in "ri")
+
+        def grads():
+            phi, beta, w1, b1, w2, b2, w, b = leaves
+            with Tape() as tape:
+                h = T.causal_depthwise_conv(x, phi, beta)
+                h = T.channel_mix(h, w1, b1, w2, b2)
+                h = T.linear(h, T.add(w, freq_projection(w_re, w_im)), b)
+                loss = T.sum_all(T.tanh(h))
+            return backward(tape, loss)
+
+        want = grads()
+        with lane_or_not(on):
+            got = grads()
+        for leaf in [x, w_re, w_im] + leaves:
+            assert np.array_equal(got[leaf], want[leaf])
+
+    @pytest.mark.parametrize("on", [False, True], ids=["inline", "lane"])
+    def test_first_failure_in_walk_order_is_raised(self, on):
+        """The walk reaches w2's weight gradient (infinite, deferred) before
+        x's input gradient (infinite, computed at once): the error names w2."""
+        x = Tensor([[1e-5]], requires_grad=True)
+        w1 = Tensor([[1e160]], requires_grad=True, name="w1")
+        w2 = Tensor([[1e-10]], requires_grad=True, name="w2")
+        with np.errstate(all="ignore"), lane_or_not(on):
+            with Tape() as tape:
+                y = T.linear(T.linear(x, w1), w2)
+                loss = T.sum_all(T.mul(y, Tensor([[1e160]])))
+            with pytest.raises(NonFiniteError) as err:
+                backward(tape, loss)
+        assert str(err.value) == "backward[linear:w2]: non-finite values in output"
+
+    def test_weight_gradient_names_its_parameter(self):
+        x = Tensor([[1e308], [1e308]])
+        w = Tensor([[1e-300]], requires_grad=True, name="level0.no.ff.w1")
+        with np.errstate(all="ignore"):
+            with Tape() as tape:
+                loss = T.sum_all(T.linear(x, w))
+            with pytest.raises(NonFiniteError, match=r"^backward\[linear:level0\.no\.ff\.w1\]: "
+                                                     "non-finite values in output$"):
+                backward(tape, loss)
+
+    def test_an_unstarted_computation_runs_on_the_reader(self):
+        """A result the lane has not started is taken back and computed by
+        the thread that reads it; the lane skips it."""
+        gate, ran_on = threading.Event(), []
+        with Lane():
+            blocker = T._defer(gate.wait)
+            task = T._defer(lambda: ran_on.append(threading.get_ident()) or np.ones(2))
+            np.testing.assert_array_equal(task.result(), [1.0, 1.0])
+            gate.set()
+            blocker.result()
+        assert ran_on == [threading.get_ident()]
+
+    @pytest.mark.parametrize("mode", ["raise", "ignore"])
+    def test_runs_under_the_submitters_error_state(self, mode):
+        with np.errstate(all=mode), Lane(), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            task = T._defer(np.multiply, np.array([1e308]), 10.0)
+            if mode == "raise":
+                with pytest.raises(FloatingPointError):
+                    task.result()
+            else:
+                assert np.isinf(task.result()).all() and not task.finite
+
+    def test_each_computation_runs_once_under_contention(self):
+        """With a tiny switch interval and results read both before and
+        after the lane reaches them, every computation runs exactly once
+        and each result is its own."""
+        runs, interval = [], sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with Lane() as lane:
+                tasks = [T._defer(lambda i=i: runs.append(i) or np.full(3, float(i)))
+                         for i in range(2000)]
+                early = [tasks[i].result()[0] for i in range(0, 2000, 7)]
+                late = [task.result()[0] for task in tasks]
+            assert not lane._thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert early == list(range(0, 2000, 7)) and late == list(range(2000))
+        assert sorted(runs) == list(range(2000))
+
+    def test_one_lane_at_a_time_and_no_thread_outlives_it(self):
+        before = threading.active_count()
+        with Lane():
+            assert threading.active_count() == before + 1
+            with pytest.raises(RuntimeError, match="already open"):
+                with Lane():
+                    pass
+            assert T._lane is not None
+        assert threading.active_count() == before and T._lane is None
 
 
 class TestFiniteDifferenceOracle:

@@ -4,13 +4,15 @@ reference, stopping semantics, loop determinism, checkpoint format."""
 import json
 import re
 import struct
+import threading
 
 import numpy as np
 import pytest
 
+import lino.tensor
 import lino.train
 
-from helpers import (TextbookAdam, check_gradients, checkpoint_layout, reseal,
+from helpers import (TextbookAdam, check_gradients, checkpoint_layout, force_workers, reseal,
                      rewrite_dtype_code, rewrite_header, rewrite_model_header)
 
 from lino.errors import CheckpointError, ConfigError, NonFiniteError
@@ -232,6 +234,31 @@ class TestTrainLoop:
         b = train(x, y, x, y, cfg, tcfg)
         assert a.history == b.history
         assert all(np.array_equal(a.params[k].data, b.params[k].data) for k in a.params)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_lane_opens_with_a_spare_cpu_and_closes_with_the_loop(self, monkeypatch, cpus):
+        """With a second CPU each epoch's steps run with a lane open; no
+        thread outlives the fit, and the bits match a one-CPU fit."""
+        x, y = trend_windows(40)
+        cfg, tcfg = tiny_config(dropout=0.2), TrainConfig(lr=1e-3, batch_size=8,
+                                                          max_epochs=2, seed=3)
+        force_workers(monkeypatch, 1)
+        want = train(x, y, x, y, cfg, tcfg)
+        force_workers(monkeypatch, cpus)
+        lanes, real = [], lino.train.backward
+
+        def backward(tape, loss):
+            lanes.append(lino.tensor._lane)
+            return real(tape, loss)
+
+        monkeypatch.setattr(lino.train, "backward", backward)
+        before = threading.active_count()
+        got = train(x, y, x, y, cfg, tcfg)
+        assert threading.active_count() == before and lino.tensor._lane is None
+        assert len(lanes) == 8 and all((lane is not None) == (cpus == 2) for lane in lanes)
+        assert len({id(lane) for lane in lanes}) == (2 if cpus == 2 else 1)
+        assert got.history == want.history
+        assert all(np.array_equal(got.params[k].data, want.params[k].data) for k in got.params)
 
     def test_seed_changes_trajectory(self):
         x, y = trend_windows(40)
