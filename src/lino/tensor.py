@@ -21,7 +21,11 @@ products of `linear` (`x.T @ g`), `channel_mix` and `freq_projection` and
 the conv's kernel gradient, come back from a vjp as `_Deferred`
 computations. While a `Lane` is open they run on its one worker thread
 beside the walk; with none open they run at once. Either way each is the
-same BLAS call on the same operands, so no bit depends on the lane.
+same BLAS call on the same operands, so no bit depends on the lane. A
+tape may also carry an `on_grad` hook, which `backward` hands each leaf's
+gradient as soon as the walk has passed that leaf's last use; a lone fit
+uses it to start Adam's update of each block of parameters on the lane
+while the rest of the walk runs (`train.AdamState.hook`).
 
 The op vocabulary is exactly what the model and its loss record:
 `add`, `sub`, `mul`, `scale` and `tanh` elementwise; `linear`,
@@ -122,7 +126,10 @@ class Lane:
 
     numpy's floating-point error state is per thread, so each computation
     runs under its submitter's. Nothing that runs here may call a public
-    op or open a tape: only the opening thread records.
+    op or open a tape: only the opening thread records. Besides the
+    weight-side gradients, a fit's lane runs Adam's block updates
+    (`train.AdamState.hook`), which write only the parameter blocks whose
+    every use the walk has passed.
     """
 
     def __enter__(self) -> "Lane":
@@ -163,9 +170,10 @@ class Tensor:
     Data is always float64: the constructor converts whatever it is given,
     so every value on a tape has the one precision the package computes
     in. A tensor holds no gradient; `backward` returns them. Mutating
-    `data` in place voids the recorded graph, so only `train.adam_step`
-    does, to parameters between steps, when no tape holds them;
-    everything else builds new tensors.
+    `data` in place voids the recorded graph, so only Adam's update does,
+    to parameters between steps, or during `backward` to those whose last
+    use the walk has passed (`Tape.on_grad`); everything else builds new
+    tensors.
     """
 
     __slots__ = ("data", "requires_grad", "name")
@@ -208,11 +216,14 @@ class Tape:
 
     Entering a tape while any tape is open, this one included, raises
     `RuntimeError`, and so does exiting a tape that is not the open one;
-    exiting the open tape leaves no tape open.
+    exiting the open tape leaves no tape open. `on_grad`, if given, is
+    called by `backward` as `on_grad(leaf, gradient)` with each leaf's
+    final gradient, in the middle of the walk.
     """
 
-    def __init__(self):
+    def __init__(self, on_grad: Optional[Callable] = None):
         self.nodes: list[_Node] = []
+        self.on_grad = on_grad
 
     def __enter__(self) -> "Tape":
         global _active
@@ -260,15 +271,31 @@ def backward(tape: Tape, loss: Tensor) -> dict:
     and so does the error: a gradient that is not finite raises
     `NonFiniteError` for the first failure in walk order, naming the op
     and, for a named leaf, its parameter (`backward[linear:embed.w]`).
+
+    With a `tape.on_grad` hook, each leaf that a node uses is handed to it
+    with its gradient as soon as the walk has passed the first node, in
+    tape order, that uses it: no later step of the walk changes that
+    gradient. The gradient may still be a `_Deferred`; the hook must not
+    resolve it, since the walk's own check of it comes later, in order.
     """
     if loss.size != 1:
         raise DimensionError(f"backward needs a scalar loss, got shape {loss.shape}")
     grads: dict = {id(loss): np.ones_like(loss.data)}
     leaves: dict[int, Tensor] = {}
-    produced = {id(node.out) for node in tape.nodes}
+    nodes = tape.nodes
+    produced = {id(node.out) for node in nodes}
     if id(loss) not in produced and loss.requires_grad:
         leaves[id(loss)] = loss
     pending = []  # (deferred gradient, node, parent) in walk order
+    # position of a node -> the leaves whose last use in the walk it is
+    final_at: dict[int, list] = {}
+    if tape.on_grad is not None:
+        seen = set()
+        for at, node in enumerate(nodes):
+            for p in node.parents:
+                if p.requires_grad and id(p) not in produced and id(p) not in seen:
+                    seen.add(id(p))
+                    final_at.setdefault(at, []).append(p)
 
     def fail(node=None, parent=None):
         # a deferred gradient received earlier in the walk fails first
@@ -288,25 +315,28 @@ def backward(tape: Tape, loss: Tensor) -> dict:
             fail()
         return value
 
-    for node in reversed(tape.nodes):
+    for at in range(len(nodes) - 1, -1, -1):
+        node = nodes[at]
         g = grads.pop(id(node.out), None)
-        if g is None:
-            continue
-        parent_grads = node.vjp(resolved(g))
-        for parent, pg in zip(node.parents, parent_grads):
-            if pg is None or not parent.requires_grad:
-                continue
-            if isinstance(pg, _Deferred):
-                pending.append((pg, node, parent))
-            elif not _finite(pg):
-                fail(node, parent)
-            key = id(parent)
-            if key in grads:
-                grads[key] = resolved(grads[key]) + resolved(pg)
-            else:
-                grads[key] = pg
-            if key not in produced:
-                leaves[key] = parent
+        if g is not None:
+            parent_grads = node.vjp(resolved(g))
+            for parent, pg in zip(node.parents, parent_grads):
+                if pg is None or not parent.requires_grad:
+                    continue
+                if isinstance(pg, _Deferred):
+                    pending.append((pg, node, parent))
+                elif not _finite(pg):
+                    fail(node, parent)
+                key = id(parent)
+                if key in grads:
+                    grads[key] = resolved(grads[key]) + resolved(pg)
+                else:
+                    grads[key] = pg
+                if key not in produced:
+                    leaves[key] = parent
+        for leaf in final_at.get(at, ()):
+            if id(leaf) in grads:
+                tape.on_grad(leaf, grads[id(leaf)])
     for task, _, _ in pending:
         resolved(task)
     # `add` hands one array to both operands; each leaf gets its own

@@ -5,8 +5,10 @@ walk minibatches (the last partial one included), optionally add input
 noise, run the forward in train mode under a tape, backprop, Adam step.
 When the process has a CPU to spare (`fanout.spare_cpu`), a `Lane` is open
 around the step loop, and the weight-side GEMMs of forward and backward
-run on it; it closes before validation forks any worker. The bits do not
-depend on it.
+run on it, and so does most of Adam: each step's tape carries
+`AdamState.hook`, and each block of the update starts on the lane as soon
+as the backward walk has finished every gradient in it. The lane closes
+before validation forks any worker. The bits do not depend on it.
 After every epoch `evaluate` scores the validation split, as it scores the
 test split, and feeds an early stopper with strict-improvement semantics (a
 fixed `EarlyStopper.MIN_DELTA`); the best parameters are kept aside and
@@ -19,7 +21,10 @@ each step gathers the gradients into a flat buffer too and updates all
 three in cache-sized blocks. At small model sizes this replaces about
 sixteen numpy calls per parameter with a fixed handful per block, and at
 paper size it keeps each block in L2 across the update's passes. The
-result is bitwise the per-parameter textbook update.
+result is bitwise the per-parameter textbook update, whichever thread
+runs a block and when. A gradient that is not finite aborts the fit with
+an `error:` line that does not depend on the lane; with the lane open,
+blocks whose gradients were final and finite may have moved by then.
 
 Everything that draws randomness pulls from a named per-consumer stream
 of the run seed, which is what makes reruns bit-identical.
@@ -50,7 +55,7 @@ from .evaluate import evaluate
 from .fanout import spare_cpu
 from .model import Forecaster, LiNoConfig, Tensor, forward, init_params, param_shapes
 from .seeding import stream
-from .tensor import Lane, Tape, backward, mean_all, mul, sub
+from .tensor import Lane, Tape, _defer, _finite, backward, mean_all, mul, sub
 
 
 def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
@@ -74,6 +79,32 @@ ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
 
 
+def _corrections(step: int) -> tuple:
+    """Adam's bias corrections (1 - beta1^t, 1 - beta2^t) at step t."""
+    b1, b2 = ADAM_BETAS
+    return 1.0 - b1 ** step, 1.0 - b2 ** step
+
+
+def _update(p, m, v, g, delta, den, c1, c2, lr) -> None:
+    """Adam's fourteen elementwise passes over one block, in place, in the
+    textbook order; `delta` and `den` are scratch of the block's length."""
+    b1, b2 = ADAM_BETAS
+    m *= b1
+    np.multiply(g, 1.0 - b1, out=delta)
+    m += delta
+    v *= b2
+    np.multiply(g, 1.0 - b2, out=delta)
+    delta *= g
+    v += delta
+    np.divide(m, c1, out=delta)
+    delta *= lr
+    np.divide(v, c2, out=den)
+    np.sqrt(den, out=den)
+    den += ADAM_EPS
+    delta /= den
+    np.subtract(p, delta, out=p)
+
+
 @dataclass
 class AdamState:
     """Adam's step count and moments, each one flat buffer.
@@ -82,7 +113,13 @@ class AdamState:
     parameter's `data` is a view of it, so one step updates the whole model
     with fourteen numpy calls per block instead of about sixteen per
     parameter. `m`, `v` and the gradient buffer `grad` share that layout;
-    `grad_views` maps each name to its shaped view of `grad`.
+    `grad_views` maps each name to its shaped view of `grad`. `names` maps
+    each parameter tensor to its name, and `blocks` lists the update's
+    blocks of `_ADAM_BLOCK` elements as (lo, hi, parts), each part a
+    (name, slice of the flattened parameter, slice of the block) for a
+    parameter the block overlaps. `queued` holds (block, task) for each
+    block update that a step's `hook` started, until `adam_step` ends the
+    step.
     """
 
     step: int
@@ -91,6 +128,9 @@ class AdamState:
     v: np.ndarray
     grad: np.ndarray
     grad_views: dict
+    names: dict
+    blocks: list
+    queued: Optional[list] = None
 
     @classmethod
     def fresh(cls, params: dict) -> "AdamState":
@@ -98,66 +138,123 @@ class AdamState:
         buffer: each tensor's `data` is rebound to its view of it."""
         size = sum(t.size for t in params.values())
         values, grad = np.empty(size), np.empty(size)
-        grad_views, lo = {}, 0
+        grad_views, spans, lo = {}, {}, 0
         for name, t in params.items():
             hi = lo + t.size
             view = values[lo:hi].reshape(t.shape)
             view[...] = t.data
             t.data = view
             grad_views[name] = grad[lo:hi].reshape(t.shape)
+            spans[name] = lo, hi
             lo = hi
-        return cls(0, values, np.zeros(size), np.zeros(size), grad, grad_views)
+        blocks = []
+        for lo in range(0, size, _ADAM_BLOCK):
+            hi = min(lo + _ADAM_BLOCK, size)
+            blocks.append((lo, hi, [(name, slice(max(a, lo) - a, min(z, hi) - a),
+                                     slice(max(a, lo) - lo, min(z, hi) - lo))
+                                    for name, (a, z) in spans.items() if a < hi and lo < z]))
+        return cls(0, values, np.zeros(size), np.zeros(size), grad, grad_views,
+                   {t: name for name, t in params.items()}, blocks)
+
+    def hook(self, lr: float):
+        """The `Tape.on_grad` hook of the next step, at learning rate `lr`.
+
+        `backward` hands it each parameter's final gradient mid-walk. Once
+        every parameter a block overlaps has one, the block's update goes
+        to the lane (`_defer`), to run beside the rest of the walk; it
+        keeps the gradients, which may still be `_Deferred`, unread until
+        then. `adam_step` ends the step. Register it only while a lane is
+        open: with none, each update would run at once, on the walk's
+        thread, as separate calls for no gain.
+        """
+        c1, c2 = _corrections(self.step + 1)
+        waiting = [len(parts) for _, _, parts in self.blocks]
+        touched: dict = {}
+        for b, (_, _, parts) in enumerate(self.blocks):
+            for name, _, _ in parts:
+                touched.setdefault(name, []).append(b)
+        got, queued = {}, []
+        self.queued = queued
+
+        def on_grad(leaf, g):
+            name = self.names.get(leaf)
+            if name is None:
+                return
+            got[name] = g
+            for b in touched.get(name, ()):
+                waiting[b] -= 1
+                if not waiting[b]:
+                    args = [got[n] for n, _, _ in self.blocks[b][2]]
+                    queued.append((b, _defer(self._update_block, b, c1, c2, lr, *args)))
+        return on_grad
+
+    def _update_block(self, b: int, c1: float, c2: float, lr: float, *grads) -> bool:
+        """Gather block `b`'s slices of `grads` (one per part, None counting
+        as zero) into `grad`, and update the block with scratch of its
+        own, so that two blocks may run at once. Returns whether it moved:
+        a non-finite gradient leaves it as it was."""
+        lo, hi, parts = self.blocks[b]
+        g = self.grad[lo:hi]
+        for (_, src, dst), pg in zip(parts, grads):
+            if pg is None:
+                g[dst] = 0
+            else:
+                g[dst] = pg.reshape(-1)[src]
+        if not _finite(g):
+            return False
+        _update(self.values[lo:hi], self.m[lo:hi], self.v[lo:hi], g,
+                *np.empty((2, hi - lo)), c1, c2, lr)
+        return True
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update with `ADAM_BETAS` and `ADAM_EPS`, in
-    place: `params` must be the dict `state` was made from, and their
-    values, `state.m` and `state.v` change where they are.
+    place, that ends a step: `params` must be the dict `state` was made
+    from, and their values, `state.m` and `state.v` change where they are.
 
     The gradients gather into the flat buffer, a missing one as zero (that
-    parameter holds still), and one finiteness check runs on their sum;
-    a non-finite gradient aborts with the first such parameter named,
-    before anything moves. The update then walks the buffers in blocks of
+    parameter holds still). The update walks the buffers in blocks of
     `_ADAM_BLOCK` elements, so each block stays in cache across the
-    update's passes. Each op is elementwise and in the textbook
-    order, so the result is bitwise the per-parameter update
-    `p - lr * (m / c1) / (sqrt(v / c2) + ADAM_EPS)`.
+    update's passes. Each op is elementwise and in the textbook order, so
+    the result is bitwise the per-parameter update
+    `p - lr * (m / c1) / (sqrt(v / c2) + ADAM_EPS)`, whichever thread runs
+    a block and when.
+
+    Called directly, it checks every gradient before anything moves: a
+    non-finite one aborts with the first such parameter named. After a
+    step whose tape carried `state.hook`, some blocks are already queued
+    on the lane or done. This call then updates the blocks nobody queued,
+    from `grads`, and settles the queued ones from the back, taking over
+    those the lane has not started while the lane works from the front.
+    Each block checks its own gradients before it moves, so a non-finite
+    gradient raises the same error, naming the same parameter, but only
+    after the blocks whose gradients were finite have moved.
     """
-    for name in params:
-        g = grads.get(name)
-        if g is None:
-            state.grad_views[name].fill(0)
-        else:
-            state.grad_views[name][...] = g
-    if not np.isfinite(state.grad.sum()):
-        # a NaN or an infinity makes the sum non-finite; finite gradients
-        # whose sum overflows pass the elementwise check
+    queued, state.queued = state.queued, None
+    c1, c2 = _corrections(state.step + 1)
+    if queued is None:
+        for name in params:
+            g = grads.get(name)
+            if g is None:
+                state.grad_views[name].fill(0)
+            else:
+                state.grad_views[name][...] = g
+        ok = _finite(state.grad)
+        if ok:
+            scratch = np.empty((2, min(state.values.size, _ADAM_BLOCK)))
+            for lo, hi, _ in state.blocks:
+                _update(state.values[lo:hi], state.m[lo:hi], state.v[lo:hi],
+                        state.grad[lo:hi], *scratch[:, :hi - lo], c1, c2, lr)
+    else:
+        started = {b for b, _ in queued}
+        moved = [state._update_block(b, c1, c2, lr, *[grads.get(n) for n, _, _ in parts])
+                 for b, (_, _, parts) in enumerate(state.blocks) if b not in started]
+        ok = all(moved + [task.result() for _, task in reversed(queued)])
+    if not ok:
         for name in params:
             if not np.isfinite(state.grad_views[name]).all():
                 raise NonFiniteError(f"adam_step: non-finite gradient for {name}")
-    b1, b2 = ADAM_BETAS
     state.step += 1
-    c1, c2 = 1.0 - b1 ** state.step, 1.0 - b2 ** state.step
-    size = state.values.size
-    scratch = np.empty((2, min(size, _ADAM_BLOCK)))
-    for lo in range(0, size, _ADAM_BLOCK):
-        hi = min(lo + _ADAM_BLOCK, size)
-        p, m, v, g = (buf[lo:hi] for buf in (state.values, state.m, state.v, state.grad))
-        delta, den = scratch[:, :hi - lo]
-        m *= b1
-        np.multiply(g, 1.0 - b1, out=delta)
-        m += delta
-        v *= b2
-        np.multiply(g, 1.0 - b2, out=delta)
-        delta *= g
-        v += delta
-        np.divide(m, c1, out=delta)
-        delta *= lr
-        np.divide(v, c2, out=den)
-        np.sqrt(den, out=den)
-        den += ADAM_EPS
-        delta /= den
-        p -= delta
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +342,13 @@ def train(train_x: np.ndarray, train_y: np.ndarray,
     for epoch in range(1, tcfg.max_epochs + 1):
         order = shuffle_rng.permutation(n)
         sq_sum = 0.0
-        with Lane() if spare_cpu() else contextlib.nullcontext():
+        lane = spare_cpu()
+        with Lane() if lane else contextlib.nullcontext():
             for step, lo in enumerate(range(0, n, tcfg.batch_size), start=1):
                 idx = order[lo:lo + tcfg.batch_size]
                 xb, yb = add_noise(train_x[idx], tcfg.noise_alpha, noise_rng), train_y[idx]
                 try:
-                    with Tape() as tape:
+                    with Tape(state.hook(tcfg.lr) if lane else None) as tape:
                         res = forward(xb, params, config, mode="train", rng=dropout_rng)
                         loss = mse_loss(res.y, Tensor(yb))
                     grads = backward(tape, loss)

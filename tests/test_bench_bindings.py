@@ -9,6 +9,8 @@ renames one of them breaks only the traced benchmark run.
 import numpy as np
 import pytest
 
+from helpers import force_workers
+
 import lino.cli
 import lino.evaluate
 import lino.model
@@ -51,3 +53,44 @@ def test_train_step_forward_passes_mode_by_keyword(monkeypatch):
     lino.train.train(x, y, x, y, config,
                      lino.train.TrainConfig(batch_size=4, max_epochs=1))
     assert calls == [(3, "train")] * 3
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["no-lane", "lane"])
+def test_lone_fit_calls_backward_then_adam_step_once_per_step(monkeypatch, cpus):
+    """The tracer wraps `lino.train.backward` as `traced(tape, loss)`, ends
+    each step's sample when `lino.train.adam_step` returns, and subclasses
+    `lino.train.Tape` without its own `__init__`. So every step of a lone
+    fit, lane open or not, calls `backward` with exactly (tape, loss) and
+    then `adam_step` once, and builds its tape through `lino.train.Tape`."""
+    calls = []
+    real_backward, real_adam = lino.train.backward, lino.train.adam_step
+
+    class SpiedTape(lino.train.Tape):
+        def __enter__(self):
+            calls.append(("tape", self))
+            return super().__enter__()
+
+    def backward(*args, **kwargs):
+        calls.append(("backward", args, kwargs))
+        return real_backward(*args, **kwargs)
+
+    def adam_step(*args, **kwargs):
+        calls.append(("adam_step",))
+        return real_adam(*args, **kwargs)
+
+    monkeypatch.setattr(lino.train, "Tape", SpiedTape)
+    monkeypatch.setattr(lino.train, "backward", backward)
+    monkeypatch.setattr(lino.train, "adam_step", adam_step)
+    force_workers(monkeypatch, cpus)
+    config = lino.model.LiNoConfig(channels=2, lookback=8, horizon=4, dim=8,
+                                   blocks=1, dropout=0.2)
+    rng = np.random.default_rng(0)
+    x, y = rng.normal(size=(10, 2, 8)), rng.normal(size=(10, 2, 4))
+    lino.train.train(x, y, x, y, config,
+                     lino.train.TrainConfig(batch_size=4, max_epochs=2))
+    assert [c[0] for c in calls] == ["tape", "backward", "adam_step"] * 6
+    for at in range(0, len(calls), 3):
+        tape, (_, args, kwargs) = calls[at][1], calls[at + 1]
+        assert kwargs == {} and len(args) == 2 and args[0] is tape
+        assert isinstance(args[1], lino.model.Tensor) and args[1].size == 1
+        assert (tape.on_grad is not None) == (cpus == 2)

@@ -13,6 +13,7 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -23,6 +24,9 @@ import pytest
 from helpers import TextbookAdam, force_workers, rewrite_header, rewrite_model_header
 
 import lino.cli as cli
+import lino.model
+import lino.tensor
+import lino.train
 from lino.data import ETT_SPLIT_COUNTS
 from lino.errors import ConfigError, DataError, NonFiniteError
 from lino.fanout import _cpus
@@ -357,10 +361,16 @@ class TestTrainCommand:
     def test_metric_files_match_per_parameter_adam(self, tmp_path, capsys, monkeypatch):
         """The flat in-place Adam writes the metric CSVs and checkpoint
         of a two-epoch synth train byte for byte as a per-parameter
-        textbook Adam does."""
+        textbook Adam does: with the lane closed, and with it open, where
+        blocks of 40 values (so that parameters straddle blocks) update
+        during the backward walk. The reference runs with no lane, where
+        `adam_step` is a step's only update."""
         cfg = write_cfg(tmp_path / "t.cfg", **TINY)
-        assert run(["train", "--config", cfg, "--out", str(tmp_path / "flat"),
-                    "--unsafe-grid"]) == 0
+        monkeypatch.setattr("lino.train._ADAM_BLOCK", 40)
+        for cpus in (1, 2):
+            force_workers(monkeypatch, cpus)
+            assert run(["train", "--config", cfg, "--out", str(tmp_path / f"flat{cpus}"),
+                        "--unsafe-grid"]) == 0
         ref = TextbookAdam()
 
         def per_parameter(params, grads, state, lr):
@@ -368,13 +378,15 @@ class TestTrainCommand:
             for k, t in params.items():
                 t.data[...] = new[k]
 
+        force_workers(monkeypatch, 1)
         monkeypatch.setattr("lino.train.adam_step", per_parameter)
         assert run(["train", "--config", cfg, "--out", str(tmp_path / "ref"),
                     "--unsafe-grid"]) == 0
         assert ref.t > 2
-        for fname in ("checkpoint", "history.csv", "report.csv"):
-            assert (tmp_path / "flat" / fname).read_bytes() == \
-                (tmp_path / "ref" / fname).read_bytes()
+        for cpus in (1, 2):
+            for fname in ("checkpoint", "history.csv", "report.csv"):
+                assert (tmp_path / f"flat{cpus}" / fname).read_bytes() == \
+                    (tmp_path / "ref" / fname).read_bytes(), (cpus, fname)
 
     def test_different_seed_changes_metrics(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "t.cfg", **TINY)
@@ -1070,6 +1082,53 @@ class TestNumericalFailureExit:
             errs[cpus] = capsys.readouterr().err
         assert errs[1] == errs[2]
         assert re.fullmatch(r"error: epoch 1, step \d+: \S+: non-finite .*\n", errs[2])
+
+    def test_nan_gradient_after_queued_blocks_raises_the_same_line(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        """On step 2 embed.w's weight gradient, the last the walk reaches,
+        goes NaN. With the lane open, blocks of 40 values whose gradients
+        were final have been queued by then; the fit still fails on the
+        first failure in walk order, with the line of a one-CPU run, and
+        leaves no lane and no thread behind."""
+        cfg = write_cfg(tmp_path / "t.cfg", **TINY)
+        monkeypatch.setattr("lino.train._ADAM_BLOCK", 40)
+        real_linear, real_hook = lino.model.linear, lino.train.AdamState.hook
+        calls, states = [], []
+
+        def linear(x, w, b=None):
+            y = real_linear(x, w, b)
+            if w.name == "embed.w" and lino.tensor._active is not None:
+                calls.append(w)
+                if len(calls) == 2:
+                    node = lino.tensor._active.nodes[-1]
+                    vjp = node.vjp
+
+                    def poisoned(g):
+                        gx, gw, *rest = vjp(g)
+                        return (gx, lino.tensor._defer(lambda a: a * np.nan, gw), *rest)
+
+                    node.vjp = poisoned
+            return y
+
+        def hook(state, lr):
+            states.append(state)
+            return real_hook(state, lr)
+
+        monkeypatch.setattr(lino.model, "linear", linear)
+        monkeypatch.setattr(lino.train.AdamState, "hook", hook)
+        errs, before = {}, threading.active_count()
+        for cpus in (1, 2):
+            calls.clear()
+            force_workers(monkeypatch, cpus)
+            assert run(["train", "--config", cfg, "--out", str(tmp_path / f"c{cpus}"),
+                        "--unsafe-grid"]) == 4
+            errs[cpus] = capsys.readouterr().err
+            assert lino.tensor._lane is None and threading.active_count() == before
+        assert errs[1] == errs[2] == ("error: epoch 1, step 2: backward[linear:embed.w]: "
+                                      "non-finite values in output\n")
+        # only the lane-open fit hooked its tapes, and the failing step had
+        # queued block updates before the walk reached embed.w
+        assert len(states) == 2 and len(states[-1].queued) > 0
 
     @pytest.mark.parametrize("seeds", ["1", "1,2"])
     def test_overflow_prints_one_stderr_line(self, tmp_path, seeds):

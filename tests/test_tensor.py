@@ -857,6 +857,41 @@ class TestLane:
                 backward(tape, loss)
         assert str(err.value) == "backward[linear:w2]: non-finite values in output"
 
+    @pytest.mark.parametrize("on", [False, True], ids=["inline", "lane"])
+    def test_on_grad_gets_each_leaf_once_after_its_last_use(self, on):
+        """`backward` hands `tape.on_grad` each used leaf once, after the
+        vjp of every node that uses it has run, with the gradient it
+        returns. `w_unused` gets none; `w2`, whose one use comes after the
+        first use of the others, comes first."""
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True, name="x")
+        w1 = Tensor(rng.normal(size=(4, 4)), requires_grad=True, name="w1")
+        b1 = Tensor(rng.normal(size=(4,)), requires_grad=True, name="b1")
+        w2 = Tensor(rng.normal(size=(4, 4)), requires_grad=True, name="w2")
+        w_unused = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+        log, handed = [], {}
+
+        def on_grad(leaf, g):
+            log.append(leaf.name)
+            handed[leaf] = g
+
+        with lane_or_not(on):
+            with Tape(on_grad) as tape:
+                h = T.tanh(T.linear(x, w1, b1))
+                loss = T.sum_all(T.mul(T.linear(h, w2), T.linear(x, w1)))
+            for at, node in enumerate(tape.nodes):
+                node.vjp = (lambda vjp, at: lambda g: log.append(at) or vjp(g))(node.vjp, at)
+            grads = backward(tape, loss)
+            handed = {leaf: T._value(g) for leaf, g in handed.items()}
+        assert [e for e in log if isinstance(e, str)] == ["w2", "x", "w1", "b1"]
+        users = {leaf.name: [at for at, node in enumerate(tape.nodes) if leaf in node.parents]
+                 for leaf in (x, w1, b1, w2)}
+        for name, nodes in users.items():
+            assert all(log.index(at) < log.index(name) for at in nodes), name
+        assert handed.keys() == grads.keys()
+        for leaf, g in grads.items():
+            assert np.array_equal(handed[leaf], g)
+
     def test_weight_gradient_names_its_parameter(self):
         x = Tensor([[1e308], [1e308]])
         w = Tensor([[1e-300]], requires_grad=True, name="level0.no.ff.w1")

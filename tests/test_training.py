@@ -237,28 +237,61 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_lane_opens_with_a_spare_cpu_and_closes_with_the_loop(self, monkeypatch, cpus):
-        """With a second CPU each epoch's steps run with a lane open; no
-        thread outlives the fit, and the bits match a one-CPU fit."""
+        """With a second CPU each epoch's steps run with a lane open, and
+        Adam's blocks (7 values, so parameters straddle them) update during
+        the backward walk; no thread outlives the fit, and the bits match
+        a one-CPU fit whose only update is the per-parameter `TextbookAdam`,
+        for every variant and every ablation (`no_li` and `no_no` leave
+        parameters without a gradient)."""
         x, y = trend_windows(40)
-        cfg, tcfg = tiny_config(dropout=0.2), TrainConfig(lr=1e-3, batch_size=8,
-                                                          max_epochs=2, seed=3)
-        force_workers(monkeypatch, 1)
-        want = train(x, y, x, y, cfg, tcfg)
-        force_workers(monkeypatch, cpus)
-        lanes, real = [], lino.train.backward
+        tcfg = TrainConfig(lr=1e-3, batch_size=8, max_epochs=2, seed=3)
+        monkeypatch.setattr(lino.train, "_ADAM_BLOCK", 7)
+        real_backward, real_adam = lino.train.backward, lino.train.adam_step
+        lanes, queued = [], []
 
         def backward(tape, loss):
             lanes.append(lino.tensor._lane)
-            return real(tape, loss)
+            return real_backward(tape, loss)
 
-        monkeypatch.setattr(lino.train, "backward", backward)
-        before = threading.active_count()
-        got = train(x, y, x, y, cfg, tcfg)
-        assert threading.active_count() == before and lino.tensor._lane is None
-        assert len(lanes) == 8 and all((lane is not None) == (cpus == 2) for lane in lanes)
-        assert len({id(lane) for lane in lanes}) == (2 if cpus == 2 else 1)
-        assert got.history == want.history
-        assert all(np.array_equal(got.params[k].data, want.params[k].data) for k in got.params)
+        def adam_step(params, grads, state, lr):
+            queued.append(state.queued)
+            real_adam(params, grads, state, lr)
+
+        combos = ([(v, "none") for v in ("lino", "mu", "raw", "ln")]
+                  + [("lino", a) for a in ("no_li", "no_no", "no_te", "no_fe", "no_cd")])
+        for variant, ablation in combos:
+            cfg = tiny_config(dropout=0.2, blocks=2, variant=variant, ablation=ablation)
+            ref = TextbookAdam()
+
+            def per_parameter(params, grads, state, lr):
+                new = ref.step({k: t.data for k, t in params.items()}, grads, lr)
+                for k, t in params.items():
+                    t.data[...] = new[k]
+
+            force_workers(monkeypatch, 1)
+            with monkeypatch.context() as patch:
+                patch.setattr(lino.train, "adam_step", per_parameter)
+                want = train(x, y, x, y, cfg, tcfg)
+            force_workers(monkeypatch, cpus)
+            lanes.clear()
+            queued.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(lino.train, "backward", backward)
+                patch.setattr(lino.train, "adam_step", adam_step)
+                before = threading.active_count()
+                got = train(x, y, x, y, cfg, tcfg)
+            combo = f"{variant}/{ablation}"
+            assert threading.active_count() == before and lino.tensor._lane is None, combo
+            assert len(lanes) == 8, combo
+            assert all((lane is not None) == (cpus == 2) for lane in lanes), combo
+            assert len({id(lane) for lane in lanes}) == (2 if cpus == 2 else 1), combo
+            if cpus == 2:
+                assert all(len(q) > 0 for q in queued), combo
+            else:
+                assert queued == [None] * 8, combo
+            assert ref.t == 8 and got.history == want.history, combo
+            for k in got.params:
+                assert got.params[k].data.tobytes() == want.params[k].data.tobytes(), (combo, k)
 
     def test_seed_changes_trajectory(self):
         x, y = trend_windows(40)
