@@ -178,6 +178,33 @@ class TestFlatAdam:
         for k, t in params.items():
             np.testing.assert_array_equal(t.data, before[k])
 
+    def test_nan_in_two_blocks_stops_only_those_blocks(self, monkeypatch):
+        """A direct call keeps the contract of a hooked step: the blocks
+        with a non-finite gradient hold their values and moments, the
+        others take the textbook update, and the error names the earlier
+        bad parameter in dict order."""
+        # 33 values in blocks of 8: p1's NaN (value 5) sits in block 0 and
+        # p3's (value 27) in block 3; blocks 1, 2 and 4 are all finite,
+        # block 1 holding p1's finite tail
+        monkeypatch.setattr(lino.train, "_ADAM_BLOCK", 8)
+        params = hand_made([(5,), (3, 3), (3,), (4, 4)])
+        state = AdamState.fresh(params)
+        before = state.values.copy(), state.m.copy(), state.v.copy()
+        rng = np.random.default_rng(2)
+        grads = {k: rng.normal(size=t.shape) for k, t in params.items()}
+        grads["p3"][2, 2] = grads["p1"][0, 0] = np.nan
+        ref = TextbookAdam()
+        expect = ref.step({k: t.data.copy() for k, t in params.items()}, grads, 0.1)
+        want = [np.concatenate([d[k].ravel() for k in params]) for d in (expect, ref.m, ref.v)]
+        with pytest.raises(NonFiniteError, match=r"non-finite gradient for p1$"):
+            adam_step(params, grads, state, lr=0.1)
+        assert state.step == 0
+        for lo in range(0, 33, 8):
+            block = slice(lo, lo + 8)
+            for got, old, new in zip((state.values, state.m, state.v), before, want):
+                expected = old if lo in (0, 24) else new
+                np.testing.assert_array_equal(got[block], expected[block], err_msg=f"block {lo}")
+
     def test_finite_gradients_whose_sum_overflows_step(self):
         params = hand_made([(2,), (2,)])
         ref = TextbookAdam()
