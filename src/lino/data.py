@@ -21,7 +21,10 @@ Conventions that matter and are easy to get wrong elsewhere:
 from __future__ import annotations
 
 import csv
+import itertools
+import math
 import warnings
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -61,54 +64,69 @@ def load_csv(path: str):
     a number, and a first column is a timestamp when it fails to parse in
     the data rows. Everything that remains must be a finite number (`nan`
     and `inf` parse but are rejected); violations are reported with row
-    and column indices (1-based, as in the file).
+    and column indices (1-based, as in the file). Rows are parsed as they
+    are read, so a file with several defects reports the first in file
+    order.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = [row for row in csv.reader(fh) if row]
+            return _parse_rows(path, (row for row in csv.reader(fh) if row))
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc.reason}") from None
     except OSError as exc:
         raise DataError(f"{path}: cannot read: {exc.strerror}") from None
-    if not rows:
+
+
+def _parse_rows(path: str, rows):
+    """`load_csv` on an iterator over the file's non-empty rows, which it
+    reads once; only the first two rows are held, to find the header and
+    the date column."""
+    head = list(itertools.islice(rows, 2))
+    if not head:
         raise DataError(f"{path}: file contains no data")
-    width = len(rows[0])
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise DataError(f"{path}: row {i + 1} has {len(row)} cells, expected {width}")
-
-    has_header = any(not _is_number(cell) for cell in rows[0][1:]) or (
-        len(rows) > 1 and not _is_number(rows[0][0]) and _is_number(rows[1][0]))
-    header = rows[0] if has_header else None
-    data_rows = rows[1:] if has_header else rows
-    if not data_rows:
+    width = len(head[0])
+    has_header = any(not _is_number(cell) for cell in head[0][1:]) or (
+        len(head) > 1 and not _is_number(head[0][0]) and _is_number(head[1][0]))
+    body = head[1:] if has_header else head
+    if not body:
         raise DataError(f"{path}: header but no data rows")
-
-    has_date = not _is_number(data_rows[0][0])
-    first_col = 1 if has_date else 0
+    first_col = 0 if _is_number(body[0][0]) else 1
     if width - first_col < 1:
         raise DataError(f"{path}: no numeric columns")
 
-    values = np.empty((len(data_rows), width - first_col), dtype=np.float64)
-    for i, row in enumerate(data_rows):
-        for j, cell in enumerate(row[first_col:]):
-            try:
-                values[i, j] = float(cell)
-            except ValueError:
-                raise DataError(
-                    f"{path}: non-numeric value {cell!r} at row "
-                    f"{i + 1 + int(has_header)}, column {j + 1 + first_col}") from None
-    finite = np.isfinite(values)
-    if not finite.all():
-        i, j = np.argwhere(~finite)[0]
-        raise DataError(
-            f"{path}: non-finite value {data_rows[i][j + first_col]!r} at row "
-            f"{i + 1 + int(has_header)}, column {j + 1 + first_col}")
-    if header:
-        columns = [c.strip() for c in header[first_col:]]
+    values = array("d")
+    for n, row in enumerate(itertools.chain(body, rows), start=1 + int(has_header)):
+        if len(row) != width:
+            raise DataError(f"{path}: row {n} has {len(row)} cells, expected {width}")
+        cells = row[first_col:]
+        try:
+            parsed = [float(cell) for cell in cells]
+            # a non-finite cell makes the sum non-finite; finite cells
+            # whose sum overflows pass `_check_cells`
+            clean = math.isfinite(sum(parsed))
+        except ValueError:
+            clean = False
+        if not clean:
+            _check_cells(path, n, cells, first_col)
+        values.extend(parsed)
+    if has_header:
+        columns = [c.strip() for c in head[0][first_col:]]
     else:
-        columns = [f"c{j}" for j in range(values.shape[1])]
-    return values, columns
+        columns = [f"c{j}" for j in range(width - first_col)]
+    return np.array(values).reshape(-1, width - first_col), columns
+
+
+def _check_cells(path: str, n: int, cells: list, first_col: int) -> None:
+    """Raise for the first of row `n`'s value cells that is not a finite
+    number."""
+    for j, cell in enumerate(cells, start=1 + first_col):
+        try:
+            value = float(cell)
+        except ValueError:
+            raise DataError(
+                f"{path}: non-numeric value {cell!r} at row {n}, column {j}") from None
+        if not math.isfinite(value):
+            raise DataError(f"{path}: non-finite value {cell!r} at row {n}, column {j}")
 
 
 def save_csv(path: str, values: np.ndarray, columns) -> None:

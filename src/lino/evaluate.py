@@ -238,7 +238,7 @@ def model_map(params: dict, config: LiNoConfig) -> Callable:
 
     def f(vec):
         xn = Tensor(np.reshape(vec, (c, t)))
-        y, _ = forward_normalized(xn, params, config)
+        y, _ = forward_normalized(xn, params, config, trace=False)
         return y.data.reshape(-1)
 
     return f

@@ -12,6 +12,15 @@ remainder to the next level. Each extracted pattern gets its own affine
 head onto the horizon; the forecast is the sum of all head outputs,
 denormalised.
 
+Each head is added into that sum as soon as it is made (`_Fold`), in
+level order. By default `forward` also returns the pass's patterns and
+heads as a `ForwardTrace`, which `export_decomposition` and the tests
+read. `Forecaster.predict`, and so `evaluate`, validation and serving,
+asks for no trace: its pass keeps no pattern or feature past its last
+use, so a batch peaks at about six activations of [batch, channels, dim]
+however many levels run. Under a tape, which holds every activation for
+the backward walk anyway, both kinds of pass record the same nodes.
+
 Both projections are linear maps over the feature axis, shared across
 channels, so each level applies them as one D x D operator: the time
 weight plus the frequency projection's operator, which `freq_projection`
@@ -234,14 +243,16 @@ def no_block(r: Tensor, params: dict, level: int, projection: tuple, config: LiN
     feedforward MLP.
     """
     p = f"level{level}.no."
-    ntf = tanh(linear(r, *projection))
-    fused = ntf if config.ablation == "no_cd" else channel_mix(
-        ntf, params[p + "mix.w1"], params[p + "mix.b1"],
-        params[p + "mix.w2"], params[p + "mix.b2"])
-    stage1 = layer_norm(fused, params[p + "norm1.gamma"], params[p + "norm1.beta"])
-    ff = linear(tanh(linear(stage1, params[p + "ff.w1"], params[p + "ff.b1"])),
-                params[p + "ff.w2"], params[p + "ff.b2"])
-    return layer_norm(add(stage1, ff), params[p + "norm2.gamma"], params[p + "norm2.beta"])
+    # every stage is bound to `h`, so outside a tape each one is freed as
+    # soon as the next exists
+    h = tanh(linear(r, *projection))
+    if config.ablation != "no_cd":
+        h = channel_mix(h, params[p + "mix.w1"], params[p + "mix.b1"],
+                        params[p + "mix.w2"], params[p + "mix.b2"])
+    h = layer_norm(h, params[p + "norm1.gamma"], params[p + "norm1.beta"])
+    h = add(h, linear(tanh(linear(h, params[p + "ff.w1"], params[p + "ff.b1"])),
+                      params[p + "ff.w2"], params[p + "ff.b2"]))
+    return layer_norm(h, params[p + "norm2.gamma"], params[p + "norm2.beta"])
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +261,13 @@ def no_block(r: Tensor, params: dict, level: int, projection: tuple, config: LiN
 
 @dataclass
 class ForwardTrace:
-    """One pass at normalised scale. `patterns`: each level's (li, no)
-    pattern pair, zeros for an ablated block. `heads`: each head's (label,
-    output) pair in summation order, labelled `level{i}.li`, `level{i}.no`,
-    or `head` for `raw`'s one head; their sum is the forecast, bitwise.
-    `remainder`: what the last level hands on."""
+    """The record of one pass at normalised scale, for a caller that reads
+    it (`forward(..., trace=True)`). `embedded`: the embedded input.
+    `patterns`: each level's (li, no) pattern pair, zeros for an ablated
+    block. `heads`: each head's (label, output) pair in summation order,
+    labelled `level{i}.li`, `level{i}.no`, or `head` for `raw`'s one head;
+    their sum is the forecast, bitwise. `remainder`: what the last level
+    hands on."""
 
     embedded: Tensor
     patterns: list
@@ -262,17 +275,54 @@ class ForwardTrace:
     remainder: Tensor
 
 
+class _Fold:
+    """The heads of one pass, each added into the forecast `y` as soon as
+    it is made, in summation order: the first head, then `add(y, head)`
+    for each later one. With `keep`, every pattern and head is also kept
+    for the pass's `ForwardTrace`; without it, a head or pattern lives
+    only as long as the recursion needs it."""
+
+    def __init__(self, params: dict, keep: bool):
+        self.params, self.y = params, None
+        self.patterns = [] if keep else None
+        self.heads = [] if keep else None
+
+    def head(self, label: str, pattern: Tensor, weights: Optional[str] = None) -> None:
+        """The head `weights` (default: `label`) applied to `pattern`."""
+        w = weights or label
+        out = linear(pattern, self.params[w + "_head.w"], self.params[w + "_head.b"])
+        if self.heads is not None:
+            self.heads.append((label, out))
+        self.y = out if self.y is None else add(self.y, out)
+
+    def pattern(self, pattern: Tensor, head: Optional[str] = None) -> Tensor:
+        """Record `pattern`, apply its head if it has one, and return it."""
+        if self.patterns is not None:
+            self.patterns.append(pattern)
+        if head is not None:
+            self.head(head, pattern)
+        return pattern
+
+    def skip(self, h: Tensor) -> None:
+        """An ablated block's pattern: zeros shaped like `h`, made only for
+        a trace."""
+        if self.patterns is not None:
+            self.patterns.append(Tensor(np.zeros(h.shape)))
+
+
 def forward_normalized(xn: Tensor, params: dict, config: LiNoConfig,
                        rng: Optional[np.random.Generator] = None,
-                       projections: Optional[tuple] = None):
+                       projections: Optional[tuple] = None, trace: bool = True):
     """Run the configured recursion on an already-normalised input.
 
     xn: [..., channels, lookback]. Returns (y_norm, ForwardTrace) with
-    y_norm: [..., channels, horizon], the sum of the trace's heads. `rng`
-    drives the linear blocks' dropout; with none, dropout is off.
-    `projections` is `build_projections(params, config)`; when omitted,
-    each level's is built here just before its nonlinear block, so under a
-    tape it is recorded once per step and walked amid the rest.
+    y_norm: [..., channels, horizon], the sum of the trace's heads; with
+    `trace` false the second item is None, and the pass keeps no pattern,
+    head or feature past its last use. `rng` drives the linear blocks'
+    dropout; with none, dropout is off. `projections` is
+    `build_projections(params, config)`; when omitted, each level's is
+    built here just before its nonlinear block, so under a tape it is
+    recorded once per step and walked amid the rest.
     """
     if xn.shape[-2] != config.channels or xn.shape[-1] != config.lookback:
         raise ConfigError(
@@ -289,79 +339,70 @@ def forward_normalized(xn: Tensor, params: dict, config: LiNoConfig,
             return no_projection(params, config, level, operators[level])
     else:
         projection = projections.__getitem__
-    embedded = linear(xn, params["embed.w"], params["embed.b"])
+    fold = _Fold(params, trace)
     fn = {"lino": _forward_lino, "mu": _forward_mu,
           "raw": _forward_raw, "ln": _forward_ln}[config.variant]
-    patterns, heads, remainder = fn(embedded, params, projection, config, rng)
-    y = heads[0][1]
-    for _, out in heads[1:]:
-        y = add(y, out)
-    return y, ForwardTrace(embedded, patterns, heads, remainder)
+    if not trace:
+        # the embedded input is passed on unnamed, so the recursion frees it
+        fn(linear(xn, params["embed.w"], params["embed.b"]), projection, config, rng, fold)
+        return fold.y, None
+    embedded = linear(xn, params["embed.w"], params["embed.b"])
+    remainder = fn(embedded, projection, config, rng, fold)
+    pairs = list(zip(fold.patterns[::2], fold.patterns[1::2]))
+    return fold.y, ForwardTrace(embedded, pairs, fold.heads, remainder)
 
 
-def _head(params, label, pattern):
-    return label, linear(pattern, params[label + "_head.w"], params[label + "_head.b"])
+# Each recursion takes the embedded input `h`, hands every pattern to
+# `fold` as it is made, and returns the last level's remainder. It rebinds
+# `h` as each pattern is taken out, so outside a trace and a tape the
+# features it has moved past are freed.
 
-
-def _forward_lino(h, params, projection, config, rng):
-    patterns, heads = [], []
+def _forward_lino(h, projection, config, rng, fold):
+    params = fold.params
     for i in range(config.blocks):
         p = f"level{i}."
         if config.ablation == "no_li":
-            li_pat, r = Tensor(np.zeros(h.shape)), h
+            fold.skip(h)
         else:
-            li_pat = li_block(h, params, i, config, rng)
-            heads.append(_head(params, p + "li", li_pat))
-            r = sub(h, li_pat)
+            h = sub(h, fold.pattern(li_block(h, params, i, config, rng), p + "li"))
         if config.ablation == "no_no":
-            no_pat, h = Tensor(np.zeros(r.shape)), r
+            fold.skip(h)
         else:
-            no_pat = no_block(r, params, i, projection(i), config)
-            heads.append(_head(params, p + "no", no_pat))
-            h = sub(r, no_pat)
-        patterns.append((li_pat, no_pat))
-    return patterns, heads, h
+            h = sub(h, fold.pattern(no_block(h, params, i, projection(i), config), p + "no"))
+    return h
 
 
-def _forward_mu(h, params, projection, config, rng):
+def _forward_mu(h, projection, config, rng, fold):
     """Comparison recursion: one pattern per level; the nonlinear block
     reads the linear block's output and only the combined pattern is
     subtracted from the running features."""
-    patterns, heads = [], []
+    params = fold.params
     for i in range(config.blocks):
-        p = f"level{i}."
-        li_pat = li_block(h, params, i, config, rng)
-        no_pat = no_block(li_pat, params, i, projection(i), config)
-        heads.append(_head(params, p + "no", no_pat))
-        h = sub(h, no_pat)
-        patterns.append((li_pat, no_pat))
-    return patterns, heads, h
+        li_pat = fold.pattern(li_block(h, params, i, config, rng))
+        h = sub(h, fold.pattern(no_block(li_pat, params, i, projection(i), config),
+                                f"level{i}.no"))
+    return h
 
 
-def _forward_raw(h, params, projection, config, rng):
+def _forward_raw(h, projection, config, rng, fold):
     """Comparison recursion: blocks chained feature-to-feature with no
     subtraction anywhere; a single head reads the last level's features."""
-    patterns = []
+    params = fold.params
     for i in range(config.blocks):
-        li_pat = li_block(h, params, i, config, rng)
-        h = no_block(li_pat, params, i, projection(i), config)
-        patterns.append((li_pat, h))
-    last = f"level{config.blocks - 1}.no"
-    return patterns, [("head", _head(params, last, h)[1])], h
+        h = fold.pattern(li_block(h, params, i, config, rng))
+        h = fold.pattern(no_block(h, params, i, projection(i), config))
+    fold.head("head", h, weights=f"level{config.blocks - 1}.no")
+    return h
 
 
-def _forward_ln(h, params, projection, config, rng):
+def _forward_ln(h, projection, config, rng, fold):
     """Comparison recursion: chained like `raw` but every block keeps its
     own head; still no residual subtraction."""
-    patterns, heads = [], []
+    params = fold.params
     for i in range(config.blocks):
-        p = f"level{i}."
-        li_pat = li_block(h, params, i, config, rng)
-        heads.append(_head(params, p + "li", li_pat))
-        h = no_block(li_pat, params, i, projection(i), config)
-        heads.append(_head(params, p + "no", h))
-        patterns.append((li_pat, h))
-    return patterns, heads, h
+        h = fold.pattern(li_block(h, params, i, config, rng), f"level{i}.li")
+        h = fold.pattern(no_block(h, params, i, projection(i), config), f"level{i}.no")
+    return h
 
 
 @dataclass
@@ -369,18 +410,21 @@ class ForwardResult:
     y: Tensor                      # forecast on the input's own scale
     y_norm: Tensor                 # forecast before denormalisation
     stats: tuple                   # (mu, sigma) used by the window
-    trace: ForwardTrace
+    trace: Optional[ForwardTrace]  # None unless `forward` was asked for it
 
 
 def forward(x, params: dict, config: LiNoConfig, mode: str = "eval",
             rng: Optional[np.random.Generator] = None,
-            projections: Optional[tuple] = None) -> ForwardResult:
+            projections: Optional[tuple] = None, trace: bool = True) -> ForwardResult:
     """Full pass on raw windows [..., channels, lookback]; `projections`
-    as in `forward_normalized`. Only `mode` "train" hands `rng` to dropout,
-    and needs one when dropout > 0; "eval" turns dropout off. Windows of
-    any real dtype and layout are made one contiguous float64 batch first
-    (a copy unless they are one already), so strided views of a series
-    (`data.make_windows`) give the bits their contiguous copy would."""
+    and `trace` as in `forward_normalized`. Only `mode` "train" hands `rng`
+    to dropout, and needs one when dropout > 0; "eval" turns dropout off.
+    Windows of any real dtype and layout are made one contiguous float64
+    batch first (a copy unless they are one already), so strided views of
+    a series (`data.make_windows`) give the bits their contiguous copy
+    would. `trace` changes what is kept, never a bit of the forecast: a
+    caller that reads no trace passes False, and the pass then holds only
+    the live features of one level and the running sum of the heads."""
     if mode not in ("train", "eval"):
         raise ValueError(f"forward: mode must be 'train' or 'eval', got {mode!r}")
     if mode == "eval":
@@ -389,9 +433,9 @@ def forward(x, params: dict, config: LiNoConfig, mode: str = "eval",
         raise ValueError("forward: train mode with dropout > 0 needs an rng")
     x = np.ascontiguousarray(x, dtype=np.float64)
     xn, stats = revin_normalize(x)
-    y_norm, trace = forward_normalized(Tensor(xn), params, config, rng, projections)
+    y_norm, record = forward_normalized(Tensor(xn), params, config, rng, projections, trace)
     y = revin_denormalize(y_norm, stats)
-    return ForwardResult(y, y_norm, stats, trace)
+    return ForwardResult(y, y_norm, stats, record)
 
 
 class Forecaster:
@@ -402,7 +446,10 @@ class Forecaster:
     `forward(x, params, config).y.data`, without rebuilding a D x D
     operator per call. A later change to the projection weights in
     `params` (`time.*`, `freq.*`) is not seen by `predict`; build a new
-    Forecaster instead.
+    Forecaster instead. `predict` asks `forward` for no trace, so a batch
+    holds a few activations of [batch, channels, dim] at its peak, however
+    many levels the model has; `evaluate`, validation and serving all
+    predict through it.
     """
 
     def __init__(self, params: dict, config: LiNoConfig):
@@ -411,4 +458,5 @@ class Forecaster:
         self.projections = build_projections(params, config)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return forward(x, self.params, self.config, projections=self.projections).y.data
+        return forward(x, self.params, self.config, projections=self.projections,
+                       trace=False).y.data

@@ -415,13 +415,12 @@ def save_checkpoint(path: str, config: LiNoConfig, params: dict,
         buf.write(struct.pack("<BB", _FLOAT64_CODE, tensor.data.ndim))
         for dim in tensor.shape:
             buf.write(struct.pack("<Q", dim))
-        buf.write(tensor.data.astype(_FLOAT64, copy=False).tobytes())
-    digest = hashlib.sha256(buf.getvalue()).digest()
-    buf.write(digest)
+        buf.write(np.ascontiguousarray(tensor.data, dtype=_FLOAT64))
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(buf.getvalue())
+        with open(tmp, "wb") as fh, buf.getbuffer() as body:
+            fh.write(body)
+            fh.write(hashlib.sha256(body).digest())
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -452,7 +451,8 @@ def load_checkpoint(path: str):
         blob = fh.read()
     if len(blob) < len(_MAGIC) + 32 or blob[:len(_MAGIC)] != _MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
-    body, digest = blob[:-32], blob[-32:]
+    # slices of a view copy nothing: each tensor's bytes are copied once, into its array
+    body, digest = memoryview(blob)[:-32], blob[-32:]
     if hashlib.sha256(body).digest() != digest:
         raise CheckpointError(f"{path}: integrity check failed (truncated or corrupt)")
     off = len(_MAGIC)
@@ -466,7 +466,7 @@ def load_checkpoint(path: str):
 
     try:
         header_len = take("<Q")
-        header = json.loads(body[off:off + header_len].decode())
+        header = json.loads(str(body[off:off + header_len], "utf-8"))
         off += header_len
         extra = header["extra"]
         try:
@@ -478,7 +478,7 @@ def load_checkpoint(path: str):
         params = {}
         for _ in range(count):
             name_len = take("<H")
-            name = body[off:off + name_len].decode()
+            name = str(body[off:off + name_len], "utf-8")
             off += name_len
             code, ndim = take("<BB")
             dims = tuple(take("<Q") for _ in range(ndim))

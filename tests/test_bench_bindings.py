@@ -94,3 +94,23 @@ def test_lone_fit_calls_backward_then_adam_step_once_per_step(monkeypatch, cpus)
         assert kwargs == {} and len(args) == 2 and args[0] is tape
         assert isinstance(args[1], lino.model.Tensor) and args[1].size == 1
         assert (tape.on_grad is not None) == (cpus == 2)
+
+
+def test_predict_calls_model_forward_once_with_the_batch_first(monkeypatch):
+    """The tracer times `lino.model.forward` as `Forecaster.predict` calls
+    it and names the sample by `len(args[0])` (`spans.wrap_eval_forward`,
+    `model.eval_fwd_ms.b<N>`). So one `predict` is one call, with the
+    batch as the first positional argument."""
+    calls = []
+    real = lino.model.forward
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lino.model, "forward", spy)
+    config = lino.model.LiNoConfig(channels=2, lookback=8, horizon=4, dim=8)
+    params = lino.model.init_params(config, np.random.default_rng(0))
+    x = np.random.default_rng(1).normal(size=(5, 2, 8))
+    lino.model.Forecaster(params, config).predict(x)
+    assert len(calls) == 1 and calls[0][0] is x

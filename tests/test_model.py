@@ -1,6 +1,7 @@
 """Model tests: normalisation, block semantics, the residual recursion and
 its exact identities, comparison variants, and gradient flow."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -335,6 +336,17 @@ class TestPrimaryForward:
             total = total + head.data
         assert np.array_equal(res.y_norm.data, total)
 
+    @pytest.mark.parametrize("variant, ablation",
+                             [(v, "none") for v in VARIANTS]
+                             + [("lino", a) for a in ABLATIONS if a != "none"])
+    def test_untraced_pass_keeps_no_trace_and_the_same_bits(self, variant, ablation):
+        cfg = tiny_config(blocks=2, variant=variant, ablation=ablation)
+        params = randomized_params(cfg, seed=11)
+        x = np.random.default_rng(11).normal(size=(3, 2, 8))
+        untraced = forward(x, params, cfg, trace=False)
+        assert untraced.trace is None
+        assert np.array_equal(untraced.y.data, forward(x, params, cfg).y.data)
+
     def test_constant_input_embeds_to_bias(self):
         cfg = tiny_config()
         params = randomized_params(cfg, seed=3)
@@ -525,6 +537,26 @@ class TestForecaster:
         yn = forward_normalized(Tensor(xn), params, cfg)[0].data
         manual = yn * stats[1] + stats[0]
         np.testing.assert_allclose(model.predict(x), manual, atol=1e-12)
+
+    @pytest.mark.parametrize("blocks", [2, 4])
+    def test_batch_predict_peak_stays_a_few_activations_at_any_depth(self, blocks):
+        """`predict` keeps no trace and `no_block` frees each stage once
+        the next exists, so a batch's traced peak stays under 8
+        activations of [batch, channels, dim] however many levels run. A
+        pass that kept every pattern until its end peaked at 16 (2 blocks)
+        and 23 (4 blocks) here."""
+        cfg = LiNoConfig(channels=4, lookback=96, horizon=96, dim=128, blocks=blocks)
+        model = Forecaster(randomized_params(cfg, seed=3), cfg)
+        x = np.random.default_rng(3).normal(size=(128, 4, 96))
+        model.predict(x)
+        tracemalloc.start()
+        try:
+            model.predict(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        activations = peak / (128 * 4 * 128 * 8)
+        assert activations < 8, f"peak {activations:.2f} activations"
 
     def test_float32_windows_forecast_in_float64(self):
         """Windows of another dtype are normalised and forecast in float64:

@@ -2,9 +2,11 @@
 reference, stopping semantics, loop determinism, checkpoint format."""
 
 import json
+import os
 import re
 import struct
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -417,6 +419,23 @@ class TestCheckpoint:
         assert extra["dataset"] == "synth"
         assert list(loaded) == list(params)
         assert all(np.array_equal(loaded[k].data, params[k].data) for k in params)
+
+    def test_load_peak_is_the_file_and_the_arrays(self, tmp_path):
+        """`load_checkpoint` parses the bytes it read through a view, so
+        its traced peak is the file plus the arrays it returns, about
+        twice the file. Slicing the body and then each tensor copied the
+        bytes once more (3.0x)."""
+        cfg = LiNoConfig(channels=7, lookback=96, horizon=96, dim=128)
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(path, cfg, self._params(cfg))
+        tracemalloc.start()
+        try:
+            load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ratio = peak / os.path.getsize(path)
+        assert ratio < 2.5, f"peak {ratio:.2f}x the file"
 
     def test_resave_is_byte_identical(self, tmp_path):
         cfg = tiny_config()
