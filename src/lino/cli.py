@@ -18,8 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import (ETT_SPLIT_COUNTS, SplitSpec, SynthSpec, chrono_split,
-                   load_csv, make_windows, prepare, save_csv, standardize,
+from .data import (SplitSpec, SynthSpec, load_csv, prepare, save_csv, split_windows,
                    synth_generate)
 from .errors import (ConfigError, DataError, DimensionError, NonFiniteError,
                      WorkerDiedError)
@@ -231,12 +230,7 @@ class RunConfig:
                          nonlinear_amplitude=self.synth_nonlinear)
 
     def split_spec(self) -> SplitSpec:
-        stem = self.dataset_stem().lower()
-        for prefix, counts in ETT_SPLIT_COUNTS.items():
-            if stem.startswith(prefix):
-                return SplitSpec(counts=counts)
-        train_ratio = 1.0 - self.val_ratio - self.test_ratio
-        return SplitSpec(ratios=(train_ratio, self.val_ratio, self.test_ratio))
+        return SplitSpec.for_dataset(self.dataset_stem(), self.val_ratio, self.test_ratio)
 
     def load_values(self) -> np.ndarray:
         if self.dataset == "synth":
@@ -474,11 +468,9 @@ def cmd_decompose(rc: RunConfig) -> int:
     if values.shape[1] != config.channels:
         raise DataError(f"dataset has {values.shape[1]} channels, "
                         f"checkpoint expects {config.channels}")
-    # as `prepare` does, with train-span statistics, but only the test
-    # split is windowed: one test window is all this command reads
-    splits = chrono_split(len(values), rc.split_spec(), config.lookback)
-    std, _, _ = standardize(values, splits.train)
-    x_test, _ = make_windows(std, splits.test, config.lookback, config.horizon)
+    # the test split alone: a validation split too short for the horizon is no error
+    x_test, _ = split_windows(values, rc.split_spec(), config.lookback,
+                              config.horizon, ("test",))["test"]
     if not 0 <= rc.window < len(x_test):
         raise ConfigError(f"window index {rc.window} outside [0, {len(x_test)})")
     os.makedirs(outd, exist_ok=True)

@@ -34,11 +34,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigError, DataError
 from .seeding import stream
 
-# Fixed-count split convention for the public ETT benchmark files
-# (hourly and quarter-hourly variants): points per split, train/val/test.
+# The ETT protocol's points per split, train/val/test, in hourly and quarter-
+# hourly files: 12, 4 and 4 months of 30 days (Informer, arXiv 2012.07436)
 ETT_SPLIT_COUNTS = {
-    "etth": (8545, 2881, 2881),
-    "ettm": (34465, 11521, 11521),
+    "etth": (8640, 2880, 2880),
+    "ettm": (34560, 11520, 11520),
 }
 
 # `standardize`'s constant-channel threshold, and `_stable_ar2`'s (phi1, phi2)
@@ -144,15 +144,6 @@ def save_csv(path: str, values: np.ndarray, columns) -> None:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Span:
-    start: int
-    stop: int
-
-    def __len__(self) -> int:
-        return self.stop - self.start
-
-
-@dataclass(frozen=True)
 class SplitSpec:
     """Either absolute point counts or ratios, train/val/test order."""
 
@@ -171,50 +162,47 @@ class SplitSpec:
             if abs(sum(self.ratios) - 1.0) > 1e-9:
                 raise ConfigError(f"ratios must sum to 1, got {sum(self.ratios)}")
 
-    def resolve(self, length: int) -> tuple:
-        """Raw per-split point counts for a series of `length`."""
+    @classmethod
+    def for_dataset(cls, stem: str, val_ratio: float, test_ratio: float) -> "SplitSpec":
+        """The split of the dataset whose file stem is `stem`: the ETT
+        protocol's point counts for a stem starting `etth` or `ettm` (any
+        case), else the given validation and test ratios."""
+        for prefix, counts in ETT_SPLIT_COUNTS.items():
+            if stem.lower().startswith(prefix):
+                return cls(counts=counts)
+        return cls(ratios=(1.0 - val_ratio - test_ratio, val_ratio, test_ratio))
+
+    def spans(self, length: int, lookback: int) -> tuple:
+        """The chronological (train, val, test) point ranges of a series of
+        `length`; val and test start `lookback` points before their split,
+        for window context only. Ratios take `int(length * ratio)` train
+        and val points and leave the rest to test."""
         if self.counts is not None:
             if sum(self.counts) > length:
                 raise DataError(
                     f"split counts {self.counts} need {sum(self.counts)} points, "
                     f"series has {length}")
-            return tuple(self.counts)
-        n_train = int(length * self.ratios[0])
-        n_val = int(length * self.ratios[1])
-        n_test = length - n_train - n_val
-        if min(n_train, n_val, n_test) < 1:
-            raise DataError(f"ratios {self.ratios} give empty split on length {length}")
-        return n_train, n_val, n_test
+            n_train, n_val, n_test = self.counts
+        else:
+            n_train = int(length * self.ratios[0])
+            n_val = int(length * self.ratios[1])
+            n_test = length - n_train - n_val
+            if min(n_train, n_val, n_test) < 1:
+                raise DataError(f"ratios {self.ratios} give empty split on length {length}")
+        if n_train < lookback:
+            raise DataError(
+                f"train split has {n_train} points, need at least lookback={lookback} "
+                "to give the validation split context")
+        a, b = n_train, n_train + n_val
+        return range(0, a), range(a - lookback, b), range(b - lookback, b + n_test)
 
 
-@dataclass(frozen=True)
-class Splits:
-    train: Span
-    val: Span
-    test: Span
-
-
-def chrono_split(length: int, spec: SplitSpec, lookback: int) -> Splits:
-    """Chronological three-way split. Val and test spans are extended
-    `lookback` points backward for window context only."""
-    n_train, n_val, n_test = spec.resolve(length)
-    a, b = n_train, n_train + n_val
-    c = b + n_test
-    if a < lookback:
-        raise DataError(
-            f"train split has {a} points, need at least lookback={lookback} "
-            "to give the validation split context")
-    return Splits(train=Span(0, a),
-                  val=Span(a - lookback, b),
-                  test=Span(b - lookback, c))
-
-
-def standardize(values: np.ndarray, train_span: Span):
-    """Per-channel zero-mean unit-variance transform fitted on the train
-    span (population variance). Channels scaled below `STANDARDIZE_EPS`
-    get scale 1 with a warning, so they map to zeros instead of blowing up;
-    a channel that is not finite once standardised, or whose train-span
-    mean or scale is not, is a `DataError`."""
+def standardize(values: np.ndarray, train_span: range) -> np.ndarray:
+    """`values` under the per-channel zero-mean unit-variance transform
+    fitted on the train span (population variance). Channels scaled below
+    `STANDARDIZE_EPS` get scale 1 with a warning, so they map to zeros
+    instead of blowing up; a channel that is not finite once standardised,
+    or whose train-span mean or scale is not, is a `DataError`."""
     fit = values[train_span.start:train_span.stop]
     mu = fit.mean(axis=0)
     sigma = fit.std(axis=0)
@@ -237,10 +225,10 @@ def standardize(values: np.ndarray, train_span: Span):
     if not fitted.all():
         raise DataError(f"channel {int(np.argmin(fitted))} has a train-span mean or "
                         "scale that is not finite")
-    return std, mu, sigma
+    return std
 
 
-def make_windows(values: np.ndarray, span: Span, lookback: int, horizon: int):
+def make_windows(values: np.ndarray, span: range, lookback: int, horizon: int):
     """All (x, y) window pairs fully inside `span`, channel-major.
 
     Returns x [n, channels, lookback] and y [n, channels, horizon] with
@@ -258,6 +246,20 @@ def make_windows(values: np.ndarray, span: Span, lookback: int, horizon: int):
             sliding_window_view(values[span.start + lookback:span.stop], horizon, axis=0))
 
 
+_SPLITS = ("train", "val", "test")
+
+
+def split_windows(values: np.ndarray, spec: SplitSpec, lookback: int, horizon: int,
+                  splits: tuple = _SPLITS) -> dict:
+    """{split: (x, y)} for each named split of `values` standardised with
+    train-span statistics (`SplitSpec.spans`, `standardize`); only those
+    splits are windowed, each as views of the one standardised series
+    (`make_windows`)."""
+    spans = dict(zip(_SPLITS, spec.spans(len(values), lookback)))
+    std = standardize(values, spans["train"])
+    return {name: make_windows(std, spans[name], lookback, horizon) for name in splits}
+
+
 @dataclass
 class PreparedData:
     """(x, y) window pairs of the standardised series for each split,
@@ -270,15 +272,9 @@ class PreparedData:
 
 def prepare(values: np.ndarray, spec: SplitSpec, lookback: int,
             horizon: int) -> PreparedData:
-    """Window each split of `values` standardised with train-span
-    statistics (`standardize`). The standardised series is the only array
-    this keeps; the windows of all three splits are views of it."""
-    splits = chrono_split(len(values), spec, lookback)
-    std, _, _ = standardize(values, splits.train)
-    return PreparedData(
-        train=make_windows(std, splits.train, lookback, horizon),
-        val=make_windows(std, splits.val, lookback, horizon),
-        test=make_windows(std, splits.test, lookback, horizon))
+    """`split_windows` of all three splits: the standardised series is the
+    only array this keeps, and every window is a view of it."""
+    return PreparedData(**split_windows(values, spec, lookback, horizon))
 
 
 # ---------------------------------------------------------------------------

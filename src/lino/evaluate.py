@@ -8,8 +8,8 @@ import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError, NonFiniteError
 from .fanout import fan_out
-from .model import (LiNoConfig, forward, forward_normalized, li_block,
-                    no_block, no_projection)
+from .model import (LiNoConfig, build_projections, forward, forward_normalized,
+                    li_block, no_block, no_projection)
 from .seeding import stream
 from .tensor import Tensor
 
@@ -234,11 +234,12 @@ def no_block_map(params: dict, config: LiNoConfig, level: int) -> Callable:
 def model_map(params: dict, config: LiNoConfig) -> Callable:
     """The whole forecaster on normalized inputs, [channels * lookback] ->
     [channels * horizon], for probing around the zero history."""
+    projections = build_projections(params, config)
     c, t = config.channels, config.lookback
 
     def f(vec):
         xn = Tensor(np.reshape(vec, (c, t)))
-        y, _ = forward_normalized(xn, params, config, trace=False)
+        y, _ = forward_normalized(xn, params, config, projections=projections, trace=False)
         return y.data.reshape(-1)
 
     return f

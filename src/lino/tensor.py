@@ -662,6 +662,14 @@ def causal_depthwise_conv(h: Tensor, phi: Tensor, beta: Tensor) -> Tensor:
     return _record(out, (h, phi, beta), vjp, "causal_depthwise_conv")
 
 
+def _channel_softmax(xd: np.ndarray) -> np.ndarray:
+    """The max-subtracted softmax of [N, C, D] `xd` over its channel axis."""
+    s = xd - xd.max(axis=1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=1, keepdims=True)
+    return s
+
+
 def channel_mix(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """Cross-channel mixing as one op: x + tanh([x | p] @ w1 + b1) @ w2 + b2.
 
@@ -684,10 +692,8 @@ def channel_mix(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Te
     xd = x.data.reshape(-1, c, d)
     rows = xd.reshape(-1, d)
     w1_own, w1_pool = w1.data[:d], w1.data[d:]
-    s = xd - xd.max(axis=1, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=1, keepdims=True)
-    pooled = (s * xd).sum(axis=1)
+    # the softmax weights live only for the pooling: the vjp recomputes them, bit for bit
+    pooled = (_channel_softmax(xd) * xd).sum(axis=1)
     pre = (rows @ w1_own).reshape(xd.shape)
     pre += (pooled @ w1_pool + b1.data)[:, None]
     _check_finite(pre, "channel_mix")
@@ -706,7 +712,8 @@ def channel_mix(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Te
         if x.requires_grad:
             # the pooling and the softmax together give channel c
             # s[c] * (1 + x[c] - p) times the pooled half's input gradient
-            gx = s * (1.0 + xd - pooled[:, None]) * (gpooled @ w1_pool.T)[:, None]
+            gx = _channel_softmax(xd) * (1.0 + xd - pooled[:, None]) \
+                * (gpooled @ w1_pool.T)[:, None]
             gx += (gpre @ w1_own.T + g).reshape(xd.shape)
             gx = gx.reshape(x.shape)
         return gx, gw1, gpre.sum(axis=0), gw2, g.sum(axis=0)

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import io
 import json
 import os
 import struct
@@ -397,30 +396,34 @@ def save_checkpoint(path: str, config: LiNoConfig, params: dict,
     """Serialise (config, params). Writing the same inputs twice yields
     byte-identical files.
 
-    The bytes go to a temporary file in the target's directory, which then
-    replaces the target in one step, so a failed save leaves any previous
+    The bytes are hashed and written as they are made, so no copy of the
+    file is held, to a temporary file in the target's directory, which then
+    replaces the target in one step: a failed save leaves any previous
     checkpoint at `path` untouched.
     """
-    buf = io.BytesIO()
-    buf.write(_MAGIC)
     header = json.dumps({"extra": extra or {}, "model": asdict(config)},
                         sort_keys=True).encode()
-    buf.write(struct.pack("<Q", len(header)))
-    buf.write(header)
-    buf.write(struct.pack("<I", len(params)))
-    for name, tensor in params.items():
-        raw = name.encode()
-        buf.write(struct.pack("<H", len(raw)))
-        buf.write(raw)
-        buf.write(struct.pack("<BB", _FLOAT64_CODE, tensor.data.ndim))
-        for dim in tensor.shape:
-            buf.write(struct.pack("<Q", dim))
-        buf.write(np.ascontiguousarray(tensor.data, dtype=_FLOAT64))
+    digest = hashlib.sha256()
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "wb") as fh, buf.getbuffer() as body:
-            fh.write(body)
-            fh.write(hashlib.sha256(body).digest())
+        with open(tmp, "wb") as fh:
+            def write(data) -> None:
+                digest.update(data)
+                fh.write(data)
+
+            write(_MAGIC)
+            write(struct.pack("<Q", len(header)))
+            write(header)
+            write(struct.pack("<I", len(params)))
+            for name, tensor in params.items():
+                raw = name.encode()
+                write(struct.pack("<H", len(raw)))
+                write(raw)
+                write(struct.pack("<BB", _FLOAT64_CODE, tensor.data.ndim))
+                for dim in tensor.shape:
+                    write(struct.pack("<Q", dim))
+                write(np.ascontiguousarray(tensor.data, dtype=_FLOAT64))
+            fh.write(digest.digest())
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

@@ -6,9 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lino.data import (AR2_PHI1, AR2_PHI2, ETT_SPLIT_COUNTS, Span, SplitSpec, SynthSpec,
-                       add_noise, chrono_split, load_csv, make_windows, prepare,
-                       save_csv, standardize, synth_generate)
+from lino.data import (AR2_PHI1, AR2_PHI2, ETT_SPLIT_COUNTS, SplitSpec, SynthSpec,
+                       add_noise, load_csv, make_windows, prepare, save_csv,
+                       split_windows, standardize, synth_generate)
 from lino.errors import ConfigError, DataError
 from lino.seeding import stream
 
@@ -84,15 +84,20 @@ class TestLoadCsv:
 class TestSplits:
     def test_ratio_example(self):
         spec = SplitSpec(ratios=(0.7, 0.1, 0.2))
-        assert spec.resolve(10) == (7, 1, 2)
+        assert spec.spans(10, lookback=0) == (range(0, 7), range(7, 8), range(8, 10))
 
     def test_counts_resolve(self):
-        assert SplitSpec(counts=(8545, 2881, 2881)).resolve(20000) == (8545, 2881, 2881)
+        train, val, test = SplitSpec(counts=(8545, 2881, 2881)).spans(20000, lookback=0)
+        assert (len(train), len(val), len(test)) == (8545, 2881, 2881)
 
     def test_counts_exceeding_length(self):
-        with pytest.raises(DataError):
-            SplitSpec(counts=(10, 5, 5)).resolve(15)  # fits
-            SplitSpec(counts=(10, 5, 5)).resolve(14)
+        SplitSpec(counts=(10, 5, 5)).spans(20, lookback=4)  # fits
+        with pytest.raises(DataError, match="need 20 points, series has 19"):
+            SplitSpec(counts=(10, 5, 5)).spans(19, lookback=4)
+
+    def test_ratios_giving_an_empty_split(self):
+        with pytest.raises(DataError, match="empty split on length 5"):
+            SplitSpec(ratios=(0.7, 0.1, 0.2)).spans(5, lookback=0)
 
     def test_exactly_one_mode(self):
         with pytest.raises(ConfigError):
@@ -105,33 +110,48 @@ class TestSplits:
             SplitSpec(ratios=(0.5, 0.2, 0.2))
 
     def test_context_extension(self):
-        splits = chrono_split(100, SplitSpec(counts=(60, 20, 20)), lookback=8)
-        assert (splits.train.start, splits.train.stop) == (0, 60)
-        assert (splits.val.start, splits.val.stop) == (52, 80)
-        assert (splits.test.start, splits.test.stop) == (72, 100)
+        train, val, test = SplitSpec(counts=(60, 20, 20)).spans(100, lookback=8)
+        assert (train, val, test) == (range(0, 60), range(52, 80), range(72, 100))
 
     def test_train_too_short_for_context(self):
-        with pytest.raises(DataError, match="lookback"):
-            chrono_split(100, SplitSpec(counts=(5, 45, 50)), lookback=8)
+        with pytest.raises(DataError, match="train split has 5 points, need at least "
+                                            "lookback=8"):
+            SplitSpec(counts=(5, 45, 50)).spans(100, lookback=8)
 
     def test_ett_convention_registered(self):
-        assert ETT_SPLIT_COUNTS["etth"] == (8545, 2881, 2881)
-        splits = chrono_split(14400, SplitSpec(counts=ETT_SPLIT_COUNTS["etth"]),
-                              lookback=96)
-        assert len(splits.train) == 8545
-        assert len(splits.val) == 2881 + 96
-        assert len(splits.test) == 2881 + 96
+        """The protocol's point counts: on a 17420-row ETTh file at
+        T = F = 96 the split gives 8449 train and 2785 test windows, and
+        every point up to 14400 belongs to a split."""
+        assert ETT_SPLIT_COUNTS == {"etth": (8640, 2880, 2880),
+                                    "ettm": (34560, 11520, 11520)}
+        train, val, test = SplitSpec(counts=ETT_SPLIT_COUNTS["etth"]).spans(17420, lookback=96)
+        assert (train, val, test) == (range(0, 8640), range(8544, 11520),
+                                      range(11424, 14400))
+        assert len(make_windows(np.zeros((17420, 1)), train, 96, 96)[0]) == 8449
+        assert len(make_windows(np.zeros((17420, 1)), test, 96, 96)[0]) == 2785
+
+    @pytest.mark.parametrize("stem,counts", [("ETTh1", (8640, 2880, 2880)),
+                                             ("etth2", (8640, 2880, 2880)),
+                                             ("ETTm2", (34560, 11520, 11520))])
+    def test_for_dataset_gives_ett_stems_the_protocol_counts(self, stem, counts):
+        assert SplitSpec.for_dataset(stem, 0.1, 0.2) == SplitSpec(counts=counts)
+
+    def test_for_dataset_gives_other_stems_the_ratios(self):
+        assert SplitSpec.for_dataset("weather", 0.25, 0.25) == SplitSpec(
+            ratios=(0.5, 0.25, 0.25))
+        with pytest.raises(ConfigError, match="ratios must be three positive"):
+            SplitSpec.for_dataset("synth", 0.5, 0.5)
 
 
 class TestWindows:
     def test_count_formula(self):
         values = np.arange(10, dtype=np.float64)[:, None]
-        x, y = make_windows(values, Span(0, 10), lookback=4, horizon=2)
+        x, y = make_windows(values, range(0, 10), lookback=4, horizon=2)
         assert len(x) == 5  # 10 - 4 - 2 + 1
 
     def test_contents_and_orientation(self):
         values = np.arange(20, dtype=np.float64).reshape(10, 2)
-        x, y = make_windows(values, Span(2, 10), lookback=3, horizon=2)
+        x, y = make_windows(values, range(2, 10), lookback=3, horizon=2)
         np.testing.assert_array_equal(x[0], values[2:5].T)
         np.testing.assert_array_equal(y[0], values[5:7].T)
         assert x.shape == (4, 2, 3) and y.shape == (4, 2, 2)
@@ -140,17 +160,17 @@ class TestWindows:
         """Exhaustive check on a toy split: every sample of every window
         stays inside its split's (context-extended) span."""
         length, t, f = 30, 4, 2
-        splits = chrono_split(length, SplitSpec(counts=(18, 6, 6)), lookback=t)
+        train, val, test = SplitSpec(counts=(18, 6, 6)).spans(length, lookback=t)
         values = np.arange(length, dtype=np.float64)[:, None]
-        for span in (splits.train, splits.val, splits.test):
+        for span in (train, val, test):
             x, y = make_windows(values, span, t, f)
             lo = values[span.start, 0]
             hi = values[span.stop - 1, 0]
             for arr in (x, y):
                 assert arr.min() >= lo and arr.max() <= hi
         # and the y of the first val window starts exactly at the val region
-        xv, yv = make_windows(values, splits.val, t, f)
-        assert yv[0, 0, 0] == splits.train.stop
+        xv, yv = make_windows(values, val, t, f)
+        assert yv[0, 0, 0] == train.stop
 
     @pytest.mark.parametrize("start,stop,lookback,horizon", [
         (0, 300, 24, 24), (100, 1000, 24, 120), (7, 42, 4, 3)])
@@ -166,7 +186,7 @@ class TestWindows:
             s = start + i
             want_x[i] = values[s:s + lookback].T
             want_y[i] = values[s + lookback:s + lookback + horizon].T
-        x, y = make_windows(values, Span(start, stop), lookback, horizon)
+        x, y = make_windows(values, range(start, stop), lookback, horizon)
         assert np.shares_memory(x, values) and np.shares_memory(y, values)
         assert not x.flags.writeable and not y.flags.writeable
         assert x.dtype == y.dtype == np.float64
@@ -174,33 +194,34 @@ class TestWindows:
 
     def test_too_short_span(self):
         with pytest.raises(DataError, match="shorter"):
-            make_windows(np.zeros((10, 1)), Span(0, 5), lookback=4, horizon=2)
+            make_windows(np.zeros((10, 1)), range(0, 5), lookback=4, horizon=2)
 
 
 class TestStandardize:
     def test_train_statistics_only(self):
         values = np.concatenate([np.zeros((50, 1)), np.full((50, 1), 100.0)])
         with pytest.warns(RuntimeWarning, match="constant"):
-            std, mu, sigma = standardize(values, Span(0, 50))
-        assert mu[0] == 0.0 and sigma[0] == 1.0  # constant guard on train span
-        np.testing.assert_array_equal(std[:50], 0.0)
+            std = standardize(values, range(0, 50))
+        # constant on the train span: mean 0 and scale 1 from there alone
+        np.testing.assert_array_equal(std, values)
 
     def test_population_variance(self):
         values = np.array([[0.0], [1.0], [2.0]])
-        _, _, sigma = standardize(values, Span(0, 3))
-        np.testing.assert_allclose(sigma, np.sqrt(2.0 / 3.0), atol=1e-12)
+        std = standardize(values, range(0, 3))
+        np.testing.assert_allclose(std[:, 0], np.array([-1.0, 0.0, 1.0]) / np.sqrt(2.0 / 3.0),
+                                   atol=1e-12)
 
     def test_constant_channel_warns_and_zeroes(self):
         values = np.full((20, 2), 7.0)
         values[:, 1] = np.arange(20)
         with pytest.warns(RuntimeWarning, match="constant"):
-            std, _, _ = standardize(values, Span(0, 10))
+            std = standardize(values, range(0, 10))
         np.testing.assert_array_equal(std[:, 0], 0.0)
 
     def test_unit_stats_after_transform(self):
         rng = np.random.default_rng(5)
         values = rng.normal(size=(200, 3)) * 4 + 10
-        std, _, _ = standardize(values, Span(0, 150))
+        std = standardize(values, range(0, 150))
         fit = std[:150]
         np.testing.assert_allclose(fit.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(fit.std(axis=0), 1.0, atol=1e-12)
@@ -225,7 +246,7 @@ class TestStandardize:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
-        assert len(prepared.test[0]) == 2881 + 96 - 96 - 720 + 1
+        assert len(prepared.test[0]) == 2880 + 96 - 96 - 720 + 1
 
 
 class TestSynth:

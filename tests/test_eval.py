@@ -16,14 +16,17 @@ import pytest
 
 from helpers import force_workers, randomized_params
 
+import lino.model
+import lino.spectral
 from lino.data import SplitSpec, SynthSpec, prepare, synth_generate
 from lino.errors import (ConfigError, DataError, DimensionError, NonFiniteError,
                          WorkerDiedError)
 from lino.evaluate import (EvalReport, ReportRow, decomposition_table,
                            evaluate, export_decomposition, li_block_map,
                            model_map, no_block_map, probe_affine)
-from lino.model import Forecaster, LiNoConfig, init_params
+from lino.model import Forecaster, LiNoConfig, forward_normalized, init_params
 from lino.seeding import stream
+from lino.tensor import Tensor
 from lino.train import TrainConfig, train
 
 
@@ -313,6 +316,29 @@ class TestProbeAffine:
         assert probed.matrix.shape == (2 * 4, 2 * 8)
         assert probed.bias.shape == (2 * 4,)
         assert np.isfinite(probed.residual)
+
+    def test_model_map_builds_each_level_operator_once(self, monkeypatch):
+        """A probe calls the map C * T + 9 times; each level's frequency
+        operator is built once for all of them, and every call gives the
+        bits of a pass that builds its own."""
+        config = LiNoConfig(channels=2, lookback=8, horizon=4, dim=8, blocks=2)
+        params = randomized_params(config, seed=3)
+        f = model_map(params, config)
+        rng = np.random.default_rng(3)
+        for vec in rng.normal(size=(3, 16)):
+            y, _ = forward_normalized(Tensor(vec.reshape(2, 8)), params, config, trace=False)
+            assert f(vec).tobytes() == y.data.reshape(-1).tobytes()
+        calls = []
+        real = lino.spectral._operator
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(lino.spectral, "_operator", counted)
+        monkeypatch.setattr(lino.model, "_operator", counted)
+        probe_affine(model_map(params, config), in_dim=16, probes=4)
+        assert 0 < len(calls) <= config.blocks
 
 
 class TestDecomposition:

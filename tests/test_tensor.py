@@ -8,6 +8,7 @@ import ast
 import contextlib
 import sys
 import threading
+import tracemalloc
 import warnings
 import zlib
 from pathlib import Path
@@ -465,6 +466,23 @@ class TestChannelMix:
         arrays[name] = rng.normal(size=shape)
         with pytest.raises(DimensionError, match=f"channel_mix: {name} shape"):
             T.channel_mix(*map(Tensor, arrays.values()))
+
+    def test_unrecorded_call_holds_only_its_hidden_layer_and_output(self):
+        """Outside a tape the softmax weights are freed once pooled: the
+        call's traced peak is the hidden layer, the output and the pooled
+        rows, 2.2 activations here, not the 3.2 it was while the weights
+        lived."""
+        rng = np.random.default_rng(6)
+        arrays = [Tensor(a) for a in channel_mix_arrays(rng, (128,), 7, 128)]
+        activation = arrays[0].data.nbytes
+        tracemalloc.start()
+        try:
+            out = T.channel_mix(*arrays)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.data.nbytes == activation
+        assert peak < 2.5 * activation, f"peak {peak / activation:.2f} activations"
 
     def test_overflowing_pre_activation_raises(self):
         """An overflow before the tanh would saturate to a finite output;

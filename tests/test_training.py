@@ -437,6 +437,22 @@ class TestCheckpoint:
         ratio = peak / os.path.getsize(path)
         assert ratio < 2.5, f"peak {ratio:.2f}x the file"
 
+    def test_save_peak_is_far_below_the_file(self, tmp_path):
+        """`save_checkpoint` hashes and writes each piece as it makes it,
+        so its traced peak is a small fraction of the file. Building the
+        whole file in memory first peaked at the file's size."""
+        cfg = LiNoConfig(channels=7, lookback=96, horizon=96, dim=128)
+        params = self._params(cfg)
+        path = str(tmp_path / "model.ckpt")
+        tracemalloc.start()
+        try:
+            save_checkpoint(path, cfg, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ratio = peak / os.path.getsize(path)
+        assert ratio < 0.1, f"peak {ratio:.2f}x the file"
+
     def test_resave_is_byte_identical(self, tmp_path):
         cfg = tiny_config()
         params = self._params(cfg)
