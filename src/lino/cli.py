@@ -8,7 +8,6 @@ seeds, and input files: metric files rerun bitwise identical.
 
 import argparse
 import contextlib
-import csv
 import functools
 import math
 import os
@@ -245,13 +244,6 @@ class RunConfig:
 # file helpers
 # ---------------------------------------------------------------------------
 
-def _write_table(path: str, columns, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(rows)
-
-
 def _write_text(path: str, text: str) -> None:
     with open(path, "w") as fh:
         fh.write(text)
@@ -383,17 +375,16 @@ def cmd_train(rc: RunConfig) -> int:
     machine = _machine()
     for fit in _fits(rc, combos):
         report.add(fit.report_row(rc.dataset_stem()))
-        history_rows.extend([str(fit.horizon), str(fit.seed), str(e), repr(tr), repr(va)]
+        history_rows.extend([fit.horizon, fit.seed, e, tr, va]
                             for e, tr, va in fit.result.history)
         name = ("checkpoint" if len(combos) == 1
                 else f"checkpoint_h{fit.horizon}_s{fit.seed}")
         save_checkpoint(os.path.join(outd, name), fit.config, fit.result.params,
                         extra={"seed": fit.seed, "best_epoch": fit.result.best_epoch,
                                "best_val": fit.result.best_val, "machine": machine})
-    _write_table(os.path.join(outd, "history.csv"),
-                 ("horizon", "seed", "epoch", "train_mse", "val_mse"),
-                 history_rows)
-    _write_table(os.path.join(outd, "report.csv"), REPORT_COLUMNS, report.table())
+    save_csv(os.path.join(outd, "history.csv"), history_rows,
+             ("horizon", "seed", "epoch", "train_mse", "val_mse"))
+    save_csv(os.path.join(outd, "report.csv"), report.table(), REPORT_COLUMNS)
     _finish(outd, report.summary_text())
     return 0
 
@@ -415,14 +406,12 @@ def cmd_ablate(rc: RunConfig) -> int:
         # a full model with zero error leaves the ratio undefined
         rel = (g["mse_mean"] - base) / base if base else float("nan")
         vals = val_mse[(g["ablation"], g["horizon"])]
-        rows.append([g["ablation"], str(g["horizon"]), str(g["seeds"]),
-                     repr(float(np.mean(vals))), repr(g["mse_mean"]),
-                     repr(g["mae_mean"]), repr(rel)])
-    _write_table(os.path.join(outd, "report.csv"), REPORT_COLUMNS, report.table())
-    _write_table(os.path.join(outd, "ablation.csv"),
-                 ("ablation", "horizon", "seeds", "val_mse_mean", "mse_mean",
-                  "mae_mean", "mse_vs_full"),
-                 rows)
+        rows.append([g["ablation"], g["horizon"], g["seeds"], np.mean(vals),
+                     g["mse_mean"], g["mae_mean"], rel])
+    save_csv(os.path.join(outd, "report.csv"), report.table(), REPORT_COLUMNS)
+    save_csv(os.path.join(outd, "ablation.csv"), rows,
+             ("ablation", "horizon", "seeds", "val_mse_mean", "mse_mean",
+              "mae_mean", "mse_vs_full"))
     _finish(outd, report.summary_text())
     return 0
 
@@ -438,14 +427,12 @@ def cmd_noise(rc: RunConfig) -> int:
               for v in sweep for a in rc.alphas for s in rc.seeds]
     for fit in _fits(rc, combos):
         m = fit.metrics
-        rows.append([fit.variant, repr(float(fit.alpha)), str(horizon), str(fit.seed),
-                     str(m.windows), repr(m.mse), repr(m.mae)])
+        rows.append([fit.variant, fit.alpha, horizon, fit.seed, m.windows, m.mse, m.mae])
         seed_mse.setdefault((fit.variant, fit.alpha), []).append(m.mse)
         lines.append(f"{fit.variant} alpha={fit.alpha:g} seed={fit.seed}: "
                      f"mse={m.mse:.6f} runtime={fit.runtime:.1f}s")
-    _write_table(os.path.join(outd, "noise.csv"),
-                 ("variant", "alpha", "horizon", "seed", "windows", "mse", "mae"),
-                 rows)
+    save_csv(os.path.join(outd, "noise.csv"), rows,
+             ("variant", "alpha", "horizon", "seed", "windows", "mse", "mae"))
     curves = {v: [(a, float(np.mean(seed_mse[(v, a)]))) for a in rc.alphas]
               for v in sweep}
     lines.append("")
@@ -476,7 +463,7 @@ def cmd_decompose(rc: RunConfig) -> int:
     os.makedirs(outd, exist_ok=True)
     dec = export_decomposition(params, config, x_test[rc.window])
     columns, rows = decomposition_table(dec)
-    _write_table(os.path.join(outd, "decomposition.csv"), columns, rows)
+    save_csv(os.path.join(outd, "decomposition.csv"), rows, columns)
     print(f"wrote {os.path.join(outd, 'decomposition.csv')} "
           f"({len(dec.components)} components + total)")
     return 0
@@ -503,10 +490,9 @@ def cmd_probe(rc: RunConfig) -> int:
                  [f"in{j}" for j in range(probed.matrix.shape[1])])
         save_csv(os.path.join(weights_dir, f"{name}.bias.csv"), probed.bias[None, :],
                  [f"out{j}" for j in range(len(probed.bias))])
-        residual_rows.append([name, str(probed.matrix.shape[0]),
-                              str(probed.matrix.shape[1]), repr(probed.residual)])
-    _write_table(os.path.join(weights_dir, "residuals.csv"),
-                 ("map", "rows", "cols", "residual"), residual_rows)
+        residual_rows.append([name, *probed.matrix.shape, probed.residual])
+    save_csv(os.path.join(weights_dir, "residuals.csv"), residual_rows,
+             ("map", "rows", "cols", "residual"))
     print(f"wrote {weights_dir} ({len(targets)} probed maps)")
     return 0
 

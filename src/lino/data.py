@@ -129,14 +129,19 @@ def _check_cells(path: str, n: int, cells: list, first_col: int) -> None:
             raise DataError(f"{path}: non-finite value {cell!r} at row {n}, column {j}")
 
 
-def save_csv(path: str, values: np.ndarray, columns) -> None:
-    """Write [length, channels] values with a header row. Floats use their
-    shortest roundtrip form, so identical arrays give identical bytes."""
+def save_csv(path: str, rows, columns) -> None:
+    """Write a header row of `columns`, then `rows`: one sequence of cells
+    per row, or a [length, channels] array. Cells go in as values, and
+    `csv` writes each with `str`, which gives a float (Python or numpy)
+    its shortest round-trip form; so equal values give equal bytes. An
+    array's rows reach `csv` as Python floats (`tolist`), one row at a
+    time."""
+    if isinstance(rows, np.ndarray):
+        rows = map(np.ndarray.tolist, rows)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        for row in np.asarray(values):
-            writer.writerow([repr(float(v)) for v in row])
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -126,13 +126,10 @@ class EvalReport:
         self.rows.append(row)
 
     def table(self) -> list:
-        """Stringified rows under REPORT_COLUMNS, runtime excluded so the
-        emitted bytes depend only on the metrics."""
-        out = []
-        for r in self.rows:
-            out.append([r.dataset, str(r.horizon), r.variant, r.ablation,
-                        str(r.seed), str(r.windows), repr(r.mse), repr(r.mae)])
-        return out
+        """The rows' cells under REPORT_COLUMNS, as values for `save_csv`;
+        runtime is not a column, so the emitted bytes depend only on the
+        metrics."""
+        return [[getattr(r, c) for c in REPORT_COLUMNS] for r in self.rows]
 
     def seed_summary(self) -> list:
         """Mean and spread over seeds per (dataset, horizon, variant,
@@ -274,12 +271,10 @@ def export_decomposition(params: dict, config: LiNoConfig,
 
 
 def decomposition_table(dec: Decomposition) -> tuple:
-    """(columns, rows) ready for csv writing, floats in shortest
-    roundtrip form."""
+    """(columns, rows) for `save_csv`, cells as values: each row is a
+    label, a channel index and that channel's steps as Python floats."""
     horizon = dec.total.shape[-1]
     columns = ["component", "channel"] + [f"step{k + 1}" for k in range(horizon)]
-    rows = []
-    for label, vals in dec.components + [("total", dec.total)]:
-        for c in range(vals.shape[0]):
-            rows.append([label, str(c)] + [repr(float(v)) for v in vals[c]])
-    return columns, rows
+    parts = dec.components + [("total", dec.total)]
+    return columns, [[label, c, *row] for label, vals in parts
+                     for c, row in enumerate(vals.tolist())]

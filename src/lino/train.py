@@ -113,15 +113,16 @@ class AdamState:
     parameter's `data` is a view of it, so one step updates the whole model
     with fourteen numpy calls per block instead of about sixteen per
     parameter. `m`, `v` and the gradient buffer `grad` share that layout.
-    `names` maps each parameter tensor to its name, and `blocks` lists the
-    update's blocks of `_ADAM_BLOCK` elements as (lo, hi, parts), one part
-    (name, src, dst) for each parameter the block overlaps: `dst` is where
-    that parameter's gradient gathers in `grad`. For a parameter that lies
-    wholly inside the block, `src` is None and `dst` a view in the
-    parameter's shape; for one that straddles a block edge, `src` slices
-    the flattened gradient and `dst` is flat. `queued` holds (block, task)
-    for each block update that a step's `hook` started, until `adam_step`
-    ends the step.
+    `blocks` lists the update's blocks of `_ADAM_BLOCK` elements as (lo,
+    hi, parts), one part (name, src, dst) for each parameter the block
+    overlaps: `dst` is where that parameter's gradient gathers in `grad`.
+    For a parameter that lies wholly inside the block, `src` is None and
+    `dst` a view in the parameter's shape; for one that straddles a block
+    edge, `src` slices the flattened gradient and `dst` is flat. `leaves`
+    maps each parameter tensor to (its name, the indices of the blocks it
+    overlaps), built once for every step's `hook`. `queued` holds (block,
+    task) for each block update that a step's `hook` started, until
+    `adam_step` ends the step.
     """
 
     step: int
@@ -129,8 +130,8 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     grad: np.ndarray
-    names: dict
     blocks: list
+    leaves: dict
     queued: Optional[list] = None
 
     @classmethod
@@ -154,8 +155,12 @@ class AdamState:
                 (name, None, grad[a:z].reshape(shape)) if lo <= a and z <= hi else
                 (name, slice(max(a, lo) - a, min(z, hi) - a), grad[max(a, lo):min(z, hi)])
                 for name, (a, z, shape) in spans.items() if a < hi and lo < z]))
-        return cls(0, values, np.zeros(size), np.zeros(size), grad,
-                   {t: name for name, t in params.items()}, blocks)
+        touched = {name: [] for name in params}
+        for b, (_, _, parts) in enumerate(blocks):
+            for name, _, _ in parts:
+                touched[name].append(b)
+        return cls(0, values, np.zeros(size), np.zeros(size), grad, blocks,
+                   {t: (name, touched[name]) for name, t in params.items()})
 
     def hook(self, lr: float):
         """The `Tape.on_grad` hook of the next step, at learning rate `lr`.
@@ -171,19 +176,16 @@ class AdamState:
         """
         c1, c2 = _corrections(self.step + 1)
         waiting = [len(parts) for _, _, parts in self.blocks]
-        touched: dict = {}
-        for b, (_, _, parts) in enumerate(self.blocks):
-            for name, _, _ in parts:
-                touched.setdefault(name, []).append(b)
         got, queued = {}, []
         self.queued = queued
 
         def on_grad(leaf, g):
-            name = self.names.get(leaf)
-            if name is None:
+            hit = self.leaves.get(leaf)
+            if hit is None:
                 return
+            name, blocks = hit
             got[name] = g
-            for b in touched.get(name, ()):
+            for b in blocks:
                 waiting[b] -= 1
                 if not waiting[b]:
                     args = [got[n] for n, _, _ in self.blocks[b][2]]

@@ -1,6 +1,7 @@
 """Shared test utilities: finite-difference gradient checking, generic
 parameter points, a per-parameter reference Adam, checkpoint surgery that
-keeps the checksum matching, and a forced fan-out worker count.
+keeps the checksum matching, a forced fan-out worker count, and a
+non-finite value put into a recorded op's output.
 
 The checker is the independent oracle for every vjp in the engine: it
 perturbs raw numpy inputs of a pure forward function and compares central
@@ -17,6 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 import lino.fanout
+import lino.spectral
+import lino.tensor
 from lino.model import init_params
 from lino.seeding import stream
 from lino.tensor import Tape, Tensor, backward, mul, sum_all
@@ -27,6 +30,32 @@ def force_workers(monkeypatch, count):
     run and the batches of `evaluate`, each still at most one process per
     item and in-process inside a worker."""
     monkeypatch.setattr(lino.fanout, "_cpus", lambda: count)
+
+
+def poisoned(value, bad: float) -> np.ndarray:
+    """A copy of `value` with its first element set to `bad`."""
+    out = np.array(value, dtype=np.float64)
+    out.flat[0] = bad
+    return out
+
+
+def taped_records(monkeypatch, poison_at=None, bad=np.nan) -> list:
+    """Log the op name of every output recorded while a tape is open, in
+    call order, into the list returned; the output of call `poison_at`
+    (counting from 0) gets `bad` in its first element before the op's own
+    finiteness check sees it."""
+    ops, real = [], lino.tensor._record
+
+    def record(data, parents, vjp, op):
+        if lino.tensor._active is not None:
+            if len(ops) == poison_at:
+                data = poisoned(data, bad)
+            ops.append(op)
+        return real(data, parents, vjp, op)
+
+    for module in (lino.tensor, lino.spectral):  # every module that records
+        monkeypatch.setattr(module, "_record", record)
+    return ops
 
 
 def randomized_params(config, seed=0, keep=()):

@@ -10,6 +10,7 @@ import pytest
 
 import lino
 import lino.fanout
+import lino.train
 from lino.tensor import Tensor
 from lino.train import load_checkpoint, save_checkpoint
 
@@ -81,9 +82,32 @@ def test_job_mode_prints_digests_last(bitcheck, small_run, capsys, monkeypatch, 
     workd, digests = small_run
     monkeypatch.setattr(lino.fanout, "_cpus", lino.fanout._cpus)  # the job forces it
     config = workd / "train_raw.cfg"
-    spec = {"cpus": 1, "commands": ["train"], "config": str(config),
+    spec = {"cpus": 1, "adam_block": 0, "commands": ["train"], "config": str(config),
             "out": str(tmp_path / "r")}
     assert bitcheck.main(["--job", json.dumps(spec)]) == 0
     last = capsys.readouterr().out.splitlines()[-1]
     assert json.loads(last) == {k.split("/", 1)[1]: v for k, v in digests.items()
                                 if k.startswith("train_raw/")}
+
+
+def test_job_mode_forces_adams_block_size(bitcheck, small_run, capsys, monkeypatch,
+                                          tmp_path):
+    """A job's `adam_block` sets `lino.train._ADAM_BLOCK` for its run, as
+    `cpus` sets the fan-out's CPU count; 0 leaves the default. Neither the
+    block size nor the lane moves a bit, so the battery's run at 100
+    elements on two CPUs matches the default `lino` fit's, and so does
+    this in-process run at one CPU."""
+    workd, digests = small_run
+    monkeypatch.setattr(lino.fanout, "_cpus", lino.fanout._cpus)
+    monkeypatch.setattr(lino.train, "_ADAM_BLOCK", lino.train._ADAM_BLOCK)
+    default = lino.train._ADAM_BLOCK
+    trained = ("checkpoint", "history.csv", "report.csv")
+    assert [digests[f"train_cpus2_adam100/{n}"] for n in trained] == \
+        [digests[f"train_lino/{n}"] for n in trained]
+    for block, out in ((0, "default"), (100, "small")):
+        spec = {"cpus": 1, "adam_block": block, "commands": ["train"],
+                "config": str(workd / "train_cpus2_adam100.cfg"), "out": str(tmp_path / out)}
+        assert bitcheck.main(["--job", json.dumps(spec)]) == 0
+        assert lino.train._ADAM_BLOCK == (block or default)
+        last = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert [last[n] for n in trained] == [digests[f"train_lino/{n}"] for n in trained]

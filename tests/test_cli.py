@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import TextbookAdam, force_workers, rewrite_header, rewrite_model_header
+from helpers import (TextbookAdam, force_workers, rewrite_header, rewrite_model_header,
+                     taped_records)
 
 import lino.cli as cli
 import lino.model
@@ -649,7 +650,8 @@ class TestExportCommands:
         assert cli.main(["decompose", "--config", conf, "--out", str(outd)]) == 0
         x_test, _ = split_windows(values, spec, 8, 24, ("test",))["test"]
         columns, rows = decomposition_table(export_decomposition(params, cfg, x_test[3]))
-        assert read_rows(outd / "decomposition.csv") == [columns] + rows
+        assert read_rows(outd / "decomposition.csv") == \
+            [columns] + [[str(cell) for cell in row] for row in rows]
 
     def test_probe_emits_matrices_with_residuals(self, trained_run):
         tmp, cfg = trained_run
@@ -1152,6 +1154,26 @@ class TestNumericalFailureExit:
         # only the lane-open fit hooked its tapes, and the failing step had
         # queued block updates before the walk reached embed.w
         assert len(states) == 2 and len(states[-1].queued) > 0
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_nan_in_an_op_output_prints_one_error_line(self, tmp_path, capsys, monkeypatch,
+                                                      cpus):
+        """The first step's first `freq_projection` outputs a NaN: the run
+        exits 4 with one `error:` line naming the step and the op, with the
+        lane open or not, and leaves no directory behind."""
+        cfg = write_cfg(tmp_path / "t.cfg", **{**TINY, "epochs": 1})
+        with monkeypatch.context() as mp:
+            ops = taped_records(mp)
+            assert run(["train", "--config", cfg, "--out", str(tmp_path / "clean"),
+                        "--unsafe-grid"]) == 0
+        capsys.readouterr()
+        taped_records(monkeypatch, poison_at=ops.index("freq_projection"))
+        force_workers(monkeypatch, cpus)
+        assert run(["train", "--config", cfg, "--out", str(tmp_path / "r"),
+                    "--unsafe-grid"]) == 4
+        assert capsys.readouterr().err == \
+            "error: epoch 1, step 1: freq_projection: non-finite values in output\n"
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("seeds", ["1", "1,2"])
     def test_overflow_prints_one_stderr_line(self, tmp_path, seeds):

@@ -1,6 +1,7 @@
 """Data-layer tests: CSV parsing edge cases, split arithmetic, window
 extraction, standardisation, the synthetic generator, noise injection."""
 
+import csv
 import tracemalloc
 
 import numpy as np
@@ -79,6 +80,51 @@ class TestLoadCsv:
         back, columns = load_csv(path)
         assert columns == ["x", "y", "z"]
         np.testing.assert_array_equal(back, values)  # repr is lossless
+
+
+# floats whose text is easy to get wrong: a rounding trap, the switches to
+# exponent form, a signed zero, the non-finite values and both ends of the
+# float64 range
+CELL_FLOATS = (0.1, 1e16, 1e-5, -0.0, float("nan"), float("inf"), float("-inf"),
+               5e-324, 1.7976931348623157e308)
+
+
+def _write_formatted(path, rows, columns) -> None:
+    """The cell formatting every table had before `save_csv` took its
+    cells as values: `repr(float(v))` for a float, `str(n)` for an int."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows([cell if isinstance(cell, str) else
+                          str(cell) if isinstance(cell, (int, np.integer)) else
+                          repr(float(cell)) for cell in row] for row in rows)
+
+
+class TestSaveCsvCells:
+    COLUMNS = ("label", "int", "int64", "float", "float64")
+
+    def test_cells_written_as_the_old_formatting_wrote_them(self, tmp_path):
+        """`save_csv` takes str, int, `np.int64`, float and `np.float64`
+        cells as values and writes each float in its shortest round-trip
+        form, byte for byte as the per-cell `repr(float(v))` did."""
+        rows = [["x", k, np.int64(-k), v, np.float64(v)]
+                for k, v in enumerate(CELL_FLOATS)]
+        save_csv(str(tmp_path / "values.csv"), rows, self.COLUMNS)
+        _write_formatted(str(tmp_path / "text.csv"), rows, self.COLUMNS)
+        written = (tmp_path / "values.csv").read_bytes()
+        assert written == (tmp_path / "text.csv").read_bytes()
+        assert b"np." not in written
+        assert written.splitlines()[5] == b"x,4,-4,nan,nan"
+
+    def test_array_writes_as_its_list(self, tmp_path):
+        values = np.array([CELL_FLOATS, CELL_FLOATS[::-1]])
+        columns = [f"c{j}" for j in range(values.shape[1])]
+        save_csv(str(tmp_path / "array.csv"), values, columns)
+        save_csv(str(tmp_path / "list.csv"), values.tolist(), columns)
+        _write_formatted(str(tmp_path / "text.csv"), values, columns)
+        written = (tmp_path / "array.csv").read_bytes()
+        assert written == (tmp_path / "list.csv").read_bytes()
+        assert written == (tmp_path / "text.csv").read_bytes()
 
 
 class TestSplits:

@@ -386,7 +386,7 @@ class TestDecomposition:
         assert len(rows) == (2 * config.blocks + 1) * config.channels
         assert rows[-1][0] == "total"
         # every numeric cell round-trips exactly through its text form
-        got = float(rows[0][2])
+        got = float(str(rows[0][2]))
         assert got == dec_first_value(params, config, x)
 
     def test_batch_input_rejected(self):

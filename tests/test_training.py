@@ -14,8 +14,9 @@ import pytest
 import lino.tensor
 import lino.train
 
-from helpers import (TextbookAdam, check_gradients, checkpoint_layout, force_workers, reseal,
-                     rewrite_dtype_code, rewrite_header, rewrite_model_header)
+from helpers import (TextbookAdam, check_gradients, checkpoint_layout, force_workers, poisoned,
+                     reseal, rewrite_dtype_code, rewrite_header, rewrite_model_header,
+                     taped_records)
 
 from lino.errors import CheckpointError, ConfigError, NonFiniteError
 from lino.model import LiNoConfig, forward, init_params
@@ -403,6 +404,93 @@ class TestTrainLoop:
         x, y = trend_windows(40)
         with pytest.raises(ConfigError):
             train(x[:0], y[:0], x, y, tiny_config(), TrainConfig())
+
+
+class TestNonFiniteStep:
+    """What a NaN or an infinity in a training step raises, op by op: put
+    into the output of any op the step records, or into any gradient a
+    vjp returns, it ends the fit with one `NonFiniteError` that names the
+    step, the op and, for a gradient bound for a named leaf, its
+    parameter. The lane, open on two CPUs, changes none of it. Adam's
+    blocks are 40 values, so with the lane open some are queued before
+    the walk reaches the bad gradient."""
+
+    CONFIG = LiNoConfig(channels=2, lookback=8, horizon=4, dim=8, blocks=2, dropout=0.2)
+
+    @pytest.fixture(autouse=True)
+    def _small_blocks(self, monkeypatch):
+        monkeypatch.setattr(lino.train, "_ADAM_BLOCK", 40)
+
+    def _fit(self, monkeypatch, cpus):
+        """One step on 16 windows, then the validation pass."""
+        force_workers(monkeypatch, cpus)
+        rng = np.random.default_rng(0)
+        x, y = rng.normal(size=(16, 2, 8)), rng.normal(size=(16, 2, 4))
+        return train(x, y, x, y, self.CONFIG, TrainConfig(lr=1e-3, max_epochs=1, seed=1))
+
+    def _vjp_outputs(self, monkeypatch, at=None, slot=None, bad=np.nan) -> list:
+        """Log (node, slot, op, parent name, whether on the lane) for every
+        gradient a vjp of the step's tape returns for a parent that takes
+        one, in walk order, into the list returned; the gradient of node
+        `at`, `slot` gets `bad` in its first element, on the lane if it was
+        computed there."""
+        seen, real = [], lino.train.backward
+
+        def wrap(k, node):
+            vjp = node.vjp
+
+            def logged(g):
+                grads = list(vjp(g))
+                for j, (pg, parent) in enumerate(zip(grads, node.parents)):
+                    if pg is None or not parent.requires_grad:
+                        continue
+                    deferred = isinstance(pg, lino.tensor._Deferred)
+                    seen.append((k, j, node.op, parent.name, deferred))
+                    if (k, j) == (at, slot):
+                        grads[j] = (lino.tensor._defer(poisoned, pg, bad) if deferred
+                                    else poisoned(pg, bad))
+                return tuple(grads)
+            return logged
+
+        def backward(tape, loss):
+            for k, node in enumerate(tape.nodes):
+                node.vjp = wrap(k, node)
+            return real(tape, loss)
+
+        monkeypatch.setattr(lino.train, "backward", backward)
+        return seen
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "lane"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_op_output_names_the_op(self, monkeypatch, cpus, bad):
+        with monkeypatch.context() as mp:
+            ops = taped_records(mp)
+            self._fit(monkeypatch, cpus)
+        assert {"causal_depthwise_conv", "channel_mix", "freq_projection", "linear",
+                "layer_norm", "tanh", "dropout", "sum_all"} <= set(ops)
+        for k, op in enumerate(ops):
+            with monkeypatch.context() as mp, pytest.raises(NonFiniteError) as err:
+                taped_records(mp, poison_at=k, bad=bad)
+                self._fit(monkeypatch, cpus)
+            assert str(err.value) == f"epoch 1, step 1: {op}: non-finite values in output"
+            assert lino.tensor._lane is None
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "lane"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_vjp_output_names_the_op_and_parameter(self, monkeypatch, cpus, bad):
+        with monkeypatch.context() as mp:
+            outputs = self._vjp_outputs(mp)
+            self._fit(monkeypatch, cpus)
+        assert any(name == "embed.w" for *_, name, _ in outputs)
+        assert any(deferred for *_, deferred in outputs) == (cpus == 2)
+        for at, slot, op, name, _ in outputs:
+            with monkeypatch.context() as mp, pytest.raises(NonFiniteError) as err:
+                self._vjp_outputs(mp, at, slot, bad)
+                self._fit(monkeypatch, cpus)
+            where = f"{op}:{name}" if name else op
+            assert str(err.value) == \
+                f"epoch 1, step 1: backward[{where}]: non-finite values in output"
+            assert lino.tensor._lane is None
 
 
 class TestCheckpoint:

@@ -12,8 +12,13 @@ The battery:
   and to 2. At 2 a lone fit opens its lane, and its 805-window validation
   split is scored in forked workers;
 * a dim-16 `train` of every variant, and a `probe` of the `lino` one;
+* a dim-16 `train` at training-noise alpha 0.5;
+* a dim-16 `train` at 2 CPUs, so that the lone fit opens its lane, with
+  Adam's block size (`lino.train._ADAM_BLOCK`) forced to 100 elements,
+  so that parameters straddle blocks;
 * `ablate`, every ablation at dim 16;
-* `noise` at alphas 0 and 0.5, dim 16.
+* `noise` at alphas 0 and 0.5, dim 16;
+* `synth`, the generated series and its three components.
 
 Each job runs its commands through `lino.cli.main` in a process of its
 own, on the `src/` of the tree it checks, in a temporary directory. A
@@ -47,6 +52,7 @@ class Job(NamedTuple):
     cpus: int          # the fan-out's CPU count, forced; 0 keeps the machine's
     settings: dict     # config file keys
     commands: tuple    # run in order, all into one run directory
+    adam_block: int = 0  # Adam's block size in elements, forced; 0 keeps the default
 
 
 PAPER = dict(dataset="synth", synth_length=2000, synth_channels=7, val_ratio=0.45,
@@ -59,8 +65,11 @@ BATTERY = tuple(
     + [Job(f"train_{v}", 0, {**SMALL, "variant": v},
            ("train", "probe") if v == "lino" else ("train",))
        for v in ("lino", "mu", "raw", "ln")]
-    + [Job("ablate", 0, SMALL, ("ablate",)),
-       Job("noise", 0, {**SMALL, "alphas": "0.0,0.5"}, ("noise",))])
+    + [Job("train_alpha0.5", 0, {**SMALL, "alpha": 0.5}, ("train",)),
+       Job("train_cpus2_adam100", 2, SMALL, ("train",), adam_block=100),
+       Job("ablate", 0, SMALL, ("ablate",)),
+       Job("noise", 0, {**SMALL, "alphas": "0.0,0.5"}, ("noise",)),
+       Job("synth", 0, SMALL, ("synth",))])
 
 
 def checkpoint_digest(path: str) -> str:
@@ -101,9 +110,12 @@ def _run_job(spec: dict) -> None:
     print its digests as the last line of standard output."""
     import lino.cli
     import lino.fanout
+    import lino.train
 
     if spec["cpus"]:
         lino.fanout._cpus = lambda: spec["cpus"]
+    if spec["adam_block"]:
+        lino.train._ADAM_BLOCK = spec["adam_block"]
     for command in spec["commands"]:
         code = lino.cli.main([command, "--config", spec["config"], "--out", spec["out"],
                               "--unsafe-grid"])
@@ -123,7 +135,8 @@ def run_battery(src: str, workd: str, jobs=BATTERY) -> dict:
         config = os.path.join(workd, f"{job.name}.cfg")
         with open(config, "w") as fh:
             fh.writelines(f"{key} = {value}\n" for key, value in job.settings.items())
-        spec = {"cpus": job.cpus, "commands": job.commands, "config": config, "out": outd}
+        spec = {"cpus": job.cpus, "adam_block": job.adam_block, "commands": job.commands,
+                "config": config, "out": outd}
         done = subprocess.run([sys.executable, os.path.abspath(__file__), "--job",
                                json.dumps(spec)], env=env, capture_output=True, text=True)
         if done.returncode:
